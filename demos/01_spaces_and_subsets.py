@@ -9,7 +9,6 @@ from idemx import (
     discrete,
     embed,
     from_minimal_basis,
-    induced_subspace,
     is_connected,
     is_open,
     sierpinski,
@@ -38,6 +37,6 @@ print("closure({'w'}):", sorted(closure(W, {"w"})))  # w is dense from below
 # pair {p, q} inherits the discrete topology even though W itself is not
 # discrete; the embedding records that in subset_discrete.
 E = embed(W, ["p", "q"])
-X = induced_subspace(E)
+X = E.subspace
 print("induced opens on {p,q}:", [X.ids(m) for m in X.opens])
 print("subset_discrete:", E.subset_discrete)

@@ -9,7 +9,6 @@ from idemx import (
     check_axiom,
     classify,
     density,
-    density_eval,
     discrete,
     dual,
     from_mapping,
@@ -45,7 +44,7 @@ print("dual(dual(mu))(f) == mu(f):", dual(dual(mu))(f) == mu(f))
 # Idempotent measures: max-plus integration against a density with max 0.
 lam = density(X, {"a": 0.0, "b": -1.0, "c": None})  # None excludes the point
 g = from_mapping(X, {"a": 2.0, "b": 5.0, "c": 100.0})
-print("\ndensity eval max(lam + f):", density_eval(lam, g))  # c never contributes
+print("\ndensity eval max(lam + f):", lam(g))  # c never contributes
 
 # classify sorts a black-box functional into min-type, max-type, idempotent
 # measure, or none, with the witnessing support or density attached.

@@ -1,18 +1,17 @@
 """Campaign orchestration: deterministic theorem suites with replayable witnesses.
 
 Each suite turns one identity of the library into a batch of self-contained
-cases.  Cases are generated up front from the campaign seed (so parallel
-execution cannot change results), serialized into the report when they fail,
-and re-runnable one by one through ``replay``.
+cases.  Cases are generated up front from the campaign seed and run serially,
+so a fixed seed always gives the same report; failing cases are serialized
+into the report and re-runnable one by one through ``replay``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -28,10 +27,11 @@ from .errors import (
     UnknownSuite,
 )
 from .extenders import (
+    KIND_AXIOMS,
     build_extender,
     check_open_extension_algebra,
     connectivity_analysis,
-    function_class,
+    forward_implications,
     retraction_from_open_sets,
     supports_retraction,
 )
@@ -41,7 +41,6 @@ from .functionals import (
     RealFunction,
     SupportFunctional,
     check_axiom,
-    classify,
     density,
     dual,
     essential_family,
@@ -58,6 +57,7 @@ from .hyperspace import (
     lipschitz_constant,
     subset_max,
     subset_min,
+    subset_roundtrip_failure,
     vietoris_topology,
 )
 from .instances import (
@@ -67,11 +67,26 @@ from .instances import (
     load_functional,
     load_setmap,
     load_space,
+    read_json,
     setmap_to_json,
     space_to_json,
 )
-from .setmaps import SetValuedMap, is_lsc, is_retraction, is_usc, search_retraction
-from .spaces import FiniteTopSpace, SubspaceEmbedding, discrete, embed, line_metric
+from .setmaps import (
+    SetValuedMap,
+    fixing_images,
+    is_lsc,
+    is_retraction,
+    is_usc,
+    search_retraction,
+)
+from .spaces import (
+    FiniteTopSpace,
+    SubspaceEmbedding,
+    discrete,
+    embed,
+    from_minimal_basis,
+    line_metric,
+)
 
 CaseRunner = Callable[[dict, float], tuple[bool, str]]
 CaseGen = Callable[[int, int], list[dict]]
@@ -139,8 +154,6 @@ def _random_discrete_embedding(
 
 def _canonical_embeddings() -> list[tuple[SubspaceEmbedding, bool]]:
     """Hand instances paired with "no usc retraction exists" expectations."""
-    from .spaces import from_minimal_basis
-
     wedge = from_minimal_basis({"p": ["p", "w"], "q": ["q", "w"], "w": ["w"]})
     isolated = from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["w"]})
     star = from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["p", "q", "w"]})
@@ -172,8 +185,6 @@ def _embedding_corpus(count: int, seed: int, max_y: int = 5) -> list[dict]:
 
 def _forward_instances(cap: int, seed: int) -> list[dict]:
     """Ambient spaces over a discrete subspace, for the forward implications."""
-    from .spaces import from_minimal_basis
-
     instances = []
     for n_x in (1, 2, 3):
         xs = [f"p{i}" for i in range(n_x)]
@@ -199,24 +210,7 @@ def _forward_instances(cap: int, seed: int) -> list[dict]:
         e = embed(from_minimal_basis(basis), xs)
         if e.subset_discrete:
             out.append({"embedding": embedding_to_json(e)})
-    # dedupe by payload
-    seen = set()
-    uniq = []
-    for c in out:
-        key = json.dumps(c, sort_keys=True)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(c)
-    return uniq
-
-
-def _all_fixing_maps(e: SubspaceEmbedding):
-    amb, sub = e.ambient, e.subspace
-    outside = [p for p in amb.points if p not in set(e.subset)]
-    fixed = {p: 1 << sub.index(p) for p in e.subset}
-    for assign in itertools.product(range(1, sub.full_mask + 1), repeat=len(outside)):
-        by = dict(zip(outside, assign))
-        yield SetValuedMap(amb, sub, tuple(fixed.get(p) or by[p] for p in amb.points))
+    return out
 
 
 # -- suite runners ---------------------------------------------------------------
@@ -224,18 +218,11 @@ def _all_fixing_maps(e: SubspaceEmbedding):
 
 def _run_support_roundtrip(case: dict, tol: float) -> tuple[bool, str]:
     s = load_space(case["space"])
-    want = frozenset(case["F"])
-    singleton = len(want) == 1
-    for kind, expected in (("min", "R_min"), ("max", "R_max")):
-        mu = SupportFunctional(s, kind, s.mask(case["F"]))
-        got = support(mu, tol=tol)
-        if got != want:
-            return False, f"support({mu.label}) = {sorted(got)}"
-        cls = classify(mu, tol=tol)
-        if cls.support != want:
-            return False, f"classify({mu.label}) support = {sorted(cls.support or ())}"
-        if cls.kind != expected and not (singleton and cls.kind in ("R_min", "R_max")):
-            return False, f"classify({mu.label}) kind = {cls.kind}"
+    m = s.mask(case["F"])
+    for kind in ("min", "max"):
+        failure = subset_roundtrip_failure(SupportFunctional(s, kind, m), kind, m, tol=tol)
+        if failure:
+            return False, failure
     return True, "roundtrip holds for both kinds"
 
 
@@ -304,64 +291,59 @@ def _run_continuous_roundtrip(case: dict, tol: float) -> tuple[bool, str]:
         return True, "skipped: search too large"
     if r is None:
         return True, "no continuous retraction exists"
+    family = two_valued_tuples(e.subspace.n, 0.0, 1.0)
     for kind in ("min", "max"):
         u = build_extender(r, e, kind)
         rec = supports_retraction(u, tol=tol)
         if rec != r:
             return False, f"supports of the {kind} extender differ from r"
-        for vals in two_valued_tuples(e.subspace.n, 0.0, 1.0):
-            g = u.apply(RealFunction(e.subspace, vals))
-            if function_class(g, e.ambient).klass != "continuous":
-                return False, f"{kind} extender output not continuous at f={vals}"
+        for imp in forward_implications(u, True, True, family):
+            if not imp.passed:
+                return False, f"{imp.name}: {imp.failures[0]}"
     return True, "continuous retraction round-trips through both extenders"
 
 
 def _forward_check(case: dict, tol: float, hypothesis: str) -> tuple[bool, str]:
     e = load_embedding(case["embedding"])
-    pred = is_usc if hypothesis == "usc" else is_lsc
-    if hypothesis == "usc":
-        wants = {"min": ("lsc", "continuous"), "max": ("usc", "continuous")}
-    else:
-        wants = {"min": ("usc", "continuous"), "max": ("lsc", "continuous")}
+    family = two_valued_tuples(e.subspace.n, 0.0, 1.0)
     checked = 0
-    for r in _all_fixing_maps(e):
-        if not pred(r):
+    for images in fixing_images(e):
+        r = SetValuedMap(e.ambient, e.subspace, images)
+        r_usc, r_lsc = is_usc(r), is_lsc(r)
+        if not (r_usc if hypothesis == "usc" else r_lsc):
             continue
         checked += 1
-        for kind, allowed in wants.items():
-            u = build_extender(r, e, kind)
-            for vals in two_valued_tuples(e.subspace.n, 0.0, 1.0):
-                g = u.apply(RealFunction(e.subspace, vals))
-                kl = function_class(g, e.ambient).klass
-                if kl not in allowed:
-                    return (
-                        False,
-                        f"{hypothesis} map {r.as_dict()} with {kind} extender "
-                        f"gives {kl} output at f={vals}",
-                    )
+        for kind in ("min", "max"):
+            for imp in forward_implications(build_extender(r, e, kind), r_usc, r_lsc, family):
+                if not imp.passed:
+                    return False, f"map {r.as_dict()}: {imp.name}: {imp.failures[0]}"
     return True, f"{checked} {hypothesis} maps conform"
 
 
-def _run_usc_forward(case: dict, tol: float) -> tuple[bool, str]:
-    return _forward_check(case, tol, "usc")
+def _search_usc(case: dict):
+    """Search a corpus case for a usc retraction.
 
-
-def _run_lsc_forward(case: dict, tol: float) -> tuple[bool, str]:
-    return _forward_check(case, tol, "lsc")
-
-
-def _run_open_recovery(case: dict, tol: float) -> tuple[bool, str]:
+    Returns the embedding, the map found, and the verdict when the search
+    alone decides the case (else None).
+    """
     e = load_embedding(case["embedding"])
     try:
         r = search_retraction(e, "usc")
     except TooLarge:
-        return True, "skipped: search too large"
+        return e, None, (True, "skipped: search too large")
     if case.get("expect_none"):
         if r is not None:
-            return False, f"expected no usc retraction, found {r.as_dict()}"
-        return True, "no usc retraction, as required"
+            return e, r, (False, f"expected no usc retraction, found {r.as_dict()}")
+        return e, r, (True, "no usc retraction, as required")
     if r is None:
-        return True, "no usc retraction exists"
+        return e, r, (True, "no usc retraction exists")
+    return e, r, None
+
+
+def _run_open_recovery(case: dict, tol: float) -> tuple[bool, str]:
+    e, r, verdict = _search_usc(case)
+    if verdict:
+        return verdict
     u_max = build_extender(r, e, "max")
     rec = retraction_from_open_sets(u_max, "max_usc", tol=tol)
     if rec != r:
@@ -377,14 +359,13 @@ def _run_open_recovery(case: dict, tol: float) -> tuple[bool, str]:
 
 
 def _run_connectivity(case: dict, tol: float) -> tuple[bool, str]:
-    from .spaces import from_minimal_basis
-
     n = case["n"]
     xs = [f"p{i}" for i in range(n)]
     basis = {p: [p] for p in xs}
     basis["w"] = ["w"] + list(case["w_sees"])
     e = embed(from_minimal_basis(basis), xs)
-    for r in _all_fixing_maps(e):
+    for images in fixing_images(e):
+        r = SetValuedMap(e.ambient, e.subspace, images)
         singleton = all(bin(m).count("1") == 1 for m in r.images)
         for kind in ("min", "max"):
             u = build_extender(r, e, kind)
@@ -453,10 +434,8 @@ def _run_axioms_fuzz(case: dict, tol: float) -> tuple[bool, str]:
         if dual(dual(mu))(f) != mu(f):
             return False, "dual is not an involution"
     expected_true = {
-        "support_min": ("normed", "weakly_additive", "preserves_min",
-                        "weakly_preserves_max", "weakly_preserves_min"),
-        "support_max": ("normed", "weakly_additive", "preserves_max",
-                        "weakly_preserves_min", "weakly_preserves_max"),
+        "support_min": KIND_AXIOMS["min"],
+        "support_max": KIND_AXIOMS["max"],
         "density": ("normed", "weakly_additive", "preserves_max"),
         "mean": ("normed", "weakly_additive"),
     }[case["profile"]]
@@ -483,17 +462,9 @@ def _run_hausdorff(case: dict, tol: float) -> tuple[bool, str]:
 
 
 def _run_retraction_search(case: dict, tol: float) -> tuple[bool, str]:
-    e = load_embedding(case["embedding"])
-    try:
-        r = search_retraction(e, "usc")
-    except TooLarge:
-        return True, "skipped: search too large"
-    if case.get("expect_none"):
-        if r is not None:
-            return False, f"expected none, found {r.as_dict()}"
-        return True, "no usc retraction, as required"
-    if r is None:
-        return True, "no usc retraction exists"
+    e, r, verdict = _search_usc(case)
+    if verdict:
+        return verdict
     if not is_usc(r) or not is_retraction(r, e):
         return False, "returned map fails its own predicate"
     return True, "found map verifies"
@@ -509,8 +480,8 @@ def _gen_axioms_fuzz(cap: int, seed: int) -> list[dict]:
         roll = rng.random()
         if roll < 0.25:
             e = _random_discrete_embedding(rng, 5)
-            maps = list(_all_fixing_maps(e))
-            r = maps[int(rng.integers(len(maps)))]
+            images = list(fixing_images(e))
+            r = SetValuedMap(e.ambient, e.subspace, images[int(rng.integers(len(images)))])
             cases.append(
                 {
                     "type": "extender_dual",
@@ -612,14 +583,14 @@ _register(
 )
 _register(
     "usc_forward", 4, 5,
-    lambda cap, seed: _forward_instances(cap, seed),
-    _run_usc_forward,
+    _forward_instances,
+    functools.partial(_forward_check, hypothesis="usc"),
     "usc maps give lsc min-extensions and usc max-extensions",
 )
 _register(
     "lsc_forward", 4, 5,
-    lambda cap, seed: _forward_instances(cap, seed),
-    _run_lsc_forward,
+    _forward_instances,
+    functools.partial(_forward_check, hypothesis="lsc"),
     "lsc maps give usc min-extensions and lsc max-extensions",
 )
 _register(
@@ -734,13 +705,6 @@ def _suite_seed(master: int, name: str) -> int:
     return int(np.random.SeedSequence([master, idx]).generate_state(1)[0])
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("IDEMX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_suite(name: str, cfg: CampaignConfig) -> SuiteResult:
     suite = CATALOGUE.get(name)
     if suite is None:
@@ -750,22 +714,13 @@ def run_suite(name: str, cfg: CampaignConfig) -> SuiteResult:
     cases = suite.gen_cases(cap, seed)
     start = time.perf_counter()
 
-    def run_one(case):
-        try:
-            return suite.run_case(case, cfg.tol)
-        except IdemxError as exc:
-            return False, f"{type(exc).__name__}: {exc}"
-
-    workers = _workers()
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, cases))
-    else:
-        outcomes = [run_one(c) for c in cases]
-
     witnesses = []
     passed = 0
-    for case, (ok, detail) in zip(cases, outcomes):
+    for case in cases:
+        try:
+            ok, detail = suite.run_case(case, cfg.tol)
+        except IdemxError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         if ok:
             passed += 1
         else:
@@ -820,7 +775,7 @@ class ReplayOutcome:
 
 def replay_witnesses(report_path: str | Path, tol: float | None = None) -> list[ReplayOutcome]:
     """Re-run every failure witness of a report; reproduced means it fails again."""
-    data = json.loads(Path(report_path).read_text())
+    data = read_json(report_path)
     rtol = tol if tol is not None else float(data.get("config", {}).get("tol", 1e-9))
     outcomes = []
     for name, res in data.get("suites", {}).items():

@@ -17,29 +17,15 @@ from .campaign import (
     replay_witnesses,
     run_campaign,
 )
-from .errors import IdemxError
+from .errors import IdemxError, ParseError
 from .extenders import build_extender, retraction_from_open_sets, supports_retraction
-from .functionals import AXIOMS, RealFunction, check_axiom, classify, support
-from .instances import load_setmap, parse_instance, setmap_to_json
+from .functionals import AXIOMS, Functional, RealFunction, check_axiom, classify, support
+from .instances import load_setmap, parse_instance, read_json, setmap_to_json
 from .setmaps import search_retraction
 from .spaces import SubspaceEmbedding
 
 
-def _load_json(path: str) -> dict:
-    from pathlib import Path
-
-    from .errors import ParseError
-
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def _functional_from(path: str):
-    from .errors import ParseError
-    from .functionals import Functional
-
     obj = parse_instance(path)
     if not isinstance(obj, Functional):
         raise ParseError(f"{path} does not describe a functional")
@@ -47,8 +33,6 @@ def _functional_from(path: str):
 
 
 def _embedding_from(path: str) -> SubspaceEmbedding:
-    from .errors import ParseError
-
     obj = parse_instance(path)
     if not isinstance(obj, SubspaceEmbedding):
         raise ParseError(f"{path} does not describe an embedding")
@@ -56,16 +40,18 @@ def _embedding_from(path: str) -> SubspaceEmbedding:
 
 
 def _function_on(space, path: str) -> RealFunction:
-    from .errors import ParseError
-
-    data = _load_json(path)
+    data = read_json(path)
     values = data.get("values", data)
     if not isinstance(values, dict):
         raise ParseError(f"{path}: expected {{'values': {{point: value}}}}")
     missing = [p for p in space.points if p not in values]
     if missing:
         raise ParseError(f"{path}: missing values for {missing}")
-    return RealFunction(space, tuple(float(values[p]) for p in space.points))
+    try:
+        vals = tuple(float(values[p]) for p in space.points)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: values must be numbers ({exc})") from None
+    return RealFunction(space, vals)
 
 
 def _cmd_check_axioms(args) -> int:
@@ -86,14 +72,14 @@ def _cmd_check_axioms(args) -> int:
 
 def _cmd_support(args) -> int:
     mu = _functional_from(args.functional)
-    pts = sorted(support(mu, budget=args.budget, tol=args.tol))
+    pts = sorted(support(mu, budget=args.budget, tol=args.tol, seed=args.seed))
     print(json.dumps(pts))
     return 0
 
 
 def _cmd_classify(args) -> int:
     mu = _functional_from(args.functional)
-    cls = classify(mu, budget=args.budget, tol=args.tol)
+    cls = classify(mu, budget=args.budget, tol=args.tol, seed=args.seed)
     out = {"class": cls.kind}
     if cls.support is not None:
         out["support"] = sorted(cls.support)
@@ -108,7 +94,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_extend(args) -> int:
     e = _embedding_from(args.embedding)
-    r = load_setmap(_load_json(args.map))
+    r = load_setmap(read_json(args.map))
     u = build_extender(r, e, args.kind)
     f = _function_on(e.subspace, args.function)
     g = u.apply(f)
@@ -118,7 +104,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_recover(args) -> int:
     e = _embedding_from(args.embedding)
-    r = load_setmap(_load_json(args.map))
+    r = load_setmap(read_json(args.map))
     u = build_extender(r, e, args.kind)
     if args.method == "supports":
         rec = supports_retraction(u, tol=args.tol)
@@ -140,8 +126,6 @@ def _cmd_search(args) -> int:
 
 
 def _parse_caps(pairs) -> dict[str, int]:
-    from .errors import ParseError
-
     caps = {}
     for item in pairs or []:
         if "=" not in item:
@@ -220,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--kind", choices=("min", "max"), default="min")
     p.add_argument("--function", required=True, help="values on the subspace")
-    common(p)
     p.set_defaults(fn=_cmd_extend)
 
     p = sub.add_parser("recover", help="recover the map behind an extender")
@@ -228,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--kind", choices=("min", "max"), default="max")
     p.add_argument("--method", choices=("supports", "opens"), default="opens")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("search", help="search for a set-valued retraction")
@@ -236,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--semicontinuity", choices=("usc", "lsc", "continuous"), default="usc"
     )
-    common(p)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("campaign", help="run theorem suites")

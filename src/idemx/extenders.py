@@ -26,6 +26,7 @@ from .errors import (
     NotARetraction,
     NotNormalized,
     SpaceMismatch,
+    TooLarge,
 )
 from .functionals import (
     LambdaFunctional,
@@ -33,11 +34,12 @@ from .functionals import (
     TWO_VALUED_CAP,
     _pair_family,
     _rand_tuple,
+    _verify_family,
     check_axiom,
     classify,
     two_valued_tuples,
 )
-from .setmaps import SetValuedMap, is_lsc, is_retraction, is_usc
+from .setmaps import SetValuedMap, identity_map, is_lsc, is_retraction, is_usc
 from .spaces import FiniteTopSpace, SubspaceEmbedding, _bits, embed
 
 Kind = Literal["min", "max"]
@@ -98,8 +100,6 @@ def build_extender(
 
 def identity_extender(embedding: SubspaceEmbedding) -> Extender:
     """Shortcut for the ambient == subspace case."""
-    from .setmaps import identity_map
-
     return build_extender(identity_map(embedding.ambient), embedding, "min")
 
 
@@ -162,10 +162,7 @@ def function_class(g: RealFunction, space: FiniteTopSpace) -> FunctionClassRepor
 
 
 def _x_family(space: FiniteTopSpace, sample: int, rng) -> list[tuple[float, ...]]:
-    fam = list(_pair_family(space.n))
-    if space.n <= TWO_VALUED_CAP:
-        fam += two_valued_tuples(space.n, 0.0, 5.0)
-    fam = list(dict.fromkeys(fam))
+    fam = list(_verify_family(space.n))
     for _ in range(sample):
         fam.append(_rand_tuple(rng, space.n, amp=3.0))
     return fam
@@ -215,29 +212,18 @@ KIND_AXIOMS = {
 }
 
 
-def verify_semicontinuity_theorem(
-    r: SetValuedMap,
-    embedding: SubspaceEmbedding,
-    kind: Kind,
-    sample: int = 32,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> SemicontinuityTheoremReport:
+def forward_implications(
+    u: Extender, r_usc: bool, r_lsc: bool, family
+) -> tuple[ImplicationResult, ...]:
     """Check the forward implications from map semicontinuity to output class.
 
-    Upper semicontinuous maps must give lsc outputs through the min
-    extender and usc outputs through the max extender; lower semicontinuous
-    maps dually; continuous maps give continuous outputs.  The pointwise
-    functionals are also checked against the identities of their kind.
+    ``u`` is built from a retraction r whose semicontinuity is given by
+    ``r_usc`` and ``r_lsc``.  Upper semicontinuous maps must give lsc outputs
+    through the min extender and usc outputs through the max extender; lower
+    semicontinuous maps dually; continuous maps give continuous outputs.
+    Each input of ``family`` is extended and classified once.
     """
-    u = build_extender(r, embedding, kind)
-    rng = np.random.default_rng(seed)
-    x_space = embedding.subspace
-    y_space = embedding.ambient
-    fam = _x_family(x_space, sample, rng)
-
-    r_usc = is_usc(r)
-    r_lsc = is_lsc(r)
+    kind = u.provenance.kind
     expectations = []
     if r_usc and r_lsc:
         expectations.append(("continuous map gives continuous outputs", ("continuous",)))
@@ -248,25 +234,46 @@ def verify_semicontinuity_theorem(
         want = ("usc", "continuous") if kind == "min" else ("lsc", "continuous")
         expectations.append((f"lsc map gives {want[0]} outputs ({kind} extender)", want))
 
-    implications = []
-    for name, allowed in expectations:
-        failures = []
-        for vals in fam:
-            g = u.apply(RealFunction(x_space, vals))
-            rep = function_class(g, y_space)
-            if rep.klass not in allowed:
-                failures.append(f"f={vals} -> u(f)={g.values} is {rep.klass}")
-        implications.append(ImplicationResult(name, len(fam), tuple(failures)))
+    failures = {name: [] for name, _ in expectations}
+    for vals in family:
+        g = u.apply(RealFunction(u.domain_space, vals))
+        klass = function_class(g, u.ambient_space).klass
+        for name, allowed in expectations:
+            if klass not in allowed:
+                failures[name].append(f"f={vals} -> u(f)={g.values} is {klass}")
+    return tuple(
+        ImplicationResult(name, len(family), tuple(failures[name]))
+        for name, _ in expectations
+    )
+
+
+def verify_semicontinuity_theorem(
+    r: SetValuedMap,
+    embedding: SubspaceEmbedding,
+    kind: Kind,
+    sample: int = 32,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> SemicontinuityTheoremReport:
+    """Check ``forward_implications`` for r, and check the pointwise
+    functionals against the identities of their kind.
+    """
+    u = build_extender(r, embedding, kind)
+    rng = np.random.default_rng(seed)
+    fam = _x_family(embedding.subspace, sample, rng)
+    r_usc = is_usc(r)
+    r_lsc = is_lsc(r)
+    implications = forward_implications(u, r_usc, r_lsc, fam)
 
     axiom_failures = []
-    for p in y_space.points:
+    for p in embedding.ambient.points:
         mu = mu_at(u, p)
         for a in KIND_AXIOMS[kind]:
             rep = check_axiom(mu, a, trials=8, tol=tol, seed=seed)
             if not rep.passed:
                 axiom_failures.append(f"mu[{p}] fails {a}: {rep.witness}")
     return SemicontinuityTheoremReport(
-        kind, r_usc, r_lsc, tuple(implications), tuple(axiom_failures)
+        kind, r_usc, r_lsc, implications, tuple(axiom_failures)
     )
 
 
@@ -367,6 +374,35 @@ def _extend_open_detail(
     return out, attained
 
 
+def _recover_by_closures(
+    u: Extender, variant: str, budget: int, tol: float, seed: int
+) -> tuple[int, tuple[int, ...]]:
+    """The region reached by the open-set extension, and for each ambient
+    point the intersection of the closures of the opens whose extension
+    contains it (the whole subspace where none does).
+    """
+    x_space = u.domain_space
+    e_masks = {
+        um: _extend_open_detail(u, um, variant, budget, tol, seed)[0]
+        for um in x_space.opens
+    }
+    region = 0
+    for em in e_masks.values():
+        region |= em
+    images = []
+    for i, p in enumerate(u.ambient_space.points):
+        acc = x_space.full_mask
+        for um, em in e_masks.items():
+            if (em >> i) & 1:
+                acc &= x_space.closure_mask(um)
+        if acc == 0:
+            raise InvariantViolation(
+                "recovered.nonempty", f"empty recovered value at {p!r}"
+            )
+        images.append(acc)
+    return region, tuple(images)
+
+
 def retraction_from_open_sets(
     u: Extender,
     variant: str = "max_usc",
@@ -380,27 +416,8 @@ def retraction_from_open_sets(
     the subspace) of all opens U whose extension contains y; points reached
     by no extension get the whole subspace.
     """
-    x_space = u.domain_space
-    y_space = u.ambient_space
-    e_masks = {
-        um: _extend_open_detail(u, um, variant, budget, tol, seed)[0]
-        for um in x_space.opens
-    }
-    images = []
-    for i, p in enumerate(y_space.points):
-        acc = None
-        for um, em in e_masks.items():
-            if (em >> i) & 1:
-                cl = x_space.closure_mask(um)
-                acc = cl if acc is None else acc & cl
-        if acc is None:
-            acc = x_space.full_mask
-        if acc == 0:
-            raise InvariantViolation(
-                "recovered.nonempty", f"empty recovered value at {p!r}"
-            )
-        images.append(acc)
-    return SetValuedMap(y_space, x_space, tuple(images))
+    _, images = _recover_by_closures(u, variant, budget, tol, seed)
+    return SetValuedMap(u.ambient_space, u.domain_space, images)
 
 
 def _extender_preserves(u: Extender, op: str, tol: float, family) -> bool:
@@ -451,8 +468,6 @@ def check_open_extension_algebra(
     """
     x_space = u.domain_space
     if x_space.n > 6:
-        from .errors import TooLarge
-
         raise TooLarge("exhaustive open-pair check needs |X| <= 6")
     op = "max" if variant == "max_usc" else "min"
     fam = _pair_family(x_space.n)
@@ -552,13 +567,7 @@ def connectivity_analysis(
             raise AxiomPrecheckFailed(f"extender does not preserve {op} ({checked_on} inputs)")
 
     y_space = u.ambient_space
-    e_masks = {
-        um: _extend_open_detail(u, um, "max_usc", budget, tol, seed=0)[0]
-        for um in x_space.opens
-    }
-    region_mask = 0
-    for em in e_masks.values():
-        region_mask |= em
+    region_mask, images = _recover_by_closures(u, "max_usc", budget, tol, seed=0)
     region = y_space.ids(region_mask)
     if not region:
         return ConnectivityReport(
@@ -566,19 +575,8 @@ def connectivity_analysis(
             schedule_limited=not isinstance(u.provenance, FromRetraction),
         )
 
-    values = {}
-    img_masks = {}
-    for p in region:
-        i = y_space.index(p)
-        acc = None
-        for um, em in e_masks.items():
-            if (em >> i) & 1:
-                cl = x_space.closure_mask(um)
-                acc = cl if acc is None else acc & cl
-        if acc == 0 or acc is None:
-            raise InvariantViolation("recovered.nonempty", f"empty value at {p!r}")
-        img_masks[p] = acc
-        values[p] = x_space.ids(acc)
+    img_masks = {p: images[y_space.index(p)] for p in region}
+    values = {p: x_space.ids(m) for p, m in img_masks.items()}
 
     connected = all(x_space.is_connected_mask(m) for m in img_masks.values())
     sub = embed(y_space, region)

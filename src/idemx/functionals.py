@@ -100,18 +100,6 @@ def from_mapping(space, values: Mapping[str, float]) -> RealFunction:
     return RealFunction(space, tuple(float(values[p]) for p in space.points))
 
 
-def fmin(f: RealFunction, g: RealFunction) -> RealFunction:
-    if f.space != g.space:
-        raise SpaceMismatch("pointwise min needs functions on the same space")
-    return RealFunction(f.space, tuple(map(min, f.values, g.values)))
-
-
-def fmax(f: RealFunction, g: RealFunction) -> RealFunction:
-    if f.space != g.space:
-        raise SpaceMismatch("pointwise max needs functions on the same space")
-    return RealFunction(f.space, tuple(map(max, f.values, g.values)))
-
-
 # -- functionals -----------------------------------------------------------
 
 
@@ -214,11 +202,6 @@ def density(space, lam: Mapping[str, float | None]) -> IdempotentDensity:
         NEG_INF if lam[p] is None else float(lam[p]) for p in space.points
     )
     return IdempotentDensity(space, vals)
-
-
-def density_eval(lam: IdempotentDensity, f: RealFunction) -> float:
-    """Max-plus integral of ``f`` against the density."""
-    return lam(f)
 
 
 @dataclass(frozen=True)
@@ -597,6 +580,27 @@ def _probe_class_support(ev: _Memo, n: int, kind: Kind, tol: float) -> int:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _verify_family(n: int) -> tuple[tuple[float, ...], ...]:
+    """Structured inputs on which a proposed formula for a functional is checked."""
+    fam = _pair_family(n)
+    if n <= TWO_VALUED_CAP:
+        fam += two_valued_tuples(n, 0.0, 5.0)
+    return tuple(dict.fromkeys(fam))
+
+
+def _reproduces(ev: _Memo, formula, n: int, tol: float, budget: int, rng) -> bool:
+    """Check mu(f) == formula(f) on the structured family plus random f."""
+    for f in _verify_family(n):
+        if abs(ev(f) - formula(f)) > tol:
+            return False
+    for _ in range(budget):
+        f = _rand_tuple(rng, n, amp=5.0)
+        if abs(ev(f) - formula(f)) > tol:
+            return False
+    return True
+
+
 def _verify_kind(
     ev: _Memo, n: int, kind: Kind, mask: int, tol: float, budget: int, rng
 ) -> bool:
@@ -605,17 +609,7 @@ def _verify_kind(
         return False
     idx = tuple(_bits(mask))
     agg = min if kind == "min" else max
-    fams = list(_pair_family(n))
-    if n <= TWO_VALUED_CAP:
-        fams += two_valued_tuples(n, 0.0, 5.0)
-    for f in fams:
-        if abs(ev(f) - agg(f[i] for i in idx)) > tol:
-            return False
-    for _ in range(budget):
-        f = _rand_tuple(rng, n, amp=5.0)
-        if abs(ev(f) - agg(f[i] for i in idx)) > tol:
-            return False
-    return True
+    return _reproduces(ev, lambda f: agg(f[i] for i in idx), n, tol, budget, rng)
 
 
 def support(
@@ -995,21 +989,13 @@ def classify(
     if all(reports[a].passed for a in ("normed", "weakly_additive", "preserves_max")):
         lam = _extract_density(ev, space, tol)
         cand = IdempotentDensity(space, lam)
-        fams = _pair_family(n)
-        if n <= TWO_VALUED_CAP:
-            fams = fams + two_valued_tuples(n, 0.0, 5.0)
-        for f in fams:
-            if abs(ev(f) - cand(RealFunction._trusted(space, f))) > tol:
-                raise BudgetExhaustedInconclusive(
-                    "passes the idempotent-measure axioms on samples but the "
-                    "extracted density does not reproduce the functional"
-                )
-        for _ in range(budget):
-            f = _rand_tuple(rng, n, amp=5.0)
-            if abs(ev(f) - cand(RealFunction._trusted(space, f))) > tol:
-                raise BudgetExhaustedInconclusive(
-                    "extracted density fails on random inputs"
-                )
+        if not _reproduces(
+            ev, lambda f: cand(RealFunction._trusted(space, f)), n, tol, budget, rng
+        ):
+            raise BudgetExhaustedInconclusive(
+                "passes the idempotent-measure axioms on samples but the "
+                "extracted density does not reproduce the functional"
+            )
         return Classification("idempotent_measure", density=cand, axiom_reports=reports)
 
     return Classification("none", axiom_reports=reports)

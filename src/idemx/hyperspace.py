@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EmptySet, InvariantViolation, ModeArity, SpaceMismatch, TooLarge
-from .functionals import RealFunction, SupportFunctional, classify, support
-from .spaces import FiniteTopSpace, MetricSpace, _bits
+from .functionals import Functional, RealFunction, SupportFunctional, classify, support
+from .spaces import FiniteTopSpace, MetricSpace, _bits, _popcount
 
 #: Full hyperspace enumeration stays below 2^16 subsets.
 HYPERSPACE_CAP = 16
@@ -128,36 +128,39 @@ class RoundtripReport:
         return not self.failures
 
 
-def hyperspace_roundtrip(space: FiniteTopSpace, kind: str) -> RoundtripReport:
-    """For every nonempty F check that the min/max functional over F has
-    support exactly F and classifies back to the same kind and support.
+def subset_roundtrip_failure(
+    mu: Functional, kind: str, member: int, tol: float = 1e-9
+) -> str | None:
+    """Check that ``mu``, the min/max functional over a nonempty subset F,
+    has support exactly F and classifies back to the same kind and support.
 
     Singleton supports satisfy both the min and the max formula, so either
-    class label is accepted for them.
+    class label is accepted for them.  Returns a failure message, or None.
     """
-    n = space.n
-    if n > 6:
+    want = mu.space.subset(member)
+    got = support(mu, tol=tol)
+    if got != want:
+        return f"support({mu.label}) = {sorted(got)}, want {sorted(want)}"
+    cls = classify(mu, tol=tol)
+    expected = "R_min" if kind == "min" else "R_max"
+    label_ok = cls.kind == expected or (
+        _popcount(member) == 1 and cls.kind in ("R_min", "R_max")
+    )
+    if not label_ok or cls.support != want:
+        return f"classify({mu.label}) = ({cls.kind}, {sorted(cls.support or ())})"
+    return None
+
+
+def hyperspace_roundtrip(space: FiniteTopSpace, kind: str) -> RoundtripReport:
+    """Run ``subset_roundtrip_failure`` for every nonempty subset."""
+    if space.n > 6:
         raise TooLarge("exhaustive roundtrip needs |points| <= 6")
     failures = []
-    cases = 0
-    expected = "R_min" if kind == "min" else "R_max"
     for m in range(1, space.full_mask + 1):
-        cases += 1
-        mu = SupportFunctional(space, kind, m)
-        got = support(mu)
-        want = space.subset(m)
-        if got != want:
-            failures.append(f"support({mu.label}) = {sorted(got)}, want {sorted(want)}")
-            continue
-        cls = classify(mu)
-        label_ok = cls.kind == expected or (
-            bin(m).count("1") == 1 and cls.kind in ("R_min", "R_max")
-        )
-        if not label_ok or cls.support != want:
-            failures.append(
-                f"classify({mu.label}) = ({cls.kind}, {sorted(cls.support or ())})"
-            )
-    return RoundtripReport(cases, tuple(failures))
+        failure = subset_roundtrip_failure(SupportFunctional(space, kind, m), kind, m)
+        if failure:
+            failures.append(failure)
+    return RoundtripReport(space.full_mask, tuple(failures))
 
 
 # -- generated topologies on the hyperspace (discrete base spaces) ------------

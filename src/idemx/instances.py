@@ -46,8 +46,8 @@ Instance = (
 )
 
 
-def parse_instance(path: str | Path) -> Instance:
-    """Load and validate one instance file."""
+def read_json(path: str | Path) -> dict:
+    """Read a file holding one JSON object."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -56,7 +56,14 @@ def parse_instance(path: str | Path) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return load_instance(data)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
+
+
+def parse_instance(path: str | Path) -> Instance:
+    """Load and validate one instance file."""
+    return load_instance(read_json(path))
 
 
 def load_instance(data: Any) -> Instance:
@@ -76,26 +83,51 @@ def load_instance(data: Any) -> Instance:
     raise ParseError(f"fields {sorted(data)} match no known instance schema")
 
 
+def _names(value: Any, where: str) -> list[str]:
+    """A JSON list of point names; anything else is a ParseError at ``where``."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{where} must be a list of point names")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} must be a number, got {value!r}") from None
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object")
+    return value
+
+
 def load_space(data: dict) -> FiniteTopSpace:
+    _object(data, "space")
     points = data.get("points")
-    nbhd = data.get("min_nbhd")
-    if not isinstance(nbhd, dict):
-        raise ParseError("min_nbhd must be an object")
+    if points is not None:
+        _names(points, "points")
+    nbhd = _object(data.get("min_nbhd"), "min_nbhd")
+    for p, members in nbhd.items():
+        _names(members, f"min_nbhd[{p}]")
     return from_minimal_basis(nbhd, points)
 
 
 def load_metric(data: dict) -> MetricSpace:
-    points = data.get("points")
-    if not isinstance(points, list) or not points:
+    points = _names(data.get("points"), "points")
+    if not points:
         raise ParseError("metric space needs a nonempty points list")
-    return MetricSpace(tuple(points), np.asarray(data["dist"], dtype=float))
+    try:
+        dist = np.asarray(data["dist"], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("dist must be a matrix of numbers") from None
+    return MetricSpace(tuple(points), dist)
 
 
 def load_embedding(data: dict) -> SubspaceEmbedding:
     ambient = load_space(data["ambient"])
-    subset = data.get("subset")
-    if not isinstance(subset, list):
-        raise ParseError("embedding needs a subset list")
+    subset = _names(data.get("subset"), "subset")
     return SubspaceEmbedding(ambient, tuple(subset))
 
 
@@ -104,7 +136,10 @@ def load_setmap(data: dict) -> SetValuedMap:
         raise ParseError("setmap needs embedded domain and codomain spaces")
     domain = load_space(data["domain"])
     codomain = load_space(data["codomain"])
-    return setmap(domain, codomain, data["map"])
+    images = _object(data["map"], "map")
+    for p, members in images.items():
+        _names(members, f"map[{p}]")
+    return setmap(domain, codomain, images)
 
 
 def load_functional(data: dict) -> Functional:
@@ -113,40 +148,40 @@ def load_functional(data: dict) -> Functional:
     space = load_space(data["space"])
     kind = data["kind"]
     if kind == "support":
-        f = data.get("F", [])
+        f = _names(data.get("F", []), "F")
         if not f:
             raise InvariantViolation("F.nonempty", "support set must be nonempty")
         return SupportFunctional(
             space, "min" if data.get("min", True) else "max", space.mask(f)
         )
     if kind == "density":
-        lam = data.get("lambda")
-        if not isinstance(lam, dict):
-            raise ParseError("density needs a lambda object")
+        lam = _object(data.get("lambda"), "lambda")
         vals = []
         for p in space.points:
             v = lam.get(p)
             if v is None or v == "-inf":
                 vals.append(NEG_INF)
             else:
-                vals.append(float(v))
+                vals.append(_number(v, f"lambda[{p}]"))
         return IdempotentDensity(space, tuple(vals))
     if kind == "mean":
         return MeanFunctional(space)
     if kind == "table":
-        table_in = data.get("table", {})
+        table_in = _object(data.get("table", {}), "table")
         values = [0.0] * (1 << space.n)
         seen = set()
         for key, val in table_in.items():
             ids = [s for s in key.split(",") if s]
             mask = space.mask(ids)
-            values[mask] = float(val)
+            values[mask] = _number(val, f"table[{key}]")
             seen.add(mask)
         if len(seen) != 1 << space.n:
             raise InvariantViolation(
                 "table.complete", "need one value per two-valued pattern"
             )
-        return TableFunctional(space, float(data["lo"]), float(data["hi"]), tuple(values))
+        lo = _number(data.get("lo"), "lo")
+        hi = _number(data.get("hi"), "hi")
+        return TableFunctional(space, lo, hi, tuple(values))
     raise ParseError(f"unknown functional kind {kind!r}")
 
 
@@ -158,10 +193,6 @@ def space_to_json(space: FiniteTopSpace) -> dict:
         "points": list(space.points),
         "min_nbhd": {p: list(space.ids(m)) for p, m in zip(space.points, space.min_nbhd)},
     }
-
-
-def metric_to_json(metric: MetricSpace) -> dict:
-    return {"points": list(metric.points), "dist": metric.dist.tolist()}
 
 
 def embedding_to_json(e: SubspaceEmbedding) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptySet,
@@ -99,35 +99,6 @@ def is_continuous(r: SetValuedMap) -> bool:
     return is_lsc(r) and is_usc(r)
 
 
-@dataclass(frozen=True)
-class SemicontinuityCheck:
-    lsc: bool
-    usc: bool
-    checked: str  # "exact" or "subbasis(depth=k)"
-
-
-def semicontinuity_report(r: SetValuedMap, depth: int | None = None) -> SemicontinuityCheck:
-    """Semicontinuity report, with a subbasis fallback for large codomains.
-
-    With ``depth`` set, opens are approximated by unions of up to ``depth``
-    minimal neighborhoods; the result is then only subbasis-checked (a true
-    verdict may be refuted by a deeper union).
-    """
-    if depth is None:
-        return SemicontinuityCheck(is_lsc(r), is_usc(r), "exact")
-    opens = set()
-    nbhds = list(dict.fromkeys(r.codomain.min_nbhd))
-    for k in range(1, depth + 1):
-        for combo in itertools.combinations(nbhds, k):
-            u = 0
-            for m in combo:
-                u |= m
-            opens.add(u)
-    lsc = all(r.domain.is_open_mask(_preimage_meets(r, u)) for u in opens)
-    usc = all(r.domain.is_open_mask(_preimage_inside(r, u)) for u in opens)
-    return SemicontinuityCheck(lsc, usc, f"subbasis(depth={depth})")
-
-
 def is_retraction(r: SetValuedMap, embedding: SubspaceEmbedding) -> bool:
     """True iff r fixes every embedded point: r(x) = {x} on the subspace."""
     if r.domain != embedding.ambient:
@@ -144,6 +115,22 @@ def is_connected_valued(r: SetValuedMap) -> bool:
     return all(r.codomain.is_connected_mask(m) for m in r.images)
 
 
+def fixing_images(embedding: SubspaceEmbedding) -> Iterator[tuple[int, ...]]:
+    """Image tuples of every set-valued map fixing the subspace pointwise.
+
+    Embedded points map to their own singletons and every other ambient
+    point ranges over the nonempty subsets of the subspace.  Tuples come in
+    ``itertools.product`` order, which is lexicographic.
+    """
+    amb, sub = embedding.ambient, embedding.subspace
+    choices = [
+        (1 << sub.index(p),) if (embedding.subset_mask >> i) & 1
+        else range(1, sub.full_mask + 1)
+        for i, p in enumerate(amb.points)
+    ]
+    return itertools.product(*choices)
+
+
 def search_retraction(
     embedding: SubspaceEmbedding, semicontinuity: str = "usc"
 ) -> SetValuedMap | None:
@@ -151,39 +138,31 @@ def search_retraction(
 
     Candidates fix the subspace pointwise and assign any nonempty subset to
     each outside point; they are tried in order of total image cardinality,
-    so a minimal retraction is found first and the result is deterministic.
-    Returns None when no candidate passes.
+    then lexicographically, so a minimal retraction is found first and the
+    result is deterministic.  Returns None when no candidate passes.
     """
     if semicontinuity not in ("usc", "lsc", "continuous"):
         raise InvariantViolation("semicontinuity", "must be usc, lsc, or continuous")
     amb = embedding.ambient
     sub = embedding.subspace
-    outside = [p for p in amb.points if p not in set(embedding.subset)]
     n_choices = sub.full_mask  # 2^|X| - 1 nonempty subsets
-    if n_choices ** len(outside) > SEARCH_CAP:
+    n_outside = amb.n - len(embedding.subset)
+    if n_choices ** n_outside > SEARCH_CAP:
         raise TooLarge(
-            f"{n_choices}^{len(outside)} candidates exceed the search cap"
+            f"{n_choices}^{n_outside} candidates exceed the search cap"
         )
-    fixed = {p: 1 << sub.index(p) for p in embedding.subset}
-    choices = sorted(range(1, n_choices + 1), key=lambda m: (_popcount(m), m))
     predicate = {
         "usc": is_usc,
         "lsc": is_lsc,
         "continuous": is_continuous,
     }[semicontinuity]
 
-    def total_card(assign: tuple[int, ...]) -> int:
-        return sum(_popcount(m) for m in assign)
+    def total_card(images: tuple[int, ...]) -> int:
+        return sum(_popcount(m) for m in images)
 
-    assignments = sorted(
-        itertools.product(choices, repeat=len(outside)),
-        key=lambda t: (total_card(t), t),
-    )
-    for assign in assignments:
-        by_point = dict(zip(outside, assign))
-        images = tuple(
-            fixed[p] if p in fixed else by_point[p] for p in amb.points
-        )
+    # the sort is stable, so candidates of equal cardinality stay in
+    # lexicographic order
+    for images in sorted(fixing_images(embedding), key=total_card):
         cand = SetValuedMap(amb, sub, images)
         if predicate(cand):
             return cand

@@ -41,43 +41,10 @@ def _bits(mask: int) -> Iterable[int]:
         i += 1
 
 
-@dataclass(frozen=True)
-class FiniteTopSpace:
-    """A finite topological space given by minimal open neighborhoods.
-
-    ``min_nbhd[i]`` is the bitmask of the smallest open set containing
-    point ``i``.  Valid tables satisfy ``i in min_nbhd[i]`` and the nesting
-    condition: ``j in min_nbhd[i]`` implies ``min_nbhd[j] <= min_nbhd[i]``.
-    """
+class _PointSet:
+    """Ordered point identifiers, with subsets as bitmasks over positions."""
 
     points: tuple[str, ...]
-    min_nbhd: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.points)
-        if len(set(self.points)) != n:
-            raise InvariantViolation("points", "duplicate point identifiers")
-        if len(self.min_nbhd) != n:
-            raise InvariantViolation("min_nbhd", "one entry per point required")
-        full = (1 << n) - 1
-        for i, m in enumerate(self.min_nbhd):
-            if m & ~full:
-                raise InvariantViolation(
-                    f"min_nbhd[{self.points[i]}]", "names a point outside the space"
-                )
-            if not (m >> i) & 1:
-                raise MembershipViolation(
-                    f"point {self.points[i]!r} is not in its own minimal neighborhood"
-                )
-        for i, m in enumerate(self.min_nbhd):
-            for j in _bits(m):
-                if self.min_nbhd[j] & ~m:
-                    raise PreorderViolation(
-                        f"min_nbhd({self.points[j]!r}) is not contained in "
-                        f"min_nbhd({self.points[i]!r})"
-                    )
-
-    # -- basic views ---------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -115,6 +82,43 @@ class FiniteTopSpace:
     def subset(self, mask: int) -> frozenset[str]:
         return frozenset(self.ids(mask))
 
+
+@dataclass(frozen=True)
+class FiniteTopSpace(_PointSet):
+    """A finite topological space given by minimal open neighborhoods.
+
+    ``min_nbhd[i]`` is the bitmask of the smallest open set containing
+    point ``i``.  Valid tables satisfy ``i in min_nbhd[i]`` and the nesting
+    condition: ``j in min_nbhd[i]`` implies ``min_nbhd[j] <= min_nbhd[i]``.
+    """
+
+    points: tuple[str, ...]
+    min_nbhd: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.points)
+        if len(set(self.points)) != n:
+            raise InvariantViolation("points", "duplicate point identifiers")
+        if len(self.min_nbhd) != n:
+            raise InvariantViolation("min_nbhd", "one entry per point required")
+        full = (1 << n) - 1
+        for i, m in enumerate(self.min_nbhd):
+            if m & ~full:
+                raise InvariantViolation(
+                    f"min_nbhd[{self.points[i]}]", "names a point outside the space"
+                )
+            if not (m >> i) & 1:
+                raise MembershipViolation(
+                    f"point {self.points[i]!r} is not in its own minimal neighborhood"
+                )
+        for i, m in enumerate(self.min_nbhd):
+            for j in _bits(m):
+                if self.min_nbhd[j] & ~m:
+                    raise PreorderViolation(
+                        f"min_nbhd({self.points[j]!r}) is not contained in "
+                        f"min_nbhd({self.points[i]!r})"
+                    )
+
     # -- topology ------------------------------------------------------
 
     def is_open_mask(self, mask: int) -> bool:
@@ -143,13 +147,6 @@ class FiniteTopSpace:
                 out |= 1 << i
         return out
 
-    def interior_mask(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            if not (self.min_nbhd[i] & ~mask):
-                out |= 1 << i
-        return out
-
     def is_connected_mask(self, mask: int) -> bool:
         """Connectivity of a subspace via the symmetrized specialization preorder.
 
@@ -159,18 +156,21 @@ class FiniteTopSpace:
         """
         if mask == 0:
             raise EmptySet("connectivity of the empty subset is undefined")
-        members = list(_bits(mask))
-        seen = {members[0]}
-        frontier = [members[0]]
+        return self._first_component(mask) == mask
+
+    def _first_component(self, mask: int) -> int:
+        """Points of ``mask`` linked to its lowest point by a chain of
+        specializations inside ``mask``."""
+        start = (mask & -mask).bit_length() - 1
+        seen = 1 << start
+        frontier = [start]
         while frontier:
             i = frontier.pop()
-            for j in members:
-                if j in seen:
-                    continue
+            for j in _bits(mask & ~seen):
                 if (self.min_nbhd[i] >> j) & 1 or (self.min_nbhd[j] >> i) & 1:
-                    seen.add(j)
+                    seen |= 1 << j
                     frontier.append(j)
-        return len(seen) == len(members)
+        return seen
 
     def is_discrete(self) -> bool:
         return all(m == (1 << i) for i, m in enumerate(self.min_nbhd))
@@ -182,25 +182,12 @@ class FiniteTopSpace:
         Continuous real functions on a finite space are exactly the
         functions constant on each of these components.
         """
-        remaining = set(range(self.n))
+        remaining = self.full_mask
         out = []
         while remaining:
-            start = min(remaining)
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for j in list(remaining):
-                    if j in seen:
-                        continue
-                    if (self.min_nbhd[i] >> j) & 1 or (self.min_nbhd[j] >> i) & 1:
-                        seen.add(j)
-                        frontier.append(j)
-            mask = 0
-            for i in seen:
-                mask |= 1 << i
-            out.append(mask)
-            remaining -= seen
+            comp = self._first_component(remaining)
+            out.append(comp)
+            remaining &= ~comp
         return tuple(out)
 
 
@@ -261,7 +248,7 @@ def is_connected(space: FiniteTopSpace, subset: SubsetLike) -> bool:
 
 
 @dataclass(frozen=True)
-class MetricSpace:
+class MetricSpace(_PointSet):
     """Finite metric space: ordered points plus a distance matrix."""
 
     points: tuple[str, ...]
@@ -289,28 +276,6 @@ class MetricSpace:
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
-    def index(self, point: str) -> int:
-        return self._index[point]
-
-    def mask(self, subset: SubsetLike) -> int:
-        if isinstance(subset, int):
-            return subset
-        m = 0
-        for p in subset:
-            m |= 1 << self._index[p]
-        return m
-
-    def ids(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.points[i] for i in _bits(mask))
 
     def __eq__(self, other):
         return (
@@ -372,11 +337,6 @@ class SubspaceEmbedding:
     @cached_property
     def subset_discrete(self) -> bool:
         return self.subspace.is_discrete()
-
-
-def induced_subspace(embedding: SubspaceEmbedding) -> FiniteTopSpace:
-    """Subspace topology on the embedded subset."""
-    return embedding.subspace
 
 
 def embed(ambient: FiniteTopSpace, subset: Iterable[str]) -> SubspaceEmbedding:

@@ -5,27 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from idemx.campaign import _random_preorder_space as random_space  # noqa: F401
 from idemx.spaces import FiniteTopSpace, discrete, from_minimal_basis, sierpinski
-
-
-def random_space(rng: np.random.Generator, n: int) -> FiniteTopSpace:
-    """A random finite topology: random reflexive relation, closed transitively."""
-    rel = [[i == j or rng.random() < 0.3 for j in range(n)] for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if rel[i][j]:
-                    for k in range(n):
-                        if rel[j][k] and not rel[i][k]:
-                            rel[i][k] = True
-                            changed = True
-    points = tuple(f"p{i}" for i in range(n))
-    masks = tuple(
-        sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)
-    )
-    return FiniteTopSpace(points, masks)
 
 
 def small_space_library() -> list[FiniteTopSpace]:

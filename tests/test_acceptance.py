@@ -36,7 +36,7 @@ from idemx.functionals import (
     two_valued_tuples,
 )
 from idemx.instances import load_embedding
-from idemx.setmaps import SetValuedMap, is_lsc, is_usc, search_retraction
+from idemx.setmaps import SetValuedMap, fixing_images, is_lsc, is_usc, search_retraction
 from idemx.spaces import discrete
 
 SEED = 42
@@ -159,15 +159,8 @@ def test_criterion_05_forward_implications():
     for case in cases:
         e = load_embedding(case["embedding"])
         sub = e.subspace
-        outside = [p for p in e.ambient.points if p not in set(e.subset)]
-        fixed = {p: 1 << sub.index(p) for p in e.subset}
-        import itertools as it
-
-        for assign in it.product(range(1, sub.full_mask + 1), repeat=len(outside)):
-            by = dict(zip(outside, assign))
-            r = SetValuedMap(
-                e.ambient, sub, tuple(fixed.get(p) or by[p] for p in e.ambient.points)
-            )
+        for images in fixing_images(e):
+            r = SetValuedMap(e.ambient, sub, images)
             hyps = []
             if is_usc(r):
                 usc_seen += 1

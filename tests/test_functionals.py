@@ -17,7 +17,6 @@ from idemx.functionals import (
     check_axiom,
     constant,
     density,
-    density_eval,
     dual,
     from_mapping,
     indicator,
@@ -169,12 +168,12 @@ def test_density_validation():
 def test_density_eval_examples():
     d2 = discrete(["a", "b"])
     lam = density(d2, {"a": 0, "b": -1})
-    assert density_eval(lam, from_mapping(d2, {"a": 2, "b": 5})) == 4.0
+    assert lam(from_mapping(d2, {"a": 2, "b": 5})) == 4.0
     dirac_like = density(d2, {"a": 0, "b": None})
     f = from_mapping(d2, {"a": 2, "b": 99})
-    assert density_eval(dirac_like, f) == 2.0
+    assert dirac_like(f) == 2.0
     full = density(d2, {"a": 0, "b": 0})
-    assert density_eval(full, f) == 99.0
+    assert full(f) == 99.0
 
 
 @pytest.mark.parametrize(

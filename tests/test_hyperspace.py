@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from idemx.errors import EmptySet, ModeArity, TooLarge
-from idemx.functionals import RealFunction
+from idemx.functionals import LambdaFunctional, RealFunction, SupportFunctional
 from idemx.hyperspace import (
     HyperPoint,
     VietorisNbhd,
@@ -13,6 +13,7 @@ from idemx.hyperspace import (
     lipschitz_constant,
     subset_max,
     subset_min,
+    subset_roundtrip_failure,
     vietoris_contains,
     vietoris_topology,
 )
@@ -97,6 +98,21 @@ def test_roundtrip_exhaustive_small():
             rep = hyperspace_roundtrip(s, kind)
             assert rep.cases == (1 << n) - 1
             assert rep.passed, rep.failures[:3]
+
+
+def test_subset_roundtrip_reports_a_planted_failure():
+    s = discrete(["a", "b", "c"])
+    ab = s.mask(["a", "b"])
+    assert subset_roundtrip_failure(SupportFunctional(s, "min", ab), "min", ab) is None
+    # claims to be the min over {a, b} but is the min over {a, c}
+    wrong = LambdaFunctional(s, lambda f: min(f["a"], f["c"]), label="planted")
+    assert subset_roundtrip_failure(wrong, "min", ab) == (
+        "support(planted) = ['a', 'c'], want ['a', 'b']"
+    )
+    # the right support, but the max kind where min is claimed
+    assert subset_roundtrip_failure(SupportFunctional(s, "max", ab), "min", ab) == (
+        "classify(max over {a,b}) = (R_max, ['a', 'b'])"
+    )
 
 
 def test_stability_inequality_sampled(rng):

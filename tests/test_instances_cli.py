@@ -224,6 +224,46 @@ def test_cli_campaign_csv(files):
     assert lines[1].startswith("hausdorff_lipschitz,50,50,0")
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("classify", {"space": 3, "kind": "mean"}),
+        ("classify", {"space": D3_JSON, "kind": "density", "lambda": {"a": "x"}}),
+        ("search", {"ambient": D3_JSON, "subset": [["a"]]}),
+        ("replay", [1, 2]),
+        ("support", {"space": D3_JSON, "kind": "support", "min": True, "F": "ab"}),
+    ],
+    ids=["space-not-object", "density-weight", "subset-entry", "replay-list", "F-string"],
+)
+def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    args = [command, "--embedding", str(path)] if command == "search" else [command, str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and err.count("\n") == 1
+
+
+def test_cli_extend_rejects_a_non_numeric_function_value(files, capsys):
+    files["f"].write_text(json.dumps({"values": {"p": "x", "q": 2.0}}))
+    args = ["extend", "--embedding", str(files["emb"]), "--map", str(files["map"])]
+    assert main(args + ["--function", str(files["f"])]) == 2
+    assert capsys.readouterr().err.startswith("error: ParseError")
+
+
+def test_cli_rejects_flags_that_would_be_ignored(files, capsys):
+    code = main(
+        [
+            "extend",
+            "--embedding", str(files["emb"]),
+            "--map", str(files["map"]),
+            "--function", str(files["f"]),
+            "--seed", "1",
+        ]
+    )
+    assert code == 2
+
+
 def test_cli_usage_errors(files, capsys):
     assert main(["campaign", "--suite", "nosuch"]) == 2
     capsys.readouterr()

@@ -9,8 +9,8 @@ from idemx.setmaps import (
     is_lsc,
     is_retraction,
     is_usc,
+    fixing_images,
     search_retraction,
-    semicontinuity_report,
     setmap,
 )
 from idemx.spaces import discrete, embed, from_minimal_basis, sierpinski
@@ -146,11 +146,14 @@ def test_singleton_valued_continuity_matches_pointmap():
         assert y.is_open_mask(pre)
 
 
-def test_subbasis_report_agrees_on_small_exact_cases():
-    e = embed(WEDGE, ["p", "q"])
-    r = setmap(WEDGE, e.subspace, {"p": ["p"], "q": ["q"], "w": ["p", "q"]})
-    exact = semicontinuity_report(r)
-    approx = semicontinuity_report(r, depth=2)
-    assert exact.checked == "exact"
-    assert approx.checked == "subbasis(depth=2)"
-    assert (exact.lsc, exact.usc) == (approx.lsc, approx.usc)
+def test_fixing_images_enumerates_every_retraction_in_product_order():
+    y = from_minimal_basis(
+        {"a": ["a"], "v": ["a", "v"], "b": ["b"], "w": ["w", "b"]}
+    )
+    e = embed(y, ["a", "b"])
+    images = list(fixing_images(e))
+    assert len(images) == (2**2 - 1) ** 2 == len(set(images))
+    assert images == sorted(images)  # itertools.product order is lexicographic
+    assert images[0] == (1, 1, 2, 1) and images[-1] == (1, 3, 2, 3)
+    for im in images:
+        assert is_retraction(SetValuedMap(y, e.subspace, im), e)

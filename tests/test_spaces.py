@@ -13,7 +13,6 @@ from idemx.spaces import (
     discrete,
     embed,
     from_minimal_basis,
-    induced_subspace,
     is_connected,
     is_open,
     line_metric,
@@ -177,19 +176,19 @@ def test_components_partition(spaces):
 def test_induced_subspace_wedge_is_discrete():
     y = from_minimal_basis({"p": ["p", "w"], "q": ["q", "w"], "w": ["w"]})
     e = embed(y, ["p", "q"])
-    assert induced_subspace(e).is_discrete()
+    assert e.subspace.is_discrete()
     assert e.subset_discrete
 
 
 def test_induced_subspace_identity():
     y = sierpinski()
     e = embed(y, ["0", "1"])
-    assert induced_subspace(e) == y
+    assert e.subspace == y
 
 
 def test_induced_subspace_single_point():
     e = embed(sierpinski(), ["0"])
-    sub = induced_subspace(e)
+    sub = e.subspace
     assert sub.points == ("0",) and sub.is_discrete()
 
 
