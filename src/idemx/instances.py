@@ -19,8 +19,9 @@ comma-joined names of the points at the high value.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -91,10 +92,15 @@ def _names(value: Any, where: str) -> list[str]:
 
 
 def _number(value: Any, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where} must be a number, got {value!r}") from None
+    """A finite JSON number; booleans, strings and NaN are ParseErrors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParseError(f"{where} must be a finite number, got {value!r}")
 
 
 def _object(value: Any, where: str) -> dict:
@@ -103,12 +109,22 @@ def _object(value: Any, where: str) -> dict:
     return value
 
 
+def _point_keys(value: dict, points: Sequence[str], where: str) -> dict:
+    """``value``, whose keys must all be among ``points``."""
+    unknown = [k for k in value if k not in points]
+    if unknown:
+        raise ParseError(f"{where} names unknown points {unknown}")
+    return value
+
+
 def load_space(data: dict) -> FiniteTopSpace:
     _object(data, "space")
-    points = data.get("points")
-    if points is not None:
-        _names(points, "points")
     nbhd = _object(data.get("min_nbhd"), "min_nbhd")
+    if not nbhd:
+        raise ParseError("min_nbhd must name at least one point")
+    points = data.get("points")
+    if "points" in data:
+        _point_keys(nbhd, _names(points, "points"), "min_nbhd")
     for p, members in nbhd.items():
         _names(members, f"min_nbhd[{p}]")
     return from_minimal_basis(nbhd, points)
@@ -120,7 +136,7 @@ def load_metric(data: dict) -> MetricSpace:
         raise ParseError("metric space needs a nonempty points list")
     try:
         dist = np.asarray(data["dist"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError("dist must be a matrix of numbers") from None
     return MetricSpace(tuple(points), dist)
 
@@ -136,7 +152,7 @@ def load_setmap(data: dict) -> SetValuedMap:
         raise ParseError("setmap needs embedded domain and codomain spaces")
     domain = load_space(data["domain"])
     codomain = load_space(data["codomain"])
-    images = _object(data["map"], "map")
+    images = _point_keys(_object(data.get("map"), "map"), domain.points, "map")
     for p, members in images.items():
         _names(members, f"map[{p}]")
     return setmap(domain, codomain, images)
@@ -151,11 +167,12 @@ def load_functional(data: dict) -> Functional:
         f = _names(data.get("F", []), "F")
         if not f:
             raise InvariantViolation("F.nonempty", "support set must be nonempty")
-        return SupportFunctional(
-            space, "min" if data.get("min", True) else "max", space.mask(f)
-        )
+        is_min = data.get("min", True)
+        if not isinstance(is_min, bool):
+            raise ParseError(f"min must be true or false, got {is_min!r}")
+        return SupportFunctional(space, "min" if is_min else "max", space.mask(f))
     if kind == "density":
-        lam = _object(data.get("lambda"), "lambda")
+        lam = _point_keys(_object(data.get("lambda"), "lambda"), space.points, "lambda")
         vals = []
         for p in space.points:
             v = lam.get(p)

@@ -2,13 +2,28 @@
 
 A map r assigns to each point of the domain a nonempty subset of the
 codomain.  It is lower (upper) semicontinuous when the set of points whose
-image meets (is contained in) an open set is always open.  A retraction
-fixes an embedded subspace pointwise; retraction existence is decided by
-exhaustive search over image assignments.
+image meets (is contained in) an open set is always open.
+
+On finite spaces both properties are tested one pair of domain points at a
+time, for every y and every y' in minN(y), the minimal neighborhood of y:
+
+* usc: r(y') lies inside hull(r(y)), the union of the minimal
+  neighborhoods of r(y), which is the smallest open set containing r(y);
+* lsc: r(y') meets minN(x) for every x in r(y); equivalently, r(y) lies
+  inside the closure of r(y').
+
+Every open set containing r(y) contains hull(r(y)), and every open set
+meeting r(y) at x contains minN(x), so these rules are the open-set
+definitions with the open sets left out: no open set is enumerated.
+
+A retraction fixes an embedded subspace pointwise.  Retraction existence
+is decided by an exact ordered branch-and-bound search that applies the
+same pairwise rules to partial assignments.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -19,9 +34,9 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .spaces import FiniteTopSpace, SubspaceEmbedding, _popcount
+from .spaces import FiniteTopSpace, SubspaceEmbedding, _bits
 
-#: Exhaustive retraction search is capped at this many candidates.
+#: Retraction search refuses embeddings with more candidate maps than this.
 SEARCH_CAP = 10**6
 
 
@@ -69,30 +84,46 @@ def identity_map(space: FiniteTopSpace) -> SetValuedMap:
     return SetValuedMap(space, space, tuple(1 << i for i in range(space.n)))
 
 
-def _preimage_meets(r: SetValuedMap, u: int) -> int:
-    out = 0
-    for i, m in enumerate(r.images):
-        if m & u:
-            out |= 1 << i
-    return out
+def _pairs(space: FiniteTopSpace) -> list[tuple[int, int]]:
+    """(y, y') for every point y and every other point y' of minN(y)."""
+    return [
+        (y, y2) for y, m in enumerate(space.min_nbhd) for y2 in _bits(m & ~(1 << y))
+    ]
 
 
-def _preimage_inside(r: SetValuedMap, u: int) -> int:
-    out = 0
-    for i, m in enumerate(r.images):
-        if not (m & ~u):
-            out |= 1 << i
-    return out
+def _pair_tests(codomain: FiniteTopSpace, semicontinuity: str) -> list:
+    """The pairwise rules of ``semicontinuity`` as tests of (r(y), r(y'))."""
+    tests = []
+    if semicontinuity != "lsc":
+        hull = functools.cache(codomain.hull_mask)
+        tests.append(lambda ry, ry2: not ry2 & ~hull(ry))
+    if semicontinuity != "usc":
+        # r(y') meets minN(x) exactly when x lies in the closure of r(y')
+        closure = functools.cache(codomain.closure_mask)
+        tests.append(lambda ry, ry2: not ry & ~closure(ry2))
+    return tests
+
+
+def _satisfies(r: SetValuedMap, semicontinuity: str) -> bool:
+    tests = _pair_tests(r.codomain, semicontinuity)
+    im = r.images
+    return all(t(im[y], im[y2]) for y, y2 in _pairs(r.domain) for t in tests)
 
 
 def is_lsc(r: SetValuedMap) -> bool:
-    """Lower semicontinuity: {y : r(y) meets U} open for every open U."""
-    return all(r.domain.is_open_mask(_preimage_meets(r, u)) for u in r.codomain.opens)
+    """Lower semicontinuity: {y : r(y) meets U} open for every open U.
+
+    Tested pairwise: r(y') meets minN(x) for every x in r(y), y' in minN(y).
+    """
+    return _satisfies(r, "lsc")
 
 
 def is_usc(r: SetValuedMap) -> bool:
-    """Upper semicontinuity: {y : r(y) inside U} open for every open U."""
-    return all(r.domain.is_open_mask(_preimage_inside(r, u)) for u in r.codomain.opens)
+    """Upper semicontinuity: {y : r(y) inside U} open for every open U.
+
+    Tested pairwise: r(y') inside hull(r(y)) for every y' in minN(y).
+    """
+    return _satisfies(r, "usc")
 
 
 def is_continuous(r: SetValuedMap) -> bool:
@@ -115,31 +146,53 @@ def is_connected_valued(r: SetValuedMap) -> bool:
     return all(r.codomain.is_connected_mask(m) for m in r.images)
 
 
-def fixing_images(embedding: SubspaceEmbedding) -> Iterator[tuple[int, ...]]:
-    """Image tuples of every set-valued map fixing the subspace pointwise.
+def _choices(embedding: SubspaceEmbedding) -> list:
+    """Image masks each ambient point may take in a map fixing the subspace.
 
     Embedded points map to their own singletons and every other ambient
-    point ranges over the nonempty subsets of the subspace.  Tuples come in
-    ``itertools.product`` order, which is lexicographic.
+    point ranges over the nonempty subsets of the subspace, in mask order.
     """
     amb, sub = embedding.ambient, embedding.subspace
-    choices = [
+    return [
         (1 << sub.index(p),) if (embedding.subset_mask >> i) & 1
         else range(1, sub.full_mask + 1)
         for i, p in enumerate(amb.points)
     ]
-    return itertools.product(*choices)
+
+
+def fixing_images(embedding: SubspaceEmbedding) -> Iterator[tuple[int, ...]]:
+    """Image tuples of every set-valued map fixing the subspace pointwise.
+
+    Tuples come in ``itertools.product`` order, which is lexicographic.
+    """
+    return itertools.product(*_choices(embedding))
 
 
 def search_retraction(
     embedding: SubspaceEmbedding, semicontinuity: str = "usc"
 ) -> SetValuedMap | None:
-    """Exhaustively search set-valued retractions with the requested property.
+    """Find the first set-valued retraction with the requested property.
 
-    Candidates fix the subspace pointwise and assign any nonempty subset to
-    each outside point; they are tried in order of total image cardinality,
-    then lexicographically, so a minimal retraction is found first and the
-    result is deterministic.  Returns None when no candidate passes.
+    Candidates are the maps of ``fixing_images``.  The answer is the first
+    one that passes in order of total image cardinality, then
+    lexicographically, so a minimal retraction is found and the result is
+    deterministic.  Returns None when no candidate passes.
+
+    The search is exact and builds no candidate list.  It is depth first:
+    ambient points are assigned in index order, each trying its values in
+    ascending mask order, which visits full assignments in lexicographic
+    order.  Every pair (y, y') with y' in minN(y) is tested by the pairwise
+    rules of the module docstring as soon as both points are assigned, and
+    a partial assignment that breaks one is dropped with all its
+    completions.  On top of that it is a branch and bound on total
+    cardinality: once a retraction of cardinality c is found, a branch
+    whose cardinality so far plus one per unassigned point reaches c is
+    dropped.  Only retractions strictly smaller than the best are kept, so
+    the first one found at the least cardinality, the lexicographically
+    smallest, is returned.
+
+    The size guard is the candidate count of the full product, as for an
+    exhaustive search: above ``SEARCH_CAP`` it raises TooLarge.
     """
     if semicontinuity not in ("usc", "lsc", "continuous"):
         raise InvariantViolation("semicontinuity", "must be usc, lsc, or continuous")
@@ -151,19 +204,27 @@ def search_retraction(
         raise TooLarge(
             f"{n_choices}^{n_outside} candidates exceed the search cap"
         )
-    predicate = {
-        "usc": is_usc,
-        "lsc": is_lsc,
-        "continuous": is_continuous,
-    }[semicontinuity]
+    tests = _pair_tests(sub, semicontinuity)
+    choices = _choices(embedding)
+    # the pairs decided by assigning point i: both points at index <= i
+    closing = [[] for _ in range(amb.n)]
+    for y, y2 in _pairs(amb):
+        closing[max(y, y2)].append((y, y2))
+    images = [0] * amb.n
+    best: list = [amb.n * sub.n + 1, None]  # cardinality to beat, its images
 
-    def total_card(images: tuple[int, ...]) -> int:
-        return sum(_popcount(m) for m in images)
+    def extend(i: int, card: int) -> None:
+        if i == amb.n:
+            best[:] = [card, tuple(images)]
+            return
+        unassigned = amb.n - 1 - i  # each adds at least one point
+        for m in choices[i]:
+            c = card + m.bit_count()
+            if c + unassigned >= best[0]:
+                continue
+            images[i] = m
+            if all(t(images[y], images[y2]) for y, y2 in closing[i] for t in tests):
+                extend(i + 1, c)
 
-    # the sort is stable, so candidates of equal cardinality stay in
-    # lexicographic order
-    for images in sorted(fixing_images(embedding), key=total_card):
-        cand = SetValuedMap(amb, sub, images)
-        if predicate(cand):
-            return cand
-    return None
+    extend(0, 0)
+    return None if best[1] is None else SetValuedMap(amb, sub, best[1])

@@ -139,6 +139,13 @@ class FiniteTopSpace(_PointSet):
             )
         return tuple(m for m in range(self.full_mask + 1) if self.is_open_mask(m))
 
+    def hull_mask(self, mask: int) -> int:
+        """Smallest open superset: the union of the members' minimal neighborhoods."""
+        out = 0
+        for i in _bits(mask):
+            out |= self.min_nbhd[i]
+        return out
+
     def closure_mask(self, mask: int) -> int:
         # x is adherent to A iff its smallest neighborhood meets A
         out = 0

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idemx.cli import main
 from idemx.errors import InvariantViolation, MembershipViolation, ParseError
@@ -232,8 +237,20 @@ def test_cli_campaign_csv(files):
         ("search", {"ambient": D3_JSON, "subset": [["a"]]}),
         ("replay", [1, 2]),
         ("support", {"space": D3_JSON, "kind": "support", "min": True, "F": "ab"}),
+        ("support", {"space": D3_JSON, "kind": "support", "min": "no", "F": ["a"]}),
+        ("classify", {"space": D3_JSON, "kind": "density", "lambda": {"a": 0, "z": -1}}),
+        ("classify", {"space": D3_JSON, "kind": "density", "lambda": {"a": 10**400}}),
+        ("classify", {"space": D3_JSON, "kind": "density", "lambda": {"a": False, "b": -0.5}}),
+        ("classify", {"space": {"points": None, "min_nbhd": {"a": ["a"]}}, "kind": "mean"}),
+        ("classify", {"space": {"points": ["a"], "min_nbhd": {"a": ["a"], "b": ["b"]}},
+                      "kind": "mean"}),
+        ("classify", {"space": {"min_nbhd": {}}, "kind": "mean"}),
     ],
-    ids=["space-not-object", "density-weight", "subset-entry", "replay-list", "F-string"],
+    ids=[
+        "space-not-object", "density-weight", "subset-entry", "replay-list", "F-string",
+        "min-not-bool", "weight-for-unknown-point", "weight-overflow", "weight-bool",
+        "points-null", "nbhd-for-unknown-point", "empty-space",
+    ],
 )
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -270,3 +287,168 @@ def test_cli_usage_errors(files, capsys):
     assert main(["support", str(files["tmp"] / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err
+
+
+# -- input-boundary fuzz -----------------------------------------------------------
+
+WEDGE_JSON = {
+    "points": ["p", "q", "w"],
+    "min_nbhd": {"p": ["p", "w"], "q": ["q", "w"], "w": ["w"]},
+}
+PQ_JSON = {"points": ["p", "q"], "min_nbhd": {"p": ["p"], "q": ["q"]}}
+D2_JSON = {"points": ["a", "b"], "min_nbhd": {"a": ["a"], "b": ["b"]}}
+EMBEDDING_JSON = {"ambient": WEDGE_JSON, "subset": ["p", "q"]}
+
+#: Valid payloads and the command that reads each; "{}" is the payload file.
+FUZZ_BASES = {
+    "support": (
+        ["classify", "{}"],
+        {"space": D3_JSON, "kind": "support", "min": True, "F": ["a", "b"]},
+    ),
+    "density": (
+        ["classify", "{}"],
+        {"space": D3_JSON, "kind": "density", "lambda": {"a": 0, "b": -0.5, "c": "-inf"}},
+    ),
+    "table": (  # a table only evaluates inputs valued in {lo, hi}
+        ["check-axioms", "{}", "--axiom", "normed", "--trials", "0"],
+        {
+            "space": D2_JSON, "kind": "table", "lo": 0, "hi": 1,
+            "table": {"": 0, "a": 1, "b": 0, "a,b": 1},
+        },
+    ),
+    "embedding": (["search", "--embedding", "{}"], EMBEDDING_JSON),
+    "setmap": (
+        ["recover", "--embedding", "EMB", "--map", "{}", "--method", "opens"],
+        {
+            "domain": WEDGE_JSON,
+            "codomain": PQ_JSON,
+            "map": {"p": ["p"], "q": ["q"], "w": ["p", "q"]},
+        },
+    ),
+}
+OBJECT_FIELDS = ("min_nbhd", "map", "lambda", "table", "space", "ambient", "domain", "codomain")
+OPTIONAL_FIELDS = ("points", "min")
+
+
+def _role(path: tuple) -> str:
+    """What the schema expects at ``path`` inside a payload."""
+    if not path:
+        return "object"
+    key = path[-1]
+    parent = path[-2] if len(path) > 1 else None
+    if isinstance(key, int):
+        return "name"
+    if parent in ("min_nbhd", "map") or key in ("points", "subset", "F"):
+        return "names"
+    if key in OBJECT_FIELDS:
+        return "object"
+    if parent == "lambda":
+        return "weight"
+    if parent == "table" or key in ("lo", "hi"):
+        return "number"
+    return key  # "kind" or "min"
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _fits(role: str, v) -> bool:
+    """Whether ``v`` has the type the schema asks for at a node of ``role``."""
+    return {
+        "object": isinstance(v, dict),
+        "names": isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "name": isinstance(v, str),
+        "weight": _is_number(v) or v is None or v == "-inf",
+        "number": _is_number(v),
+        "kind": v in ("support", "density", "mean", "table"),
+        "min": isinstance(v, bool),
+    }[role]
+
+
+def _nodes(obj, path=()):
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from _nodes(v, path + (k,))
+
+
+def _point_keyed(path: tuple) -> bool:
+    """Dict keys at ``path`` name points (or point sets, for a table)."""
+    return path[-1:] in (("min_nbhd",), ("map",), ("lambda",), ("table",))
+
+
+def _get(obj, path):
+    for k in path:
+        obj = obj[k]
+    return obj
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_instances(draw):
+    """(base name, payload, verdict): verdict is "valid", "malformed", or None
+    when the mutation may or may not leave a valid instance."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    payload = copy.deepcopy(FUZZ_BASES[name][1])
+    nodes = list(_nodes(payload))
+    op = draw(st.sampled_from(["keep", "drop", "empty", "retype", "unknown-name"]))
+    if op == "keep":
+        return name, payload, "valid"
+    if op == "empty":  # a list or an object loses all its entries
+        path = draw(st.sampled_from([p for p, v in nodes if p and isinstance(v, (list, dict))]))
+        _get(payload, path).clear()
+        return name, payload, None
+    if op == "drop":
+        path = draw(st.sampled_from([p for p, _ in nodes if p]))
+        parent = _get(payload, path[:-1])
+        del parent[path[-1]]
+        if isinstance(path[-1], int) or path[-2:-1] == ("lambda",):
+            return name, payload, None
+        return name, payload, "valid" if path[-1] in OPTIONAL_FIELDS else "malformed"
+    if op == "retype":
+        path = draw(st.sampled_from([p for p, _ in nodes]))
+        value = draw(JSON_VALUES)
+        if not path:
+            return name, value, None if _fits("object", value) else "malformed"
+        _get(payload, path[:-1])[path[-1]] = value
+        return name, payload, None if _fits(_role(path), value) else "malformed"
+    # unknown-name: a point name in a list, or a point-naming key, becomes "zz"
+    slots = [p for p, _ in nodes if p and _role(p) == "name"]
+    slots += [p + (k,) for p, v in nodes if p and _point_keyed(p) for k in v]
+    path = draw(st.sampled_from(slots))
+    parent = _get(payload, path[:-1])
+    if isinstance(path[-1], int):
+        parent[path[-1]] = "zz"
+    else:
+        parent["zz"] = parent.pop(path[-1])
+    return name, payload, "malformed"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=mutated_instances())
+def test_cli_fuzzed_instances_exit_cleanly(tmp_path_factory, case):
+    name, payload, verdict = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, emb = tmp / "instance.json", tmp / "embedding.json"
+    path.write_text(json.dumps(payload))
+    emb.write_text(json.dumps(EMBEDDING_JSON))
+    args = [str(path) if a == "{}" else str(emb) if a == "EMB" else a for a in FUZZ_BASES[name][0]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    if verdict == "valid":
+        assert code in (0, 1), err.getvalue()
+    elif verdict == "malformed":
+        assert code == 2, (code, out.getvalue())
+    else:
+        assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,3 +1,7 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from idemx.errors import EmptySet, InvariantViolation, SpaceMismatch, TooLarge
@@ -13,7 +17,14 @@ from idemx.setmaps import (
     search_retraction,
     setmap,
 )
-from idemx.spaces import discrete, embed, from_minimal_basis, sierpinski
+from idemx.spaces import (
+    FiniteTopSpace,
+    SubspaceEmbedding,
+    discrete,
+    embed,
+    from_minimal_basis,
+    sierpinski,
+)
 
 from conftest import random_space
 
@@ -157,3 +168,135 @@ def test_fixing_images_enumerates_every_retraction_in_product_order():
     assert images[0] == (1, 1, 2, 1) and images[-1] == (1, 3, 2, 3)
     for im in images:
         assert is_retraction(SetValuedMap(y, e.subspace, im), e)
+
+
+# -- the open-set definitions and the sorted exhaustive search, as reference --
+
+
+def _preimage_meets(r, u):
+    return sum(1 << i for i, m in enumerate(r.images) if m & u)
+
+
+def _preimage_inside(r, u):
+    return sum(1 << i for i, m in enumerate(r.images) if not m & ~u)
+
+
+def reference_is_lsc(r):
+    return all(r.domain.is_open_mask(_preimage_meets(r, u)) for u in r.codomain.opens)
+
+
+def reference_is_usc(r):
+    return all(r.domain.is_open_mask(_preimage_inside(r, u)) for u in r.codomain.opens)
+
+
+REFERENCE = {
+    "usc": reference_is_usc,
+    "lsc": reference_is_lsc,
+    "continuous": lambda r: reference_is_lsc(r) and reference_is_usc(r),
+}
+
+
+def reference_search(e, prop):
+    """Every fixing map, stably sorted by total cardinality, first that passes."""
+    ranked = sorted(fixing_images(e), key=lambda im: sum(bin(m).count("1") for m in im))
+    for images in ranked:
+        r = SetValuedMap(e.ambient, e.subspace, images)
+        if REFERENCE[prop](r):
+            return r
+    return None
+
+
+def _random_image(rng, cod):
+    roll = rng.random()
+    i = int(rng.integers(cod.n))
+    if roll < 0.4:
+        return cod.min_nbhd[i]
+    if roll < 0.7:
+        return cod.closure_mask(1 << i)
+    return int(rng.integers(1, cod.full_mask + 1))
+
+
+def test_pairwise_predicates_match_the_open_set_definitions():
+    rng = np.random.default_rng(2011)
+    verdicts = {"usc": [], "lsc": []}
+    for i in range(1000):
+        dom = random_space(rng, int(rng.integers(1, 9)))
+        cod = random_space(rng, 1 + i % 10)
+        r = SetValuedMap(dom, cod, tuple(_random_image(rng, cod) for _ in range(dom.n)))
+        assert is_usc(r) == reference_is_usc(r), r.as_dict()
+        assert is_lsc(r) == reference_is_lsc(r), r.as_dict()
+        verdicts["usc"].append(is_usc(r))
+        verdicts["lsc"].append(is_lsc(r))
+    for got in verdicts.values():  # both verdicts occur often
+        assert 200 < sum(got) < 800
+
+
+def test_predicates_decide_beyond_the_open_set_enumeration_cap():
+    # 13 codomain points: enumerating the open sets raises TooLarge
+    cod = from_minimal_basis(
+        {f"c{i}": [f"c{i}"] + (["c0"] if i % 2 else []) for i in range(13)}
+    )
+    with pytest.raises(TooLarge):
+        cod.opens
+    y = sierpinski()  # minN("0") = {"0", "1"}
+    wide = setmap(y, cod, {"0": ["c1", "c2"], "1": ["c0", "c1"]})
+    narrow = setmap(y, cod, {"0": ["c2"], "1": ["c2", "c4"]})
+    assert is_usc(wide) and not is_lsc(wide)  # c2 is missed by r(1)
+    assert not is_usc(narrow) and is_lsc(narrow)  # c4 is outside hull({c2})
+    full = embed(cod, cod.points)
+    assert search_retraction(full, "continuous") == identity_map(cod)
+
+
+def _random_preorder(rng, n, density):
+    """Random finite space: each point sees each other one with ``density``,
+    closed under transitivity."""
+    nbhd = [(1 << i) | sum(1 << j for j in range(n) if rng.random() < density) for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = nbhd[i]
+            for j in range(n):
+                if grown >> j & 1:
+                    grown |= nbhd[j]
+            changed |= grown != nbhd[i]
+            nbhd[i] = grown
+    return FiniteTopSpace(tuple(f"y{i}" for i in range(n)), tuple(nbhd))
+
+
+def test_search_matches_the_sorted_exhaustive_reference():
+    # 500 random embeddings of 2-4 points with 1-5 outside, at most 15^3
+    # candidates each
+    rng = np.random.default_rng(1105)
+    cells = [
+        (k_in, k_out)
+        for k_in in range(2, 5)
+        for k_out in range(1, 6)
+        if (2**k_in - 1) ** k_out <= 15**3
+    ]
+    answers = {None: 0, "found": 0}
+    for _ in range(500):
+        k_in, k_out = cells[int(rng.integers(len(cells)))]
+        y = _random_preorder(rng, k_in + k_out, float(rng.choice([0.15, 0.3, 0.5])))
+        subset = [y.points[i] for i in sorted(rng.choice(y.n, size=k_in, replace=False))]
+        e = embed(y, subset)
+        for prop in ("usc", "lsc", "continuous"):
+            r = search_retraction(e, prop)
+            assert r == reference_search(e, prop), (y.min_nbhd, subset, prop)
+            answers[None if r is None else "found"] += 1
+    assert answers[None] >= 30 and answers["found"] >= 1000
+
+
+def test_search_reproduces_the_recorded_pool():
+    # answers brute-forced from the definitions, independently of idemx
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected" / "search_pool.json"
+    pool = json.loads(path.read_text())
+    assert len(pool["entries"]) == 12
+    for entry in pool["entries"]:
+        points = tuple(f"y{i}" for i in range(len(entry["nbhd"])))
+        amb = FiniteTopSpace(points, tuple(entry["nbhd"]))
+        e = SubspaceEmbedding(amb, tuple(points[i] for i in entry["subset"]))
+        assert (len(e.subset), amb.n - len(e.subset)) == (pool["k_in"], pool["k_out"])
+        for prop, want in entry["answers"].items():
+            r = search_retraction(e, prop)
+            assert (None if r is None else list(r.images)) == want, (entry["subset"], prop)
