@@ -20,7 +20,7 @@ from .campaign import (
 from .errors import IdemxError, ParseError
 from .extenders import build_extender, retraction_from_open_sets, supports_retraction
 from .functionals import AXIOMS, Functional, RealFunction, check_axiom, classify, support
-from .instances import load_setmap, parse_instance, read_json, setmap_to_json
+from .instances import _number, load_setmap, parse_instance, read_json, setmap_to_json
 from .setmaps import search_retraction
 from .spaces import SubspaceEmbedding
 
@@ -47,10 +47,7 @@ def _function_on(space, path: str) -> RealFunction:
     missing = [p for p in space.points if p not in values]
     if missing:
         raise ParseError(f"{path}: missing values for {missing}")
-    try:
-        vals = tuple(float(values[p]) for p in space.points)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: values must be numbers ({exc})") from None
+    vals = tuple(_number(values[p], f"{path}: values[{p}]") for p in space.points)
     return RealFunction(space, vals)
 
 

@@ -29,17 +29,19 @@ from .errors import (
     TooLarge,
 )
 from .functionals import (
-    LambdaFunctional,
+    Functional,
     RealFunction,
     TWO_VALUED_CAP,
+    _array,
+    _fold,
     _pair_family,
-    _rand_tuple,
+    _product,
     _verify_family,
     check_axiom,
     classify,
     two_valued_tuples,
 )
-from .setmaps import SetValuedMap, identity_map, is_lsc, is_retraction, is_usc
+from .setmaps import SetValuedMap, _pairs, identity_map, is_lsc, is_retraction, is_usc
 from .spaces import FiniteTopSpace, SubspaceEmbedding, _bits, embed
 
 Kind = Literal["min", "max"]
@@ -77,6 +79,27 @@ class Extender:
     def ambient_space(self) -> FiniteTopSpace:
         return self.embedding.ambient
 
+    def apply_batch(self, A: np.ndarray) -> np.ndarray:
+        """``apply`` on each row of a k x |X| array, as a k x |Y| array.
+
+        A retraction-derived extender runs its min/max-over-images kernel
+        once on the whole array; any other extender applies row by row.
+        The provenance is taken at its word, as serialization takes it.
+        """
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != self.domain_space.n:
+            raise SpaceMismatch("input rows must have one value per subspace point")
+        if isinstance(self.provenance, FromRetraction):
+            return _extend_rows(self.provenance.map, self.provenance.kind, A)
+        X = self.domain_space
+        out = [self.apply(RealFunction(X, tuple(row))).values for row in A.tolist()]
+        return np.array(out, dtype=float).reshape(len(A), self.ambient_space.n)
+
+
+def _extend_rows(r: SetValuedMap, kind: Kind, A: np.ndarray) -> np.ndarray:
+    """Column y is the min/max of each row of A over r(y)."""
+    return np.stack([_fold(kind, (A[:, i] for i in _bits(m))) for m in r.images], axis=1)
+
 
 def build_extender(
     r: SetValuedMap, embedding: SubspaceEmbedding, kind: Kind
@@ -84,16 +107,12 @@ def build_extender(
     """Extender u(f)(y) = min/max of f over r(y), for r fixing the subspace."""
     if not is_retraction(r, embedding):
         raise NotARetraction("the map must send each embedded point to itself")
-    agg = min if kind == "min" else max
 
     def apply(f: RealFunction) -> RealFunction:
         if f.space != embedding.subspace:
             raise SpaceMismatch("input must live on the embedded subspace")
-        vals = f.values
-        out = tuple(
-            agg(vals[i] for i in _bits(m)) for m in r.images
-        )
-        return RealFunction._trusted(embedding.ambient, out)
+        out = _extend_rows(r, kind, np.array([f.values], dtype=float))[0]
+        return RealFunction(embedding.ambient, tuple(out.tolist()))
 
     return Extender(embedding, apply, FromRetraction(r, kind))
 
@@ -103,12 +122,29 @@ def identity_extender(embedding: SubspaceEmbedding) -> Extender:
     return build_extender(identity_map(embedding.ambient), embedding, "min")
 
 
-def mu_at(u: Extender, point: str) -> LambdaFunctional:
+@dataclass(frozen=True, eq=False)
+class PointwiseFunctional(Functional):
+    """f -> u(f)(y) on the subspace, for one ambient point y of an extender.
+
+    Compared and hashed by identity, like ``LambdaFunctional``: a user-built
+    extender's ``apply`` is opaque.
+    """
+
+    extender: Extender
+    index: int
+    label: str
+
+    @property
+    def space(self) -> FiniteTopSpace:
+        return self.extender.domain_space
+
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        return self.extender.apply_batch(A)[:, self.index]
+
+
+def mu_at(u: Extender, point: str) -> PointwiseFunctional:
     """The pointwise functional f -> u(f)(point) on the subspace."""
-    iy = u.ambient_space.index(point)
-    return LambdaFunctional(
-        u.domain_space, lambda f: u.apply(f).values[iy], label=f"mu[{point}]"
-    )
+    return PointwiseFunctional(u, u.ambient_space.index(point), f"mu[{point}]")
 
 
 # -- output classification ----------------------------------------------------
@@ -116,7 +152,7 @@ def mu_at(u: Extender, point: str) -> LambdaFunctional:
 
 @dataclass(frozen=True)
 class FunctionClassReport:
-    """Semicontinuity class of one function, with failing thresholds."""
+    """Semicontinuity class of one function, with the pairs that fail."""
 
     klass: Literal["continuous", "lsc", "usc", "neither"]
     witnesses: tuple[str, ...] = ()
@@ -125,31 +161,27 @@ class FunctionClassReport:
 def function_class(g: RealFunction, space: FiniteTopSpace) -> FunctionClassReport:
     """Classify a function as continuous, lsc, usc, or neither.
 
-    On a finite space it suffices to test thresholds at midpoints between
-    consecutive distinct values: upper preimages {g > a} open means lsc,
-    lower preimages {g < a} open means usc.
+    On a finite space the test is pairwise, for every point y and every y'
+    in minN(y): g is lsc iff g(y') >= g(y), since then every upper set
+    {g > a} is a union of minimal neighborhoods, and usc iff g(y') <= g(y).
     """
     if g.space != space:
         raise SpaceMismatch("function must live on the given space")
-    vals = sorted(set(g.values))
-    thresholds = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    v, pts = g.values, space.points
     witnesses = []
-    lsc_ok = True
-    usc_ok = True
-    for a in thresholds:
-        up = 0
-        dn = 0
-        for i, v in enumerate(g.values):
-            if v > a:
-                up |= 1 << i
-            if v < a:
-                dn |= 1 << i
-        if not space.is_open_mask(up):
+    lsc_ok = usc_ok = True
+    for y, y2 in _pairs(space):
+        if v[y2] == v[y]:
+            continue
+        below = v[y2] < v[y]
+        if below:
             lsc_ok = False
-            witnesses.append(f"{{g > {a:g}}} = {space.ids(up)} is not open")
-        if not space.is_open_mask(dn):
+        else:
             usc_ok = False
-            witnesses.append(f"{{g < {a:g}}} = {space.ids(dn)} is not open")
+        witnesses.append(
+            f"g({pts[y2]}) {'<' if below else '>'} g({pts[y]}) with {pts[y2]} "
+            f"in minN({pts[y]}): not {'lsc' if below else 'usc'}"
+        )
     if lsc_ok and usc_ok:
         klass = "continuous"
     elif lsc_ok:
@@ -161,11 +193,8 @@ def function_class(g: RealFunction, space: FiniteTopSpace) -> FunctionClassRepor
     return FunctionClassReport(klass, tuple(witnesses))
 
 
-def _x_family(space: FiniteTopSpace, sample: int, rng) -> list[tuple[float, ...]]:
-    fam = list(_verify_family(space.n))
-    for _ in range(sample):
-        fam.append(_rand_tuple(rng, space.n, amp=3.0))
-    return fam
+def _x_family(space: FiniteTopSpace, sample: int, rng) -> np.ndarray:
+    return np.concatenate([_verify_family(space.n), rng.uniform(-3.0, 3.0, (sample, space.n))])
 
 
 @dataclass(frozen=True)
@@ -235,12 +264,13 @@ def forward_implications(
         expectations.append((f"lsc map gives {want[0]} outputs ({kind} extender)", want))
 
     failures = {name: [] for name, _ in expectations}
-    for vals in family:
-        g = u.apply(RealFunction(u.domain_space, vals))
+    F = _array(family, u.domain_space.n)
+    for vals, out in zip(F.tolist(), u.apply_batch(F).tolist()):
+        g = RealFunction(u.ambient_space, tuple(out))
         klass = function_class(g, u.ambient_space).klass
         for name, allowed in expectations:
             if klass not in allowed:
-                failures[name].append(f"f={vals} -> u(f)={g.values} is {klass}")
+                failures[name].append(f"f={tuple(vals)} -> u(f)={g.values} is {klass}")
     return tuple(
         ImplicationResult(name, len(family), tuple(failures[name]))
         for name, _ in expectations
@@ -343,34 +373,23 @@ def _extend_open_detail(
         raise InvariantViolation("open_set", "not open in the subspace")
     _check_normalized(u, tol)
     sign = -1.0 if variant == "max_usc" else 1.0
-    out = 0
-    attained: dict[str, float] = {}
-
-    def contribute(h_vals: tuple[float, ...], c_label: float) -> None:
-        nonlocal out
-        g = u.apply(RealFunction._trusted(x_space, h_vals))
-        for i, v in enumerate(g.values):
-            bit = 1 << i
-            if out & bit:
-                continue
-            inside = v < 1.0 - tol if variant == "max_usc" else v > 1.0 + tol
-            if inside:
-                out |= bit
-                attained[u.ambient_space.points[i]] = c_label
-
-    for c in EXTENSION_SCHEDULE:
-        h = tuple(
-            1.0 + sign * c if (umask >> i) & 1 else 1.0 for i in range(x_space.n)
-        )
-        contribute(h, c)
+    inside = ((umask >> np.arange(x_space.n)) & 1).astype(bool)
+    labels = list(EXTENSION_SCHEDULE)
+    H = np.ones((len(labels) + budget, x_space.n))
+    H[: len(labels), inside] += sign * np.array(labels)[:, None]
     if budget:
         rng = np.random.default_rng(seed)
-        for _ in range(budget):
-            h = tuple(
-                1.0 + sign * float(rng.uniform(0.0, 100.0)) if (umask >> i) & 1 else 1.0
-                for i in range(x_space.n)
-            )
-            contribute(h, float("nan"))
+        H[len(labels) :, inside] += sign * rng.uniform(0.0, 100.0, (budget, int(inside.sum())))
+        labels += [float("nan")] * budget
+    G = u.apply_batch(H)
+    hits = G < 1.0 - tol if variant == "max_usc" else G > 1.0 + tol
+    out = 0
+    attained: dict[str, float] = {}
+    for c_label, row in zip(labels, hits):
+        for i in np.flatnonzero(row):
+            if not out >> int(i) & 1:
+                out |= 1 << int(i)
+                attained[u.ambient_space.points[i]] = c_label
     return out, attained
 
 
@@ -422,23 +441,12 @@ def retraction_from_open_sets(
 
 def _extender_preserves(u: Extender, op: str, tol: float, family) -> bool:
     """Pointwise check of u(max(f,g)) = max(uf, ug) (or min) over a family."""
-    x_space = u.domain_space
-    comb = max if op == "max" else min
-    outs = {}
-
-    def uvals(t):
-        if t not in outs:
-            outs[t] = u.apply(RealFunction._trusted(x_space, t)).values
-        return outs[t]
-
-    for f, g in itertools.product(family, family):
-        h = tuple(map(comb, f, g))
-        lhs = uvals(h)
-        uf, ug = uvals(f), uvals(g)
-        for a, b, c in zip(lhs, uf, ug):
-            if abs(a - comb(b, c)) > tol:
-                return False
-    return True
+    fam = _array(family, u.domain_space.n)
+    F, G = _product(fam, fam)
+    outs = u.apply_batch(fam)
+    uF, uG = _product(outs, outs)
+    lhs = u.apply_batch(_fold(op, (F, G)))
+    return not (np.abs(lhs - _fold(op, (uF, uG))) > tol).any()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Literal, Mapping, Sequence
@@ -66,15 +65,6 @@ class RealFunction:
         if not all(math.isfinite(v) for v in self.values):
             raise InvariantViolation("values", "values must be finite")
 
-    @classmethod
-    def _trusted(cls, space, values: tuple[float, ...]) -> "RealFunction":
-        # fast path for library-generated tuples, which are finite by
-        # construction; user input goes through the validating constructor
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "values", values)
-        return obj
-
     def __getitem__(self, point: str) -> float:
         return self.values[self.space.index(point)]
 
@@ -100,16 +90,37 @@ def from_mapping(space, values: Mapping[str, float]) -> RealFunction:
     return RealFunction(space, tuple(float(values[p]) for p in space.points))
 
 
+def _fold(kind: Kind, arrays) -> np.ndarray:
+    """Elementwise min or max across ``arrays``, taken in order.
+
+    Ties keep the earlier value, as Python's min and max do; that only
+    shows in the sign of a zero.
+    """
+    it = iter(arrays)
+    out = np.array(next(it), dtype=float)
+    for a in it:
+        out = np.where(a < out, a, out) if kind == "min" else np.where(a > out, a, out)
+    return out
+
+
 # -- functionals -----------------------------------------------------------
 
 
 class Functional:
-    """Deterministic evaluator from RealFunction to a real number."""
+    """Deterministic evaluator from RealFunction to a real number.
+
+    Each class evaluates a whole k x n array of inputs, one per row, in
+    ``eval_batch``; calling the functional on one RealFunction evaluates a
+    one-row array.
+    """
 
     space: FiniteTopSpace | MetricSpace
     label: str = ""
 
-    def __call__(self, f: RealFunction) -> float:  # pragma: no cover - interface
+    def __call__(self, f: RealFunction) -> float:
+        return float(self.eval_batch(np.array([f.values], dtype=float))[0])
+
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -131,22 +142,13 @@ class SupportFunctional(Functional):
     def _indices(self) -> tuple[int, ...]:
         return tuple(_bits(self.member))
 
-    @cached_property
-    def _pick(self) -> Callable:
-        if len(self._indices) == 1:
-            i = self._indices[0]
-            return lambda vals: vals[i]
-        getter = operator.itemgetter(*self._indices)
-        agg = min if self.kind == "min" else max
-        return lambda vals: agg(getter(vals))
-
     @property
     def label(self) -> str:
         pts = ",".join(self.space.points[i] for i in self._indices)
         return f"{self.kind} over {{{pts}}}"
 
-    def __call__(self, f: RealFunction) -> float:
-        return self._pick(f.values)
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        return _fold(self.kind, (A[:, i] for i in self._indices))
 
 
 def support_functional(space, kind: Kind, subset) -> SupportFunctional:
@@ -187,13 +189,8 @@ class IdempotentDensity(Functional):
             "-inf" if v == NEG_INF else f"{v:g}" for v in self.lam
         ) + ")"
 
-    @cached_property
-    def _finite_terms(self) -> tuple[tuple[int, float], ...]:
-        return tuple((i, v) for i, v in enumerate(self.lam) if v != NEG_INF)
-
-    def __call__(self, f: RealFunction) -> float:
-        vals = f.values
-        return max(v + vals[i] for i, v in self._finite_terms)
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        return _fold("max", (A[:, i] + v for i, v in enumerate(self.lam) if v != NEG_INF))
 
 
 def density(space, lam: Mapping[str, float | None]) -> IdempotentDensity:
@@ -214,8 +211,13 @@ class MeanFunctional(Functional):
     def label(self) -> str:
         return "mean"
 
-    def __call__(self, f: RealFunction) -> float:
-        return sum(f.values) / len(f.values)
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        # summed point by point, in the order of Python's sum over a tuple;
+        # A.sum(axis=1) adds in another order from 8 points on
+        total = np.zeros(len(A))
+        for i in range(A.shape[1]):
+            total = total + A[:, i]
+        return total / A.shape[1]
 
 
 @dataclass(frozen=True)
@@ -223,8 +225,11 @@ class TableFunctional(Functional):
     """Extension point: values tabulated on enumerated two-valued inputs.
 
     An input ``f`` must take values in {lo, hi} only; it is looked up by the
-    bitmask of its hi-entries.  Anything else raises InvariantViolation, so
-    table functionals only support two-valued sweeps (use trials=0).
+    bitmask of its hi-entries.  Anything else raises InvariantViolation.
+    The structured sweeps of ``classify``, ``support`` and most axioms
+    evaluate other inputs, so check a table through ``check_axiom`` with
+    ``trials=0`` and ``family=two_valued_tuples(n, lo, hi)``; only
+    ``normed`` works without a family.
     """
 
     space: FiniteTopSpace | MetricSpace
@@ -240,16 +245,14 @@ class TableFunctional(Functional):
     def label(self) -> str:
         return f"table[{self.lo:g},{self.hi:g}]"
 
-    def __call__(self, f: RealFunction) -> float:
-        mask = 0
-        for i, v in enumerate(f.values):
-            if v == self.hi:
-                mask |= 1 << i
-            elif v != self.lo:
-                raise InvariantViolation(
-                    "table.domain", f"input value {v!r} is not in {{lo, hi}}"
-                )
-        return self.table[mask]
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        hi = A == self.hi
+        outside = ~hi & (A != self.lo)
+        if outside.any():
+            raise InvariantViolation(
+                "table.domain", f"input value {float(A[outside][0])!r} is not in {{lo, hi}}"
+            )
+        return np.array(self.table, dtype=float)[hi @ (1 << np.arange(A.shape[1]))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,15 +260,19 @@ class LambdaFunctional(Functional):
     """Wrap an arbitrary evaluator callable.
 
     Compared and hashed by identity: two wrappers are interchangeable only
-    if they are the same object, since the callable is opaque.
+    if they are the same object, since the callable is opaque.  For the same
+    reason it is the one class that evaluates a batch row by row.
     """
 
     space: FiniteTopSpace | MetricSpace
     fn: Callable[[RealFunction], float]
     label: str = "user"
 
-    def __call__(self, f: RealFunction) -> float:
-        return float(self.fn(f))
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        return np.array(
+            [float(self.fn(RealFunction(self.space, tuple(row)))) for row in A.tolist()],
+            dtype=float,
+        )
 
 
 @dataclass(frozen=True)
@@ -282,8 +289,8 @@ class DualFunctional(Functional):
     def label(self) -> str:
         return f"dual({self.inner.label})"
 
-    def __call__(self, f: RealFunction) -> float:
-        return -self.inner(-f)
+    def eval_batch(self, A: np.ndarray) -> np.ndarray:
+        return -self.inner.eval_batch(-A)
 
 
 def dual(mu: Functional) -> Functional:
@@ -301,22 +308,33 @@ def dual(mu: Functional) -> Functional:
 
 
 # -- structured input families ---------------------------------------------
+#
+# Families are read-only k x n arrays, one row per input, built once per n
+# in the order the checks visit them.
 
 
-class _Memo:
-    """Memoized evaluation of a functional on raw value tuples."""
+def _array(rows, n: int) -> np.ndarray:
+    a = np.array(rows, dtype=float).reshape(-1, n)
+    a.flags.writeable = False
+    return a
 
-    def __init__(self, mu: Functional):
-        self.mu = mu
-        self.space = mu.space
-        self.cache: dict[tuple[float, ...], float] = {}
 
-    def __call__(self, values: tuple[float, ...]) -> float:
-        v = self.cache.get(values)
-        if v is None:
-            v = self.mu(RealFunction._trusted(self.space, values))
-            self.cache[values] = v
-        return v
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of all pairs (a[i], b[j]), in itertools.product order."""
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+
+
+def _mirrored(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` followed by its negation."""
+    return np.stack([a, -a], axis=1).reshape(-1, *a.shape[1:])
+
+
+def _spikes(n: int, values) -> np.ndarray:
+    """Row i * len(values) + k is values[k] at point i and 0 elsewhere."""
+    rows = np.zeros((n, len(values), n))
+    idx = np.arange(n)
+    rows[idx, :, idx] = values
+    return rows.reshape(-1, n)
 
 
 @lru_cache(maxsize=256)
@@ -337,7 +355,7 @@ def _base_tuples(n: int) -> tuple[tuple[float, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _pair_family(n: int) -> tuple[tuple[float, ...], ...]:
+def _pair_family(n: int) -> np.ndarray:
     """Structured inputs, closed under negation.
 
     Negation closure makes axiom verdicts on a functional and its
@@ -349,10 +367,11 @@ def _pair_family(n: int) -> tuple[tuple[float, ...], ...]:
         fam += two_valued_tuples(n, 0.0, 1.0)
         fam += two_valued_tuples(n, -1.0, 0.0)
         fam += two_valued_tuples(n, -1.0, 1.0)
-    return tuple(dict.fromkeys(fam))
+    return _array(list(dict.fromkeys(fam)), n)
 
 
-def _pair_grid(n: int):
+@lru_cache(maxsize=64)
+def _pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairs for the binary lattice identities, as a negation-closed set.
 
     All pairs within each two-valued block ({0,1}, {-1,0}, {-1,1} patterns)
@@ -360,23 +379,22 @@ def _pair_grid(n: int):
     everything would triple the cost without adding coverage for the
     selection-type functionals this library classifies.
     """
-    base = list(dict.fromkeys(_base_tuples(n)))
-    yield from itertools.product(base, base)
+    base = _array(list(dict.fromkeys(_base_tuples(n))), n)
+    parts = [(base, base)]
     if n <= TWO_VALUED_CAP:
-        blocks = [
-            two_valued_tuples(n, 0.0, 1.0),
-            two_valued_tuples(n, -1.0, 0.0),
-            two_valued_tuples(n, -1.0, 1.0),
-        ]
-        for block in blocks:
-            yield from itertools.product(block, block)
-            yield from itertools.product(base, block)
-            yield from itertools.product(block, base)
+        for lo, hi in ((0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)):
+            block = _array(two_valued_tuples(n, lo, hi), n)
+            parts += [(block, block), (base, block), (block, base)]
+    pairs = [_product(a, b) for a, b in parts]
+    return (
+        _array(np.concatenate([f for f, _ in pairs]), n),
+        _array(np.concatenate([g for _, g in pairs]), n),
+    )
 
 
 @lru_cache(maxsize=64)
-def _weak_family(n: int) -> tuple[tuple[tuple[float, ...], float], ...]:
-    """(f, c) pairs for the weak (constant-argument) identities.
+def _weak_family(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f, c) rows for the weak (constant-argument) identities.
 
     Scaled two-valued functions are included so that clipping constants fall
     strictly between the two values; that is where densities with finite
@@ -384,10 +402,10 @@ def _weak_family(n: int) -> tuple[tuple[tuple[float, ...], float], ...]:
     """
     pairs = []
     base_cs = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-    fams = [(1.0, _pair_family(n))]
+    fams = [map(tuple, _pair_family(n).tolist())]
     if n <= TWO_VALUED_CAP:
-        fams.append((5.0, two_valued_tuples(n, 0.0, 5.0)))
-    for scale, fam in fams:
+        fams.append(two_valued_tuples(n, 0.0, 5.0))
+    for fam in fams:
         for f in fam:
             lo, hi = min(f), max(f)
             cs = set(base_cs)
@@ -397,11 +415,27 @@ def _weak_family(n: int) -> tuple[tuple[tuple[float, ...], float], ...]:
                 pairs.append((f, c))
     # negation closure, for exact verdict exchange under duality
     mirrored = [(tuple(-v for v in f), -c) for f, c in pairs]
-    return tuple(dict.fromkeys(pairs + mirrored))
+    pairs = list(dict.fromkeys(pairs + mirrored))
+    return _array([f for f, _ in pairs], n), _array([c for _, c in pairs], 1)[:, 0]
 
 
-def _rand_tuple(rng: np.random.Generator, n: int, amp: float = 2.0) -> tuple[float, ...]:
-    return tuple(float(v) for v in rng.uniform(-amp, amp, n))
+def _passes_sampled(rng, low, high, trials: int, failing) -> bool:
+    """Whether none of ``trials`` sampled rows fails.
+
+    Trial t draws one row of uniform(low, high) values, ``low`` and ``high``
+    giving the bounds column by column, as a loop that draws one trial at a
+    time draws them.  The rows are drawn and tested as one block; after a
+    failure the generator is rewound to where a loop that stopped at the
+    first failing trial would have left it, since callers draw from it again.
+    """
+    state = rng.bit_generator.state
+    rows = rng.uniform(low, high, (trials, len(low)))
+    bad = np.flatnonzero(failing(rows))
+    if not len(bad):
+        return True
+    rng.bit_generator.state = state
+    rng.uniform(low, high, (bad[0] + 1, len(low)))
+    return False
 
 
 # -- axiom checks -----------------------------------------------------------
@@ -425,12 +459,19 @@ class AxiomReport:
     witness: AxiomWitness | None = None
 
 
-def _tmin(a, b):
-    return tuple(map(min, a, b))
-
-
-def _tmax(a, b):
-    return tuple(map(max, a, b))
+def _first_violation(axiom, lhs, rhs, tol, F, G=None, C=None) -> AxiomReport:
+    """Report on the first row where the two sides differ by more than tol."""
+    bad = np.flatnonzero(np.abs(lhs - rhs) > tol)
+    if not len(bad):
+        return AxiomReport(axiom, True)
+    i = bad[0]
+    return AxiomReport(axiom, False, AxiomWitness(
+        tuple(F[i].tolist()),
+        None if G is None else tuple(G[i].tolist()),
+        None if C is None else float(C[i]),
+        float(lhs[i]),
+        float(rhs[i]),
+    ))
 
 
 def check_axiom(
@@ -444,89 +485,53 @@ def check_axiom(
     """Check one identity on a structured sweep plus seeded random inputs.
 
     The structured sweep (constants, indicators, all two-valued and all
-    sign patterns up to 5 points) runs first and deterministically, so any
+    sign patterns up to 5 points) comes first and is deterministic, so any
     witness it finds is reproducible without the seed.  ``family`` replaces
     the structured function family, e.g. to restrict to continuous inputs.
+    All inputs are evaluated as one batch; the witness is the first
+    violation in sweep order.
     """
     if axiom not in AXIOMS:
         raise UnknownAxiom(axiom)
     trials = max(0, trials)
-    ev = _Memo(mu)
+    ev = mu.eval_batch
     n = len(mu.space.points)
 
     if axiom == "normed":
-        one = (1.0,) * n
-        lhs = ev(one)
-        if abs(lhs - 1.0) > tol:
-            return AxiomReport(axiom, False, AxiomWitness(one, None, None, lhs, 1.0))
-        return AxiomReport(axiom, True)
+        one = np.ones((1, n))
+        return _first_violation(axiom, ev(one), one[:, 0], tol, one)
 
     rng = np.random.default_rng(seed)
-
-    if axiom == "weakly_additive":
-        cases: list[tuple[tuple[float, ...], float]]
-        if family is not None:
-            base = [(f, c) for f in family for c in (-1.0, 0.5, 1.0, 2.0)]
-            cases = base + [(tuple(-v for v in f), -c) for f, c in base]
-        else:
-            cases = list(_weak_family(n))
-        for _ in range(trials):
-            f, c = _rand_tuple(rng, n), float(rng.uniform(-5, 5))
-            cases.append((f, c))
-            cases.append((tuple(-v for v in f), -c))
-        for f, c in cases:
-            lhs = ev(tuple(v + c for v in f))
-            rhs = ev(f) + c
-            if abs(lhs - rhs) > tol:
-                return AxiomReport(axiom, False, AxiomWitness(f, None, c, lhs, rhs))
-        return AxiomReport(axiom, True)
+    fam = None if family is None else _array(family, n)
 
     if axiom in ("preserves_max", "preserves_min"):
-        comb = _tmax if axiom == "preserves_max" else _tmin
-        agg = max if axiom == "preserves_max" else min
+        F, G = _pair_grid(n) if fam is None else _product(fam, fam)
+        R = rng.uniform(-2.0, 2.0, (trials, 2, n))
+        # each random pair is followed by its mirror, for verdict exchange
+        # under duality
+        F = np.concatenate([F, _mirrored(R[:, 0])])
+        G = np.concatenate([G, _mirrored(R[:, 1])])
+        kind = axiom[-3:]
+        lhs = ev(_fold(kind, (F, G)))
+        return _first_violation(axiom, lhs, _fold(kind, (ev(F), ev(G))), tol, F, G)
 
-        def violation(f, g):
-            lhs = ev(comb(f, g))
-            rhs = agg(ev(f), ev(g))
-            if abs(lhs - rhs) > tol:
-                return AxiomReport(axiom, False, AxiomWitness(f, g, None, lhs, rhs))
-            return None
-
-        pairs = (
-            itertools.product(family, family) if family is not None else _pair_grid(n)
-        )
-        for f, g in pairs:
-            bad = violation(f, g)
-            if bad:
-                return bad
-        for _ in range(trials):
-            f, g = _rand_tuple(rng, n), _rand_tuple(rng, n)
-            # test the mirrored pair too, for verdict exchange under duality
-            bad = violation(f, g) or violation(
-                tuple(-v for v in f), tuple(-v for v in g)
-            )
-            if bad:
-                return bad
-        return AxiomReport(axiom, True)
-
-    # weakly_preserves_max / weakly_preserves_min
-    comb = _tmax if axiom == "weakly_preserves_max" else _tmin
-    agg = max if axiom == "weakly_preserves_max" else min
-    if family is not None:
-        base = [(f, c) for f in family for c in (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)]
-        cases = base + [(tuple(-v for v in f), -c) for f, c in base]
+    # weakly_additive / weakly_preserves_max / weakly_preserves_min
+    if fam is None:
+        F, C = _weak_family(n)
     else:
-        cases = list(_weak_family(n))
-    for _ in range(trials):
-        f, c = _rand_tuple(rng, n), float(rng.uniform(-5, 5))
-        cases.append((f, c))
-        cases.append((tuple(-v for v in f), -c))
-    for f, c in cases:
-        lhs = ev(comb(f, (c,) * n))
-        rhs = agg(ev(f), c)
-        if abs(lhs - rhs) > tol:
-            return AxiomReport(axiom, False, AxiomWitness(f, None, c, lhs, rhs))
-    return AxiomReport(axiom, True)
+        cs = (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (
+            -1.0, 0.25, 0.5, 0.8, 1.0, 4.0
+        )
+        F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
+        F, C = np.concatenate([F, -F]), np.concatenate([C, -C])
+    R = rng.uniform(np.r_[np.full(n, -2.0), -5.0], np.r_[np.full(n, 2.0), 5.0], (trials, n + 1))
+    F = np.concatenate([F, _mirrored(R[:, :n])])
+    C = np.concatenate([C, _mirrored(R[:, n])])
+    if axiom == "weakly_additive":
+        return _first_violation(axiom, ev(F + C[:, None]), ev(F) + C, tol, F, C=C)
+    kind = axiom[-3:]
+    lhs = ev(_fold(kind, (F, C[:, None])))
+    return _first_violation(axiom, lhs, _fold(kind, (ev(F), C)), tol, F, C=C)
 
 
 def _passes(mu, axioms, trials, tol, seed, family=None) -> bool:
@@ -538,22 +543,14 @@ def _passes(mu, axioms, trials, tol, seed, family=None) -> bool:
 
 def _is_monotone_sampled(mu, tol, trials=32, seed=0) -> bool:
     """Sampled monotonicity: f <= g pointwise implies mu(f) <= mu(g)."""
-    ev = _Memo(mu)
     n = len(mu.space.points)
     rng = np.random.default_rng(seed)
-    fams = _pair_family(n)
-    for f in fams:
-        for i in range(n):
-            for bump in (0.5, 1.0):
-                g = tuple(v + bump if j == i else v for j, v in enumerate(f))
-                if ev(f) > ev(g) + tol:
-                    return False
-    for _ in range(trials):
-        f = _rand_tuple(rng, n)
-        g = tuple(v + b for v, b in zip(f, rng.uniform(0, 2, n)))
-        if ev(f) > ev(g) + tol:
-            return False
-    return True
+    # each structured input below itself raised at one point
+    F, bump = _product(_pair_family(n), _spikes(n, (0.5, 1.0)))
+    R = rng.uniform(np.r_[np.full(n, -2.0), np.zeros(n)], 2.0, (trials, 2 * n))
+    f = np.concatenate([F, R[:, :n]])
+    g = np.concatenate([F + bump, R[:, :n] + R[:, n:]])
+    return not (mu.eval_batch(f) > mu.eval_batch(g) + tol).any()
 
 
 # -- support ----------------------------------------------------------------
@@ -562,54 +559,49 @@ def _is_monotone_sampled(mu, tol, trials=32, seed=0) -> bool:
 _PROBE_SCALES = (1.0, 10.0, 100.0)
 
 
-def _probe_class_support(ev: _Memo, n: int, kind: Kind, tol: float) -> int:
+def _probe_class_support(mu: Functional, kind: Kind, tol: float) -> int:
     """Candidate support from single-point indicator probes.
 
     For a genuine min-type (max-type) functional the probe with a negative
     (positive) spike at x fires exactly when x belongs to the support.
     """
-    zero = ev((0.0,) * n)
-    mask = 0
-    for i in range(n):
-        for s in _PROBE_SCALES:
-            spike = -s if kind == "min" else s
-            f = tuple(spike if j == i else 0.0 for j in range(n))
-            if abs(ev(f) - zero) > tol:
-                mask |= 1 << i
-                break
-    return mask
+    n = len(mu.space.points)
+    spike = [-s if kind == "min" else s for s in _PROBE_SCALES]
+    vals = mu.eval_batch(np.concatenate([np.zeros((1, n)), _spikes(n, spike)]))
+    fired = (np.abs(vals[1:] - vals[0]) > tol).reshape(n, -1).any(axis=1)
+    return sum(1 << int(i) for i in np.flatnonzero(fired))
 
 
 @lru_cache(maxsize=64)
-def _verify_family(n: int) -> tuple[tuple[float, ...], ...]:
+def _verify_family(n: int) -> np.ndarray:
     """Structured inputs on which a proposed formula for a functional is checked."""
-    fam = _pair_family(n)
+    fam = [tuple(f) for f in _pair_family(n).tolist()]
     if n <= TWO_VALUED_CAP:
         fam += two_valued_tuples(n, 0.0, 5.0)
-    return tuple(dict.fromkeys(fam))
+    return _array(list(dict.fromkeys(fam)), n)
 
 
-def _reproduces(ev: _Memo, formula, n: int, tol: float, budget: int, rng) -> bool:
-    """Check mu(f) == formula(f) on the structured family plus random f."""
-    for f in _verify_family(n):
-        if abs(ev(f) - formula(f)) > tol:
-            return False
-    for _ in range(budget):
-        f = _rand_tuple(rng, n, amp=5.0)
-        if abs(ev(f) - formula(f)) > tol:
-            return False
-    return True
+def _reproduces(mu: Functional, formula, tol: float, budget: int, rng) -> bool:
+    """Check mu(f) == formula(f) on the structured family plus random f.
+
+    ``formula`` evaluates a batch, like ``Functional.eval_batch``.
+    """
+    n = len(mu.space.points)
+    fam = _verify_family(n)
+    if (np.abs(mu.eval_batch(fam) - formula(fam)) > tol).any():
+        return False
+    return _passes_sampled(
+        rng, np.full(n, -5.0), np.full(n, 5.0), budget,
+        lambda R: np.abs(mu.eval_batch(R) - formula(R)) > tol,
+    )
 
 
-def _verify_kind(
-    ev: _Memo, n: int, kind: Kind, mask: int, tol: float, budget: int, rng
-) -> bool:
+def _verify_kind(mu: Functional, kind: Kind, mask: int, tol: float, budget: int, rng) -> bool:
     """Check mu(f) == min/max of f over ``mask`` on structured plus random f."""
     if mask == 0:
         return False
-    idx = tuple(_bits(mask))
-    agg = min if kind == "min" else max
-    return _reproduces(ev, lambda f: agg(f[i] for i in idx), n, tol, budget, rng)
+    formula = SupportFunctional(mu.space, kind, mask).eval_batch
+    return _reproduces(mu, formula, tol, budget, rng)
 
 
 def support(
@@ -626,7 +618,7 @@ def support(
     """
     space = mu.space
     n = len(space.points)
-    ev = _Memo(mu)
+    ev = mu.eval_batch
     rng = np.random.default_rng(seed)
 
     quick = 8
@@ -637,54 +629,43 @@ def support(
         kind = "max"
 
     if kind is not None:
-        mask = _probe_class_support(ev, n, kind, tol)
-        if mask and _verify_kind(ev, n, kind, mask, tol, min(budget, 64), rng):
+        mask = _probe_class_support(mu, kind, tol)
+        if _verify_kind(mu, kind, mask, tol, min(budget, 64), rng):
             return space.subset(mask)
         # fall through to the generic sweep; a failed verification means the
         # probe route cannot certify absence from the support
-
-    found = 0
-    zero = ev((0.0,) * n)
+    zero = ev(np.zeros((1, n)))[0]
+    probes = [sign * s for s in _PROBE_SCALES for sign in (-1.0, 1.0)]
+    probes = _spikes(n, probes).reshape(n, len(probes), n)
     sweep_grid = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
     fam = _base_tuples(n)
     if n <= 4:
         fam = fam + two_valued_tuples(n, 0.0, 1.0)
-    fam = list(dict.fromkeys(fam))
+    fam = _array(list(dict.fromkeys(fam)), n)
+    # each family input, to be moved along sweep_grid at one point
+    swept = np.repeat(fam, len(sweep_grid), axis=0)
+    shift = np.tile(sweep_grid, len(fam))
+    base = np.repeat(ev(fam), len(sweep_grid))
+    low, high = np.r_[np.full(n, -2.0), -10.0], np.r_[np.full(n, 2.0), 10.0]
 
+    found = 0
     for i in range(n):
-        hit = False
-        for s in _PROBE_SCALES:
-            for sign in (-1.0, 1.0):
-                f = tuple(sign * s if j == i else 0.0 for j in range(n))
-                if abs(ev(f) - zero) > tol:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            for f in fam:
-                base = ev(f)
-                for v in sweep_grid:
-                    g = tuple(f[i] + v if j == i else f[j] for j in range(n))
-                    if abs(ev(g) - base) > tol:
-                        hit = True
-                        break
-                if hit:
-                    break
-        if not hit:
-            for _ in range(budget):
-                f = _rand_tuple(rng, n)
-                g = tuple(
-                    f[i] + float(rng.uniform(-10, 10)) if j == i else f[j]
-                    for j in range(n)
-                )
-                if abs(ev(f) - ev(g)) > tol:
-                    hit = True
-                    break
-        if hit:
+
+        def moved(R, i=i):  # the random inputs with a random change at i
+            G = R[:, :n].copy()
+            G[:, i] += R[:, n]
+            return np.abs(ev(R[:, :n]) - ev(G)) > tol
+
+        g = swept.copy()
+        g[:, i] += shift
+        if (
+            (np.abs(ev(probes[i]) - zero) > tol).any()
+            or (np.abs(ev(g) - base) > tol).any()
+            or not _passes_sampled(rng, low, high, budget, moved)
+        ):
             found |= 1 << i
 
-    if kind is not None and not _verify_kind(ev, n, kind, found, tol, min(budget, 64), rng):
+    if kind is not None and not _verify_kind(mu, kind, found, tol, min(budget, 64), rng):
         raise BudgetExhaustedInconclusive(
             "functional looks min/max-type on samples but no support set "
             "reproduces it; absence witnesses would be unfounded"
@@ -780,21 +761,23 @@ def _essential_pool(mu, tol, budget, seed) -> list[tuple[int, bool]]:
     every queried subset, since admissibility only depends on the anchor.
     """
     space = mu.space
-    ev = _Memo(mu)
     rng = np.random.default_rng(seed)
     grid = list(_pinned_candidates(space))
     jitters = max(1, budget // max(1, len(grid))) if budget else 0
+    values = _array([v for v, _ in grid], space.n)
     pool = []
-    for values, anchor in grid:
-        sep = abs(ev(values)) > tol
-        for _ in range(jitters):
-            if not sep:
-                break
-            jittered = tuple(
-                v if v == -1.0 else float(rng.uniform(-0.999, 0.0)) for v in values
-            )
-            sep = abs(ev(jittered)) > tol
-        pool.append((anchor, sep))
+    for v, (_, anchor), sep in zip(values, grid, np.abs(mu.eval_batch(values)) > tol):
+        if sep and jitters:
+            free = v != -1.0  # a refinement redraws the entries off the -1 region
+
+            def refined(R, v=v, free=free):
+                rows = np.repeat(v[None], len(R), axis=0)
+                rows[:, free] = R
+                return np.abs(mu.eval_batch(rows)) <= tol
+
+            w = int(free.sum())
+            sep = _passes_sampled(rng, np.full(w, -0.999), np.zeros(w), jitters, refined)
+        pool.append((anchor, bool(sep)))
     return pool
 
 
@@ -879,28 +862,29 @@ def agreement_family(
     if space.n > 10:
         raise TooLarge("agreement-family enumeration needs |points| <= 10")
     n = space.n
-    ev = _Memo(mu)
     rng = np.random.default_rng(seed)
     fam = _pair_family(n)
+    vals = mu.eval_batch(fam)
+    I, J = np.triu_indices(len(fam), 1)
+    bad = np.abs(vals[I] - vals[J]) > tol
+    # a separated pair rules out every A on which its two inputs agree
+    differ = (fam[I[bad]] != fam[J[bad]]) @ (1 << np.arange(n))
     members = []
     for m in range(1, space.full_mask + 1):
-        good = True
-        for f, g in itertools.combinations(fam, 2):
-            if all((m >> i) & 1 == 0 or f[i] == g[i] for i in range(n)):
-                if abs(ev(f) - ev(g)) > tol:
-                    good = False
-                    break
-        if good:
-            for _ in range(budget):
-                f = _rand_tuple(rng, n)
-                g = tuple(
-                    v if (m >> i) & 1 else v + float(rng.uniform(-5, 5))
-                    for i, v in enumerate(f)
-                )
-                if abs(ev(f) - ev(g)) > tol:
-                    good = False
-                    break
-        if good:
+        off = [i for i in range(n) if not (m >> i) & 1]
+
+        def moved(R, off=off):  # the random inputs with random changes off A
+            G = R[:, :n].copy()
+            G[:, off] += R[:, n:]
+            return np.abs(mu.eval_batch(R[:, :n]) - mu.eval_batch(G)) > tol
+
+        if not ((differ & m) == 0).any() and _passes_sampled(
+            rng,
+            np.r_[np.full(n, -2.0), np.full(len(off), -5.0)],
+            np.r_[np.full(n, 2.0), np.full(len(off), 5.0)],
+            budget,
+            moved,
+        ):
             members.append(m)
     return SubsetFamily(space, tuple(members))
 
@@ -921,16 +905,14 @@ class Classification:
 _DENSITY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
 
 
-def _extract_density(ev: _Memo, space, tol: float) -> tuple[float, ...]:
+def _extract_density(mu: Functional, tol: float) -> tuple[float, ...]:
     """Per-point weights from spike inputs; -inf when the spike never lands."""
+    space = mu.space
     n = len(space.points)
-    zero = ev((0.0,) * n)
+    vals = mu.eval_batch(np.concatenate([np.zeros((1, n)), _spikes(n, _DENSITY_SCHEDULE)]))
+    spiked = vals[1:].reshape(n, -1) - _DENSITY_SCHEDULE - vals[0]
     lam = []
-    for i in range(n):
-        ds = []
-        for c in _DENSITY_SCHEDULE:
-            f = tuple(c if j == i else 0.0 for j in range(n))
-            ds.append(ev(f) - c - zero)
+    for i, ds in enumerate(spiked.tolist()):
         val = None
         for k in range(len(ds) - 1):
             if abs(ds[k] - ds[k + 1]) <= tol:
@@ -968,8 +950,6 @@ def classify(
     reported as BudgetExhaustedInconclusive rather than guessed.
     """
     space = mu.space
-    n = len(space.points)
-    ev = _Memo(mu)
     rng = np.random.default_rng(seed)
     reports = {a: check_axiom(mu, a, trials=min(budget, 32), tol=tol, seed=seed) for a in AXIOMS}
 
@@ -978,8 +958,8 @@ def classify(
         ("max", MAX_CLASS_AXIOMS, "R_max"),
     ):
         if all(reports[a].passed for a in axioms):
-            mask = _probe_class_support(ev, n, kind, tol)
-            if mask and _verify_kind(ev, n, kind, mask, tol, budget, rng):
+            mask = _probe_class_support(mu, kind, tol)
+            if _verify_kind(mu, kind, mask, tol, budget, rng):
                 return Classification(label, support=space.subset(mask), axiom_reports=reports)
             raise BudgetExhaustedInconclusive(
                 f"passes the {label} axioms on samples but the {kind}-over-support "
@@ -987,11 +967,8 @@ def classify(
             )
 
     if all(reports[a].passed for a in ("normed", "weakly_additive", "preserves_max")):
-        lam = _extract_density(ev, space, tol)
-        cand = IdempotentDensity(space, lam)
-        if not _reproduces(
-            ev, lambda f: cand(RealFunction._trusted(space, f)), n, tol, budget, rng
-        ):
+        cand = IdempotentDensity(space, _extract_density(mu, tol))
+        if not _reproduces(mu, cand.eval_batch, tol, budget, rng):
             raise BudgetExhaustedInconclusive(
                 "passes the idempotent-measure axioms on samples but the "
                 "extracted density does not reproduce the functional"

@@ -262,10 +262,30 @@ def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, command, payload
 
 
 def test_cli_extend_rejects_a_non_numeric_function_value(files, capsys):
-    files["f"].write_text(json.dumps({"values": {"p": "x", "q": 2.0}}))
     args = ["extend", "--embedding", str(files["emb"]), "--map", str(files["map"])]
-    assert main(args + ["--function", str(files["f"])]) == 2
-    assert capsys.readouterr().err.startswith("error: ParseError")
+    # a numeric string and a boolean were read as 2.0 and 1.0 by float()
+    for values in ({"p": "x", "q": 2.0}, {"p": "2", "q": 2.0}, {"p": 0.0, "q": True}):
+        files["f"].write_text(json.dumps({"values": values}))
+        assert main(args + ["--function", str(files["f"])]) == 2, values
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and err.count("\n") == 1, err
+
+
+def test_cli_classify_rejects_a_table_input_outside_lo_hi(tmp_path, capsys):
+    # the structured sweeps evaluate inputs outside {lo, hi}; the error names
+    # the value as a plain float, not as a numpy scalar
+    table = {
+        "space": {"points": ["a", "b"], "min_nbhd": {"a": ["a"], "b": ["b"]}},
+        "kind": "table", "lo": 0, "hi": 1,
+        "table": {"": 0, "a": 0, "b": 0, "a,b": 1},
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.rstrip("\n").endswith("input value -1.0 is not in {lo, hi}"), err
+    assert main(["check-axioms", str(path), "--axiom", "normed", "--trials", "0"]) == 0
 
 
 def test_cli_rejects_flags_that_would_be_ignored(files, capsys):
