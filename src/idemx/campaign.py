@@ -23,6 +23,7 @@ from .errors import (
     AxiomPrecheckFailed,
     IdemxError,
     InvariantViolation,
+    ParseError,
     TooLarge,
     UnknownSuite,
 )
@@ -61,6 +62,8 @@ from .hyperspace import (
     vietoris_topology,
 )
 from .instances import (
+    _number,
+    _object,
     embedding_to_json,
     functional_to_json,
     load_embedding,
@@ -366,7 +369,7 @@ def _run_connectivity(case: dict, tol: float) -> tuple[bool, str]:
     e = embed(from_minimal_basis(basis), xs)
     for images in fixing_images(e):
         r = SetValuedMap(e.ambient, e.subspace, images)
-        singleton = all(bin(m).count("1") == 1 for m in r.images)
+        singleton = all(m.bit_count() == 1 for m in r.images)
         for kind in ("min", "max"):
             u = build_extender(r, e, kind)
             if singleton:
@@ -774,18 +777,32 @@ class ReplayOutcome:
 
 
 def replay_witnesses(report_path: str | Path, tol: float | None = None) -> list[ReplayOutcome]:
-    """Re-run every failure witness of a report; reproduced means it fails again."""
+    """Re-run every failure witness of a report; reproduced means it fails again.
+
+    A report of the wrong shape, or a witness case its suite cannot read, is
+    a ParseError.
+    """
     data = read_json(report_path)
-    rtol = tol if tol is not None else float(data.get("config", {}).get("tol", 1e-9))
+    if tol is None:
+        config = _object(data.get("config", {}), "report config")
+        tol = _number(config.get("tol", 1e-9), "report config tol")
     outcomes = []
-    for name, res in data.get("suites", {}).items():
+    for name, res in _object(data.get("suites", {}), "report suites").items():
         suite = CATALOGUE.get(name)
         if suite is None:
             raise UnknownSuite(name)
-        for w in res.get("witnesses", []):
+        witnesses = _object(res, f"suite {name}").get("witnesses", [])
+        if not isinstance(witnesses, list):
+            raise ParseError(f"suite {name}: witnesses must be a list")
+        for w in witnesses:
+            case = _object(_object(w, f"{name} witness").get("case"), f"{name} witness case")
             try:
-                ok, detail = suite.run_case(w["case"], rtol)
+                ok, detail = suite.run_case(case, tol)
             except IdemxError as exc:
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
+            except (LookupError, TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(
+                    f"{name} witness case is malformed ({type(exc).__name__}: {exc})"
+                ) from exc
             outcomes.append(ReplayOutcome(name, not ok, detail))
     return outcomes

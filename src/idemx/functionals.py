@@ -10,7 +10,6 @@ min-type functional, a max-type functional, an idempotent measure, or none.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -709,7 +708,10 @@ def _essential_precheck_failures(mu, tol) -> tuple[str, ...]:
     return tuple(failures)
 
 
-def _essential_precheck(mu, tol, seed=0):
+def _essential_precheck(mu, tol) -> None:
+    """The space guard and the axiom precheck of every essential-set test."""
+    if not isinstance(mu.space, FiniteTopSpace):
+        raise SpaceMismatch("essential-set tests need a topological space")
     failures = _essential_precheck_failures(mu, tol)
     if failures:
         raise AxiomPrecheckFailed(
@@ -727,99 +729,65 @@ def _weakly_preserving_failures(mu, tol) -> tuple[str, ...]:
     )
 
 
-def _pinned_candidates(space: FiniteTopSpace):
-    """Test functions pinned at -1 near some open set, zero far away.
+def _essential_masks(mu, tol) -> np.ndarray:
+    """``essential[m]`` for every subset mask m of mu's space.
 
-    Yields (values, anchor) pairs where ``anchor`` is the largest open set
-    U with closure(U) inside the -1 region; a candidate is admissible for a
-    set A exactly when A is contained in its anchor.  Values range over the
-    grid {-1, -1/2, 0}; the grid is complete for min/max-type functionals
-    because those only compare input values against 0 and each other.
+    The pool holds one extremal test function per region V: -1 on V and 0
+    elsewhere, all evaluated in one batch.  Its anchor is the union of the
+    minimal neighbourhoods whose closure lies in V; the function is
+    admissible for A exactly when A lies in the anchor.  A nonempty A is
+    essential when no admissible extremal function evaluates to zero.
     """
-    n = space.n
-    # anchor of a -1 region V: union of minimal neighborhoods whose closure
-    # stays inside V
-    cl_min = [space.closure_mask(m) for m in space.min_nbhd]
-    for values in itertools.product((-1.0, -0.5, 0.0), repeat=n):
-        vmask = 0
-        for i, v in enumerate(values):
-            if v == -1.0:
-                vmask |= 1 << i
-        anchor = 0
-        for i in range(n):
-            if cl_min[i] & ~vmask == 0:
-                anchor |= space.min_nbhd[i]
-        if anchor:
-            yield tuple(values), anchor
-
-
-def _essential_pool(mu, tol, budget, seed) -> list[tuple[int, bool]]:
-    """Evaluate every pinned candidate once: (anchor, separated-from-zero).
-
-    A candidate counts as separated when the grid function and a few random
-    refinements of it all evaluate away from zero.  The pool is reused for
-    every queried subset, since admissibility only depends on the anchor.
-    """
+    _essential_precheck(mu, tol)
     space = mu.space
-    rng = np.random.default_rng(seed)
-    grid = list(_pinned_candidates(space))
-    jitters = max(1, budget // max(1, len(grid))) if budget else 0
-    values = _array([v for v, _ in grid], space.n)
-    pool = []
-    for v, (_, anchor), sep in zip(values, grid, np.abs(mu.eval_batch(values)) > tol):
-        if sep and jitters:
-            free = v != -1.0  # a refinement redraws the entries off the -1 region
-
-            def refined(R, v=v, free=free):
-                rows = np.repeat(v[None], len(R), axis=0)
-                rows[:, free] = R
-                return np.abs(mu.eval_batch(rows)) <= tol
-
-            w = int(free.sum())
-            sep = _passes_sampled(rng, np.full(w, -0.999), np.zeros(w), jitters, refined)
-        pool.append((anchor, bool(sep)))
-    return pool
+    n = space.n
+    regions = np.arange(1 << n)
+    anchors = np.zeros(1 << n, dtype=np.int64)
+    for nbhd in space.min_nbhd:
+        cl = space.closure_mask(nbhd)
+        anchors[(regions & cl) == cl] |= nbhd
+    extremal = np.where((regions[:, None] >> np.arange(n)) & 1, -1.0, 0.0)
+    blocked = np.zeros(1 << n, dtype=bool)
+    blocked[anchors[np.abs(mu.eval_batch(extremal)) <= tol]] = True
+    for i in range(n):  # a subset of a blocked anchor is blocked as well
+        halves = blocked.reshape(-1, 2, 1 << i)
+        halves[:, 0] |= halves[:, 1]
+    blocked[0] = True  # members are nonempty
+    return ~blocked
 
 
-def is_essential(
-    mu: Functional,
-    A,
-    tol: float = 1e-9,
-    budget: int = 64,
-    seed: int = 0,
-) -> bool:
+def is_essential(mu: Functional, A, tol: float = 1e-9) -> bool:
     """Membership of A in the separation family of the functional.
 
     A is essential when every admissible test function (equal to -1 on a
     closed neighborhood of A, zero outside an open neighborhood, values in
-    [-1,0]) is separated from zero by the functional.  The grid candidates
-    are swept first, then ``budget`` random refinements.
+    [-1, 0]) is separated from zero by the functional.  It suffices to test
+    the extremal functions, -1 on a region and 0 elsewhere: every admissible
+    function lies pointwise below the extremal one of its -1 region, which
+    is admissible for the same sets.  The precheck asks mu to be normed,
+    weakly additive and monotone, so mu(0) = 0 and mu(g) <= mu(extremal) <= 0
+    for such a g: a separated extremal function separates every function
+    below it.  The answer is exact for functionals that pass the precheck
+    because they are monotone, not just on its samples.
     """
-    space = mu.space
-    if not isinstance(space, FiniteTopSpace):
-        raise SpaceMismatch("essential-set tests need a topological space")
-    amask = space.mask(A)
+    amask = mu.space.mask(A)
     if amask == 0:
         raise EmptySet("essential-set test needs a nonempty subset")
-    _essential_precheck(mu, tol, seed)
-    pool = _essential_pool(mu, tol, budget, seed)
-    return all(sep for anchor, sep in pool if not (amask & ~anchor))
+    return bool(_essential_masks(mu, tol)[amask])
 
 
-def essential_family(
-    mu: Functional, tol: float = 1e-9, budget: int = 64, seed: int = 0
-) -> SubsetFamily:
-    """All nonempty essential subsets, smallest bitmask first."""
+def essential_family(mu: Functional, tol: float = 1e-9) -> SubsetFamily:
+    """All nonempty essential subsets, smallest bitmask first.
+
+    Decided exactly from the 2^n extremal test functions, -1 on a region and
+    0 elsewhere (see ``is_essential``); this relies on the precheck that mu
+    is normed, weakly additive and monotone.
+    """
     space = mu.space
     if space.n > 12:
         raise TooLarge("essential-family enumeration needs |points| <= 12")
-    _essential_precheck(mu, tol, seed)
-    pool = _essential_pool(mu, tol, budget, seed)
-    members = []
-    for m in range(1, space.full_mask + 1):
-        if all(sep for anchor, sep in pool if not (m & ~anchor)):
-            members.append(m)
-    return SubsetFamily(space, tuple(members))
+    members = np.flatnonzero(_essential_masks(mu, tol))
+    return SubsetFamily(space, tuple(int(m) for m in members))
 
 
 def infsup_reconstruct(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySet, InvariantViolation, ModeArity, SpaceMismatch, TooLarge
 from .functionals import Functional, RealFunction, SupportFunctional, classify, support
-from .spaces import FiniteTopSpace, MetricSpace, _bits, _popcount
+from .spaces import FiniteTopSpace, MetricSpace, _bits
 
 #: Full hyperspace enumeration stays below 2^16 subsets.
 HYPERSPACE_CAP = 16
@@ -144,7 +144,7 @@ def subset_roundtrip_failure(
     cls = classify(mu, tol=tol)
     expected = "R_min" if kind == "min" else "R_max"
     label_ok = cls.kind == expected or (
-        _popcount(member) == 1 and cls.kind in ("R_min", "R_max")
+        member.bit_count() == 1 and cls.kind in ("R_min", "R_max")
     )
     if not label_ok or cls.support != want:
         return f"classify({mu.label}) = ({cls.kind}, {sorted(cls.support or ())})"

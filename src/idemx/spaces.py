@@ -28,10 +28,6 @@ OPENS_ENUM_CAP = 12
 SubsetLike = Union[int, Iterable[str]]
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _bits(mask: int) -> Iterable[int]:
     i = 0
     while mask:

@@ -5,7 +5,10 @@ substance: a memo of scalar evaluations keyed by value tuples, the scalar
 formula of each functional class, and the tuple-at-a-time loops of
 ``check_axiom``, ``classify``, ``support`` and ``essential_family``.  The
 library must give the same verdicts, the same witnesses bit for bit, and
-draw the same random inputs in the same order.
+draw the same random inputs in the same order.  The ``essential_family``
+reference is the earlier 3^n grid of test functions with its random
+refinements; the library decides the same members from the 2^n extremal
+test functions and draws nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from idemx.functionals import (
     SupportFunctional,
     TableFunctional,
     _passes_sampled,
-    _pinned_candidates,
     check_axiom,
     classify,
     dual,
@@ -367,6 +369,25 @@ def ref_support(mu, budget=200, tol=1e-9, seed=0):
     return space.subset(found)
 
 
+def ref_pinned_candidates(space):
+    """The 3^n grid of test functions pinned at -1 near some open set: values
+    in {-1, -1/2, 0}, each with its anchor, the union of the minimal
+    neighbourhoods whose closure stays inside the -1 region."""
+    n = space.n
+    cl_min = [space.closure_mask(m) for m in space.min_nbhd]
+    for values in itertools.product((-1.0, -0.5, 0.0), repeat=n):
+        vmask = 0
+        for i, v in enumerate(values):
+            if v == -1.0:
+                vmask |= 1 << i
+        anchor = 0
+        for i in range(n):
+            if cl_min[i] & ~vmask == 0:
+                anchor |= space.min_nbhd[i]
+        if anchor:
+            yield tuple(values), anchor
+
+
 def ref_essential_family(mu, tol=1e-9, budget=64, seed=0):
     space = mu.space
     if space.n > 12:
@@ -382,9 +403,17 @@ def ref_essential_family(mu, tol=1e-9, budget=64, seed=0):
             "essential-set test needs normed, weakly additive, monotone; "
             f"failing: {', '.join(failures)}"
         )
+    return ref_essential_members(mu, tol, budget, seed)
+
+
+def ref_essential_members(mu, tol=1e-9, budget=64, seed=0):
+    """The members after the precheck: the grid candidates, each separated
+    candidate then refined by ``budget // len(grid)`` (at least one) random
+    redraws of its entries off the -1 region."""
+    space = mu.space
     ev = Memo(mu)
     rng = np.random.default_rng(seed)
-    grid = list(_pinned_candidates(space))
+    grid = list(ref_pinned_candidates(space))
     jitters = max(1, budget // max(1, len(grid))) if budget else 0
     pool = []
     for values, anchor in grid:
@@ -517,7 +546,7 @@ def assert_same_everywhere(mu, seed, support_budget=200):
     assert got == outcome(ref_support, mu, budget=support_budget, seed=seed), mu.label
 
     if mu.space.n <= 5:
-        got = outcome(lambda m: essential_family(m, seed=seed).members, mu)
+        got = outcome(lambda m: essential_family(m).members, mu)
         assert got == outcome(ref_essential_family, mu, seed=seed), mu.label
 
 
@@ -583,6 +612,27 @@ PLANTED = [
 def test_planted_lambdas_match_per_tuple_reference(mu):
     for seed in (0, 1, 7):
         assert_same_everywhere(mu, seed)
+
+
+def test_random_preorder_essential_families_match_the_grid_reference():
+    rng = np.random.default_rng(1105)
+    families = set()
+    for case in range(300):
+        n = int(rng.integers(1, 8))
+        space = _random_preorder_space(rng, n)
+        lam = rng.uniform(-2.0, 0.0, n)
+        lam[rng.random(n) < 0.3] = NEG_INF
+        lam[rng.integers(n)] = 0.0
+        dens = IdempotentDensity(space, tuple(float(v) for v in lam))
+        kind = "min" if rng.random() < 0.5 else "max"
+        sup = SupportFunctional(space, kind, int(rng.integers(1, 1 << n)))
+        # all four pass the precheck, whose reference the corpora above cover
+        for mu in (sup, dens, dual(dens), MeanFunctional(space)):
+            seed = int(rng.integers(2**31))
+            got = essential_family(mu).members
+            assert got == ref_essential_members(mu, seed=seed), (case, mu.label)
+            families.add((n, got))
+    assert len(families) > 60
 
 
 def test_hidden_lambda_reaches_the_random_support_sweep(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from idemx.errors import AxiomPrecheckFailed, TooLarge
+from idemx.errors import AxiomPrecheckFailed, SpaceMismatch, TooLarge
 from idemx.functionals import (
     NEG_INF,
     MeanFunctional,
@@ -20,7 +20,7 @@ from idemx.functionals import (
     support_functional,
     two_valued_tuples,
 )
-from idemx.spaces import discrete
+from idemx.spaces import discrete, line_metric
 
 D3 = discrete(["a", "b", "c"])
 
@@ -113,6 +113,19 @@ def test_essential_precheck_rejects_non_monotone():
     swing = LambdaFunctional(D3, lambda f: f.values[0] - f.values[1] + 1.0, "swing")
     with pytest.raises(AxiomPrecheckFailed):
         is_essential(swing, {"a"})
+
+
+def test_essential_sets_need_a_topological_space():
+    line = line_metric({"a": 0.0, "b": 1.0})
+    mu = support_functional(line, "min", ["a"])
+    f = from_mapping(line, {"a": 0.0, "b": 1.0})
+    for call in (
+        lambda: is_essential(mu, {"a"}),
+        lambda: essential_family(mu),
+        lambda: infsup_reconstruct(mu, f),
+    ):
+        with pytest.raises(SpaceMismatch):
+            call()
 
 
 # -- reconstruction ------------------------------------------------------------------

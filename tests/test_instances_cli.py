@@ -245,11 +245,15 @@ def test_cli_campaign_csv(files):
         ("classify", {"space": {"points": ["a"], "min_nbhd": {"a": ["a"], "b": ["b"]}},
                       "kind": "mean"}),
         ("classify", {"space": {"min_nbhd": {}}, "kind": "mean"}),
+        ("replay", {"suites": ["a"]}),
+        ("replay", {"suites": {"support_roundtrip": {"witnesses": ["x"]}}}),
+        ("replay", {"suites": {"support_roundtrip": {"witnesses": [{"case": {}}]}}}),
     ],
     ids=[
         "space-not-object", "density-weight", "subset-entry", "replay-list", "F-string",
         "min-not-bool", "weight-for-unknown-point", "weight-overflow", "weight-bool",
         "points-null", "nbhd-for-unknown-point", "empty-space",
+        "replay-suites-list", "replay-witness-string", "replay-empty-case",
     ],
 )
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, command, payload):
