@@ -19,7 +19,7 @@ from .campaign import (
 )
 from .errors import IdemxError, ParseError
 from .extenders import build_extender, retraction_from_open_sets, supports_retraction
-from .functionals import AXIOMS, Functional, RealFunction, check_axiom, classify, support
+from .functionals import AXIOMS, Functional, RealFunction, check_axioms, classify, support
 from .instances import _number, load_setmap, parse_instance, read_json, setmap_to_json
 from .setmaps import search_retraction
 from .spaces import SubspaceEmbedding
@@ -54,9 +54,10 @@ def _function_on(space, path: str) -> RealFunction:
 def _cmd_check_axioms(args) -> int:
     mu = _functional_from(args.functional)
     axioms = args.axiom or list(AXIOMS)
+    reports = check_axioms(mu, axioms, trials=args.trials, tol=args.tol, seed=args.seed)
     failures = 0
     for a in axioms:
-        rep = check_axiom(mu, a, trials=args.trials, tol=args.tol, seed=args.seed)
+        rep = reports[a]
         mark = "pass" if rep.passed else "FAIL"
         print(f"{a:24s} {mark}")
         if not rep.passed:

@@ -33,11 +33,12 @@ from .functionals import (
     RealFunction,
     TWO_VALUED_CAP,
     _array,
+    _axiom_sweep,
+    _class_supports,
     _fold,
     _pair_family,
     _product,
     _verify_family,
-    check_axiom,
     classify,
     two_valued_tuples,
 )
@@ -295,15 +296,20 @@ def verify_semicontinuity_theorem(
     r_lsc = is_lsc(r)
     implications = forward_implications(u, r_usc, r_lsc, fam)
 
-    axiom_failures = []
-    for p in embedding.ambient.points:
-        mu = mu_at(u, p)
-        for a in KIND_AXIOMS[kind]:
-            rep = check_axiom(mu, a, trials=8, tol=tol, seed=seed)
-            if not rep.passed:
-                axiom_failures.append(f"mu[{p}] fails {a}: {rep.witness}")
     return SemicontinuityTheoremReport(
-        kind, r_usc, r_lsc, implications, tuple(axiom_failures)
+        kind, r_usc, r_lsc, implications, _pointwise_axiom_failures(u, kind, tol, seed)
+    )
+
+
+def _pointwise_axiom_failures(u: Extender, kind: Kind, tol: float, seed: int) -> tuple[str, ...]:
+    """Each pointwise functional's failing ``KIND_AXIOMS``, all in one sweep."""
+    axioms = KIND_AXIOMS[kind]
+    reports = _axiom_sweep(u.apply_batch, u.domain_space.n, axioms, 8, tol, seed, None)
+    return tuple(
+        f"mu[{p}] fails {a}: {reports[a][j].witness}"
+        for j, p in enumerate(u.ambient_space.points)
+        for a in axioms
+        if not reports[a][j].passed
     )
 
 
@@ -316,20 +322,28 @@ def supports_retraction(
     """Recover the set-valued map y -> support of the pointwise functional.
 
     Every pointwise functional must classify as min-type or max-type;
-    otherwise ClassificationFailed names the offending point.
+    otherwise ClassificationFailed names the offending point.  The
+    functionals are the columns of ``u.apply_batch``, all checked at once on
+    the inputs ``classify`` (seed 0) gives each: one axiom sweep, one spike
+    batch per kind to propose the supports, and one verification batch, in
+    which each column is compared with the min or max over its own support.
+    A column that is not verified is classified alone, so its error is the
+    one ``classify`` raises.
     """
     x_space = u.domain_space
     y_space = u.ambient_space
+    _, _, masks = _class_supports(u.apply_batch, x_space.n, budget, tol, 0)
     images = []
-    for p in y_space.points:
-        mu = mu_at(u, p)
-        try:
-            cls = classify(mu, budget=budget, tol=tol)
-        except BudgetExhaustedInconclusive as exc:
-            raise ClassificationFailed(p, str(exc)) from exc
-        if cls.kind not in ("R_min", "R_max"):
-            raise ClassificationFailed(p, f"classified as {cls.kind}")
-        images.append(x_space.mask(cls.support))
+    for p, mask in zip(y_space.points, masks):
+        if not mask:
+            try:
+                cls = classify(mu_at(u, p), budget=budget, tol=tol)
+            except BudgetExhaustedInconclusive as exc:
+                raise ClassificationFailed(p, str(exc)) from exc
+            if cls.kind not in ("R_min", "R_max"):
+                raise ClassificationFailed(p, f"classified as {cls.kind}")
+            mask = x_space.mask(cls.support)
+        images.append(mask)
     return SetValuedMap(y_space, x_space, tuple(images))
 
 
@@ -344,67 +358,57 @@ def _check_normalized(u: Extender, tol: float) -> None:
 
 
 def extend_open_set(
-    u: Extender,
-    open_set,
-    variant: str = "max_usc",
-    budget: int = 0,
-    tol: float = 1e-9,
-    seed: int = 0,
+    u: Extender, open_set, variant: str = "max_usc", tol: float = 1e-9
 ) -> frozenset[str]:
     """The open subset of the ambient space contributed by one open of X.
 
     max_usc variant: union over candidates h = 1 - c*chi_U (h <= 1, h = 1
     off U) of {y : u(h)(y) < 1}; min_lsc variant uses h = 1 + c*chi_U and
-    {y : u(h)(y) > 1}.  ``budget`` adds random members of the candidate
-    family on top of the deterministic c-schedule.
+    {y : u(h)(y) > 1}, with c running over ``EXTENSION_SCHEDULE``.
     """
-    mask, _ = _extend_open_detail(u, open_set, variant, budget, tol, seed)
+    umask = u.domain_space.mask(open_set)
+    if not u.domain_space.is_open_mask(umask):
+        raise InvariantViolation("open_set", "not open in the subspace")
+    ((mask, _),) = _extend_opens(u, (umask,), variant, tol)
     return u.ambient_space.subset(mask)
 
 
-def _extend_open_detail(
-    u: Extender, open_set, variant: str, budget: int, tol: float, seed: int
-) -> tuple[int, dict[str, float]]:
+def _extend_opens(
+    u: Extender, open_masks, variant: str, tol: float
+) -> list[tuple[int, dict[str, float]]]:
+    """For each open mask, its extension and the c that first reached each
+    of its points; all candidates go through one ``apply_batch``."""
     if variant not in ("max_usc", "min_lsc"):
         raise InvariantViolation("variant", "must be max_usc or min_lsc")
-    x_space = u.domain_space
-    umask = x_space.mask(open_set)
-    if not x_space.is_open_mask(umask):
-        raise InvariantViolation("open_set", "not open in the subspace")
     _check_normalized(u, tol)
+    x_space = u.domain_space
     sign = -1.0 if variant == "max_usc" else 1.0
-    inside = ((umask >> np.arange(x_space.n)) & 1).astype(bool)
-    labels = list(EXTENSION_SCHEDULE)
-    H = np.ones((len(labels) + budget, x_space.n))
-    H[: len(labels), inside] += sign * np.array(labels)[:, None]
-    if budget:
-        rng = np.random.default_rng(seed)
-        H[len(labels) :, inside] += sign * rng.uniform(0.0, 100.0, (budget, int(inside.sum())))
-        labels += [float("nan")] * budget
-    G = u.apply_batch(H)
+    inside = (np.array(open_masks)[:, None] >> np.arange(x_space.n)) & 1
+    # rows 1 + sign * c * chi_U, c-schedule innermost
+    H = 1.0 + sign * inside[:, None, :] * np.array(EXTENSION_SCHEDULE)[:, None]
+    G = u.apply_batch(H.reshape(-1, x_space.n))
     hits = G < 1.0 - tol if variant == "max_usc" else G > 1.0 + tol
-    out = 0
-    attained: dict[str, float] = {}
-    for c_label, row in zip(labels, hits):
-        for i in np.flatnonzero(row):
-            if not out >> int(i) & 1:
-                out |= 1 << int(i)
-                attained[u.ambient_space.points[i]] = c_label
-    return out, attained
+    out = []
+    for rows in hits.reshape(len(open_masks), len(EXTENSION_SCHEDULE), -1):
+        mask = 0
+        attained: dict[str, float] = {}
+        for c, row in zip(EXTENSION_SCHEDULE, rows):
+            for i in np.flatnonzero(row):
+                if not mask >> int(i) & 1:
+                    mask |= 1 << int(i)
+                    attained[u.ambient_space.points[i]] = c
+        out.append((mask, attained))
+    return out
 
 
-def _recover_by_closures(
-    u: Extender, variant: str, budget: int, tol: float, seed: int
-) -> tuple[int, tuple[int, ...]]:
+def _recover_by_closures(u: Extender, variant: str, tol: float) -> tuple[int, tuple[int, ...]]:
     """The region reached by the open-set extension, and for each ambient
     point the intersection of the closures of the opens whose extension
     contains it (the whole subspace where none does).
     """
     x_space = u.domain_space
-    e_masks = {
-        um: _extend_open_detail(u, um, variant, budget, tol, seed)[0]
-        for um in x_space.opens
-    }
+    opens = x_space.opens
+    e_masks = {um: em for um, (em, _) in zip(opens, _extend_opens(u, opens, variant, tol))}
     region = 0
     for em in e_masks.values():
         region |= em
@@ -423,11 +427,7 @@ def _recover_by_closures(
 
 
 def retraction_from_open_sets(
-    u: Extender,
-    variant: str = "max_usc",
-    budget: int = 0,
-    tol: float = 1e-9,
-    seed: int = 0,
+    u: Extender, variant: str = "max_usc", tol: float = 1e-9
 ) -> SetValuedMap:
     """Recover a set-valued map by intersecting closures of contributing opens.
 
@@ -435,7 +435,7 @@ def retraction_from_open_sets(
     the subspace) of all opens U whose extension contains y; points reached
     by no extension get the whole subspace.
     """
-    _, images = _recover_by_closures(u, variant, budget, tol, seed)
+    _, images = _recover_by_closures(u, variant, tol)
     return SetValuedMap(u.ambient_space, u.domain_space, images)
 
 
@@ -464,7 +464,7 @@ class AlgebraReport:
 
 
 def check_open_extension_algebra(
-    u: Extender, variant: str = "max_usc", budget: int = 0, tol: float = 1e-9
+    u: Extender, variant: str = "max_usc", tol: float = 1e-9
 ) -> AlgebraReport:
     """Verify e(U & V) = e(U) & e(V) and monotonicity over all open pairs.
 
@@ -481,10 +481,7 @@ def check_open_extension_algebra(
     fam = _pair_family(x_space.n)
     if not _extender_preserves(u, op, tol, fam):
         raise AxiomPrecheckFailed(f"extender does not preserve {op}")
-    details = {
-        um: _extend_open_detail(u, um, variant, budget, tol, seed=0)
-        for um in x_space.opens
-    }
+    details = dict(zip(x_space.opens, _extend_opens(u, x_space.opens, variant, tol)))
     e_masks = {um: d[0] for um, d in details.items()}
     attained = {x_space.ids(um): d[1] for um, d in details.items()}
     failures = []
@@ -555,9 +552,7 @@ class ConnectivityReport:
     schedule_limited: bool = False
 
 
-def connectivity_analysis(
-    u: Extender, budget: int = 0, tol: float = 1e-9
-) -> ConnectivityReport:
+def connectivity_analysis(u: Extender, tol: float = 1e-9) -> ConnectivityReport:
     """Recover the map from a normalized extender preserving max and min,
     and report connectivity and upper semicontinuity of its values on the
     region reached by the open-set extension.
@@ -575,7 +570,7 @@ def connectivity_analysis(
             raise AxiomPrecheckFailed(f"extender does not preserve {op} ({checked_on} inputs)")
 
     y_space = u.ambient_space
-    region_mask, images = _recover_by_closures(u, "max_usc", budget, tol, seed=0)
+    region_mask, images = _recover_by_closures(u, "max_usc", tol)
     region = y_space.ids(region_mask)
     if not region:
         return ConnectivityReport(

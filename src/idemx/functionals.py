@@ -105,6 +105,11 @@ def _fold(kind: Kind, arrays) -> np.ndarray:
 # -- functionals -----------------------------------------------------------
 
 
+def _check_space(mu, f: RealFunction) -> None:
+    if f.space != mu.space:
+        raise SpaceMismatch("the function must live on the functional's space")
+
+
 class Functional:
     """Deterministic evaluator from RealFunction to a real number.
 
@@ -117,6 +122,7 @@ class Functional:
     label: str = ""
 
     def __call__(self, f: RealFunction) -> float:
+        _check_space(self, f)
         return float(self.eval_batch(np.array([f.values], dtype=float))[0])
 
     def eval_batch(self, A: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
@@ -458,19 +464,133 @@ class AxiomReport:
     witness: AxiomWitness | None = None
 
 
-def _first_violation(axiom, lhs, rhs, tol, F, G=None, C=None) -> AxiomReport:
-    """Report on the first row where the two sides differ by more than tol."""
-    bad = np.flatnonzero(np.abs(lhs - rhs) > tol)
-    if not len(bad):
-        return AxiomReport(axiom, True)
-    i = bad[0]
-    return AxiomReport(axiom, False, AxiomWitness(
-        tuple(F[i].tolist()),
-        None if G is None else tuple(G[i].tolist()),
-        None if C is None else float(C[i]),
-        float(lhs[i]),
-        float(rhs[i]),
-    ))
+def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomReport]:
+    """Per column of the k x m sides, the first row where they differ by more than tol."""
+    bad = np.abs(lhs - rhs) > tol
+    if not bad.any():
+        return [AxiomReport(axiom, True)] * bad.shape[1]
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    reports = []
+    for j, failing in enumerate(bad.any(axis=0).tolist()):
+        if not failing:
+            reports.append(AxiomReport(axiom, True))
+            continue
+        i = int(bad[:, j].argmax())
+        reports.append(AxiomReport(axiom, False, AxiomWitness(
+            tuple(F[i].tolist()),
+            None if G is None else tuple(G[i].tolist()),
+            None if C is None else float(C[i]),
+            float(lhs[i, j]),
+            float(rhs[i, j]),
+        )))
+    return reports
+
+
+def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[AxiomReport]]:
+    """Check identities for the m functionals whose values on a k x n array
+    of inputs are the k x m array ``ev(A)``; one report per column.
+
+    Each input block is built once and each distinct block evaluated once,
+    in ``AXIOMS`` order, each identity's left-hand side before the blocks it
+    shares: both lattice identities share the pairs (F, G) and their values,
+    and the weak identities share the rows (F, c) and the values of F (on a
+    ``family``, additivity has constants of its own).  The random rows of
+    either group come from a fresh ``default_rng(seed)``, as each identity
+    drew them alone, so a witness is the first violating row of the
+    identity's own block.
+    """
+    trials = max(0, trials)
+    fam = None if family is None else _array(family, n)
+    memo = {}
+
+    def once(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def pair_block():
+        F, G = _pair_grid(n) if fam is None else _product(fam, fam)
+        R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
+        # each random pair is followed by its mirror, for verdict exchange
+        # under duality
+        return np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
+
+    def weak_block(cs):
+        if cs is None:
+            F, C = _weak_family(n)
+        else:
+            F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
+            F, C = np.concatenate([F, -F]), np.concatenate([C, -C])
+        high = np.full(n + 1, 2.0)
+        high[n] = 5.0  # the constant's range
+        R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
+        return np.concatenate([F, _mirrored(R[:, :n])]), np.concatenate([C, _mirrored(R[:, n])])
+
+    reports = {}
+    for axiom in AXIOMS:
+        if axiom not in axioms:
+            continue
+        kind = axiom[-3:]
+        if axiom == "normed":
+            one = np.ones((1, n))
+            reports[axiom] = _first_violations(axiom, ev(one), 1.0, tol, one)
+        elif axiom in ("preserves_max", "preserves_min"):
+            F, G = once("pairs", pair_block)
+            lhs = ev(_fold(kind, (F, G)))
+            rhs = _fold(kind, (once("F", lambda: ev(F)), once("G", lambda: ev(G))))
+            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, F, G)
+        else:
+            cs = None if fam is None else (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (
+                -1.0, 0.25, 0.5, 0.8, 1.0, 4.0
+            )
+            F, C = once(("weak", cs), lambda: weak_block(cs))
+            c = C[:, None]
+            lhs = ev(F + c) if axiom == "weakly_additive" else ev(_fold(kind, (F, c)))
+            values = once(("weak F", cs), lambda: ev(F))
+            rhs = values + c if axiom == "weakly_additive" else _fold(kind, (values, c))
+            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, F, C=C)
+    return {a: reports[a] for a in axioms}
+
+
+def _class_kind(reports: Mapping[str, AxiomReport]) -> Kind | None:
+    """"min" when the min-type identities hold, else "max" when the max-type
+    ones do, else None."""
+    for kind, axioms in (("min", MIN_CLASS_AXIOMS), ("max", MAX_CLASS_AXIOMS)):
+        if all(reports[a].passed for a in axioms):
+            return kind
+    return None
+
+
+def _columns(mu: Functional):  # mu's values as a k x 1 array, for the sweeps
+    return lambda A: mu.eval_batch(A)[:, None]
+
+
+def check_axioms(
+    mu: Functional,
+    axioms: Sequence[str] = AXIOMS,
+    trials: int = 64,
+    tol: float = 1e-9,
+    seed: int = 0,
+    family: Sequence[tuple[float, ...]] | None = None,
+) -> dict[str, AxiomReport]:
+    """Check identities on a structured sweep plus seeded random inputs.
+
+    The structured sweep (constants, indicators, all two-valued and all
+    sign patterns up to 5 points) comes first and is deterministic, so any
+    witness it finds is reproducible without the seed.  ``family`` replaces
+    the structured function family, e.g. to restrict to continuous inputs.
+    The identities share their input blocks: the two lattice identities
+    evaluate one set of pairs (F, G) and differ only in the fold, and the
+    weak identities evaluate one set of rows (f, c) and differ only in the
+    left-hand side.  Each distinct block is evaluated once, as one batch;
+    the witness of an identity is the first violation in its own sweep
+    order, the same as when it is checked alone.
+    """
+    unknown = [a for a in axioms if a not in AXIOMS]
+    if unknown:
+        raise UnknownAxiom(unknown[0])
+    sweep = _axiom_sweep(_columns(mu), len(mu.space.points), axioms, trials, tol, seed, family)
+    return {a: reps[0] for a, reps in sweep.items()}
 
 
 def check_axiom(
@@ -481,63 +601,9 @@ def check_axiom(
     seed: int = 0,
     family: Sequence[tuple[float, ...]] | None = None,
 ) -> AxiomReport:
-    """Check one identity on a structured sweep plus seeded random inputs.
-
-    The structured sweep (constants, indicators, all two-valued and all
-    sign patterns up to 5 points) comes first and is deterministic, so any
-    witness it finds is reproducible without the seed.  ``family`` replaces
-    the structured function family, e.g. to restrict to continuous inputs.
-    All inputs are evaluated as one batch; the witness is the first
-    violation in sweep order.
-    """
-    if axiom not in AXIOMS:
-        raise UnknownAxiom(axiom)
-    trials = max(0, trials)
-    ev = mu.eval_batch
-    n = len(mu.space.points)
-
-    if axiom == "normed":
-        one = np.ones((1, n))
-        return _first_violation(axiom, ev(one), one[:, 0], tol, one)
-
-    rng = np.random.default_rng(seed)
-    fam = None if family is None else _array(family, n)
-
-    if axiom in ("preserves_max", "preserves_min"):
-        F, G = _pair_grid(n) if fam is None else _product(fam, fam)
-        R = rng.uniform(-2.0, 2.0, (trials, 2, n))
-        # each random pair is followed by its mirror, for verdict exchange
-        # under duality
-        F = np.concatenate([F, _mirrored(R[:, 0])])
-        G = np.concatenate([G, _mirrored(R[:, 1])])
-        kind = axiom[-3:]
-        lhs = ev(_fold(kind, (F, G)))
-        return _first_violation(axiom, lhs, _fold(kind, (ev(F), ev(G))), tol, F, G)
-
-    # weakly_additive / weakly_preserves_max / weakly_preserves_min
-    if fam is None:
-        F, C = _weak_family(n)
-    else:
-        cs = (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (
-            -1.0, 0.25, 0.5, 0.8, 1.0, 4.0
-        )
-        F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
-        F, C = np.concatenate([F, -F]), np.concatenate([C, -C])
-    R = rng.uniform(np.r_[np.full(n, -2.0), -5.0], np.r_[np.full(n, 2.0), 5.0], (trials, n + 1))
-    F = np.concatenate([F, _mirrored(R[:, :n])])
-    C = np.concatenate([C, _mirrored(R[:, n])])
-    if axiom == "weakly_additive":
-        return _first_violation(axiom, ev(F + C[:, None]), ev(F) + C, tol, F, C=C)
-    kind = axiom[-3:]
-    lhs = ev(_fold(kind, (F, C[:, None])))
-    return _first_violation(axiom, lhs, _fold(kind, (ev(F), C)), tol, F, C=C)
-
-
-def _passes(mu, axioms, trials, tol, seed, family=None) -> bool:
-    return all(
-        check_axiom(mu, a, trials=trials, tol=tol, seed=seed, family=family).passed
-        for a in axioms
-    )
+    """Check one identity: the one-axiom case of ``check_axioms``, which
+    builds and evaluates that identity's blocks only."""
+    return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 
 def _is_monotone_sampled(mu, tol, trials=32, seed=0) -> bool:
@@ -558,17 +624,17 @@ def _is_monotone_sampled(mu, tol, trials=32, seed=0) -> bool:
 _PROBE_SCALES = (1.0, 10.0, 100.0)
 
 
-def _probe_class_support(mu: Functional, kind: Kind, tol: float) -> int:
-    """Candidate support from single-point indicator probes.
+def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
+    """Candidate supports from single-point indicator probes, one per column
+    of ``ev``'s k x m values.
 
     For a genuine min-type (max-type) functional the probe with a negative
     (positive) spike at x fires exactly when x belongs to the support.
     """
-    n = len(mu.space.points)
     spike = [-s if kind == "min" else s for s in _PROBE_SCALES]
-    vals = mu.eval_batch(np.concatenate([np.zeros((1, n)), _spikes(n, spike)]))
-    fired = (np.abs(vals[1:] - vals[0]) > tol).reshape(n, -1).any(axis=1)
-    return sum(1 << int(i) for i in np.flatnonzero(fired))
+    vals = ev(np.concatenate([np.zeros((1, n)), _spikes(n, spike)]))
+    fired = (np.abs(vals[1:] - vals[0]) > tol).reshape(n, len(spike), -1).any(axis=1)
+    return (fired.T.astype(np.int64) @ (1 << np.arange(n))).tolist()
 
 
 @lru_cache(maxsize=64)
@@ -620,15 +686,9 @@ def support(
     ev = mu.eval_batch
     rng = np.random.default_rng(seed)
 
-    quick = 8
-    kind: Kind | None = None
-    if _passes(mu, MIN_CLASS_AXIOMS, quick, tol, seed):
-        kind = "min"
-    elif _passes(mu, MAX_CLASS_AXIOMS, quick, tol, seed):
-        kind = "max"
-
+    kind = _class_kind(check_axioms(mu, AXIOMS, trials=8, tol=tol, seed=seed))
     if kind is not None:
-        mask = _probe_class_support(mu, kind, tol)
+        mask = _probe_supports(_columns(mu), n, kind, tol)[0]
         if _verify_kind(mu, kind, mask, tol, min(budget, 64), rng):
             return space.subset(mask)
         # fall through to the generic sweep; a failed verification means the
@@ -698,11 +758,8 @@ class SubsetFamily:
 
 @lru_cache(maxsize=8192)
 def _essential_precheck_failures(mu, tol) -> tuple[str, ...]:
-    failures = [
-        a
-        for a in ("normed", "weakly_additive")
-        if not check_axiom(mu, a, trials=16, tol=tol, seed=0).passed
-    ]
+    reports = check_axioms(mu, ("normed", "weakly_additive"), trials=16, tol=tol)
+    failures = [a for a, rep in reports.items() if not rep.passed]
     if not _is_monotone_sampled(mu, tol, seed=0):
         failures.append("monotone")
     return tuple(failures)
@@ -722,11 +779,8 @@ def _essential_precheck(mu, tol) -> None:
 
 @lru_cache(maxsize=8192)
 def _weakly_preserving_failures(mu, tol) -> tuple[str, ...]:
-    return tuple(
-        a
-        for a in ("weakly_preserves_max", "weakly_preserves_min")
-        if not check_axiom(mu, a, trials=16, tol=tol).passed
-    )
+    reports = check_axioms(mu, ("weakly_preserves_max", "weakly_preserves_min"), trials=16, tol=tol)
+    return tuple(a for a, rep in reports.items() if not rep.passed)
 
 
 def _essential_masks(mu, tol) -> np.ndarray:
@@ -805,6 +859,7 @@ def infsup_reconstruct(
     space = mu.space
     if space.n > 12:
         raise TooLarge("reconstruction needs |points| <= 12")
+    _check_space(mu, f)
     _essential_precheck(mu, tol)
     weak_failures = _weakly_preserving_failures(mu, tol)
     if weak_failures:
@@ -905,6 +960,30 @@ def _extract_density(mu: Functional, tol: float) -> tuple[float, ...]:
     return tuple(v if v == NEG_INF else v - top for v in lam)
 
 
+def _class_supports(ev, n: int, budget: int, tol: float, seed: int):
+    """``classify``'s min/max route for each column of ``ev``'s k x m values.
+
+    Returns the axiom reports (a list per axiom, one per column), each
+    column's kind (None unless the min- or max-type identities hold) and its
+    support mask: 0 unless the min or max over the probed support reproduces
+    the column on the structured family plus ``budget`` random inputs.
+    """
+    reports = _axiom_sweep(ev, n, AXIOMS, min(budget, 32), tol, seed, None)
+    kinds = [_class_kind({a: reps[j] for a, reps in reports.items()}) for j in range(len(reports["normed"]))]
+    probed = {k: _probe_supports(ev, n, k, tol) for k in ("min", "max") if k in kinds}
+    masks = [probed[k][j] if k else 0 for j, k in enumerate(kinds)]
+    if any(masks):
+        rows = np.concatenate([
+            _verify_family(n),
+            np.random.default_rng(seed).uniform(np.full(n, -5.0), np.full(n, 5.0), (budget, n)),
+        ])
+        values = ev(rows)
+        for j, (kind, m) in enumerate(zip(kinds, masks)):
+            if m and (np.abs(values[:, j] - _fold(kind, (rows[:, i] for i in _bits(m)))) > tol).any():
+                masks[j] = 0
+    return reports, kinds, masks
+
+
 def classify(
     mu: Functional, budget: int = 64, tol: float = 1e-9, seed: int = 0
 ) -> Classification:
@@ -918,25 +997,20 @@ def classify(
     reported as BudgetExhaustedInconclusive rather than guessed.
     """
     space = mu.space
-    rng = np.random.default_rng(seed)
-    reports = {a: check_axiom(mu, a, trials=min(budget, 32), tol=tol, seed=seed) for a in AXIOMS}
-
-    for kind, axioms, label in (
-        ("min", MIN_CLASS_AXIOMS, "R_min"),
-        ("max", MAX_CLASS_AXIOMS, "R_max"),
-    ):
-        if all(reports[a].passed for a in axioms):
-            mask = _probe_class_support(mu, kind, tol)
-            if _verify_kind(mu, kind, mask, tol, budget, rng):
-                return Classification(label, support=space.subset(mask), axiom_reports=reports)
-            raise BudgetExhaustedInconclusive(
-                f"passes the {label} axioms on samples but the {kind}-over-support "
-                "formula does not verify"
-            )
+    reports, (kind,), (mask,) = _class_supports(_columns(mu), space.n, budget, tol, seed)
+    reports = {a: reps[0] for a, reps in reports.items()}
+    if kind is not None:
+        label = f"R_{kind}"
+        if mask:
+            return Classification(label, support=space.subset(mask), axiom_reports=reports)
+        raise BudgetExhaustedInconclusive(
+            f"passes the {label} axioms on samples but the {kind}-over-support "
+            "formula does not verify"
+        )
 
     if all(reports[a].passed for a in ("normed", "weakly_additive", "preserves_max")):
         cand = IdempotentDensity(space, _extract_density(mu, tol))
-        if not _reproduces(mu, cand.eval_batch, tol, budget, rng):
+        if not _reproduces(mu, cand.eval_batch, tol, budget, np.random.default_rng(seed)):
             raise BudgetExhaustedInconclusive(
                 "passes the idempotent-measure axioms on samples but the "
                 "extracted density does not reproduce the functional"

@@ -49,6 +49,7 @@ from idemx.functionals import (
     TableFunctional,
     _passes_sampled,
     check_axiom,
+    check_axioms,
     classify,
     dual,
     essential_family,
@@ -612,6 +613,30 @@ PLANTED = [
 def test_planted_lambdas_match_per_tuple_reference(mu):
     for seed in (0, 1, 7):
         assert_same_everywhere(mu, seed)
+
+
+def test_axiom_sweep_on_a_family_matches_per_tuple_reference():
+    rng = np.random.default_rng(606)
+    for n in range(1, 5):
+        space = discrete([f"p{i}" for i in range(n)])
+        for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (1.0, 5.0)):  # normed reads the 1s
+            family = two_valued_tuples(n, lo, hi)
+            # tables are read on {lo, hi} only, so no random trials and no
+            # weak identities, whose rows leave {lo, hi}
+            cases = [
+                (TableFunctional(space, lo, hi, tuple(rng.choice([lo, hi], size=1 << n).tolist())),
+                 ("normed", "preserves_max", "preserves_min"), 0)
+                for _ in range(5)
+            ]
+            swing = LambdaFunctional(space, lambda f: max(f.values) - 0.25 * min(f.values))
+            # weakly additive for shifts that keep the max at most 1 only
+            kinked = LambdaFunctional(space, lambda f: max(f.values) + max(max(f.values) - 1, 0))
+            cases += [(mu, AXIOMS, 8) for mu in (swing, kinked, SupportFunctional(space, "max", 1))]
+            for mu, axioms, trials in cases:
+                got = check_axioms(mu, axioms, trials=trials, seed=n, family=family)
+                for a in axioms:
+                    want = ref_check_axiom(mu, a, trials=trials, seed=n, family=family)
+                    assert exact(axiom_result(got[a])) == exact(want), (mu.label, a)
 
 
 def test_random_preorder_essential_families_match_the_grid_reference():

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from idemx.campaign import (
     run_suite,
     write_report,
 )
+from idemx.cli import main
 from idemx.errors import InvariantViolation, UnknownSuite
 from idemx.instances import embedding_to_json
 from idemx.spaces import discrete, embed
@@ -145,3 +147,18 @@ def test_every_catalogue_suite_passes_at_small_caps():
     for name, res in rep.suites.items():
         assert res.failed == 0, (name, res.witnesses[:1])
         assert res.cases_run == res.passed + res.failed
+
+
+EXPECTED_REPORT = Path(__file__).resolve().parents[1] / "bench" / "expected" / "campaign_report.json"
+
+
+def test_seed_42_campaign_report_matches_the_recorded_one(tmp_path, capsys):
+    # the recorded report is read only; it leaves out what differs between
+    # runs, the wall times and the output path
+    out = tmp_path / "report.json"
+    assert main(["campaign", "--seed", "42", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    got["config"].pop("output", None)
+    for suite in got["suites"].values():
+        suite.pop("wall_time", None)
+    assert got == json.loads(EXPECTED_REPORT.read_text())

@@ -10,6 +10,7 @@ from idemx.errors import (
     NotNormalized,
 )
 from idemx.extenders import (
+    EXTENSION_SCHEDULE,
     Extender,
     build_extender,
     check_open_extension_algebra,
@@ -300,3 +301,44 @@ def test_mu_at_functionals_match_extender():
     f = from_mapping(E_ISOLATED.subspace, {"p": 4.0, "q": -1.0})
     for p in ISOLATED.points:
         assert mu_at(u, p)(f) == u.apply(f)[p]
+
+
+def ref_extend_opens(u, variant):
+    """Each open's extension and the c that first reached each point, one
+    c and one call of ``apply`` at a time."""
+    x, y = u.domain_space, u.ambient_space
+    sign = -1.0 if variant == "max_usc" else 1.0
+    out = {}
+    for um in x.opens:
+        mask, attained = 0, {}
+        for c in EXTENSION_SCHEDULE:
+            h = tuple(1.0 + sign * c if (um >> i) & 1 else 1.0 for i in range(x.n))
+            g = u.apply(RealFunction(x, h)).values
+            for i, v in enumerate(g):
+                hit = v < 1.0 - 1e-9 if variant == "max_usc" else v > 1.0 + 1e-9
+                if hit and not (mask >> i) & 1:
+                    mask |= 1 << i
+                    attained[y.points[i]] = c
+        out[um] = (mask, attained)
+    return out
+
+
+def test_batched_open_extensions_match_one_open_at_a_time():
+    y = from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["p", "q", "w"], "v": ["v", "p"]})
+    e = embed(y, ["p", "q"])
+    for r in all_retraction_maps(e):
+        for kind, variant in (("max", "max_usc"), ("min", "min_lsc")):
+            u = build_extender(r, e, kind)
+            want = ref_extend_opens(u, variant)
+            for um, (mask, _) in want.items():
+                assert extend_open_set(u, um, variant) == y.subset(mask)
+            rep = check_open_extension_algebra(u, variant)
+            assert rep.attained == {e.subspace.ids(um): a for um, (_, a) in want.items()}
+            images = []
+            for i in range(y.n):
+                acc = e.subspace.full_mask
+                for um, (mask, _) in want.items():
+                    if (mask >> i) & 1:
+                        acc &= e.subspace.closure_mask(um)
+                images.append(acc)
+            assert retraction_from_open_sets(u, variant).images == tuple(images)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idemx.errors import EmptySet, InvariantViolation, UnknownAxiom
+from idemx.errors import EmptySet, InvariantViolation, SpaceMismatch, UnknownAxiom
 from idemx.functionals import (
     MAX_CLASS_AXIOMS,
     MIN_CLASS_AXIOMS,
@@ -20,6 +20,7 @@ from idemx.functionals import (
     dual,
     from_mapping,
     indicator,
+    infsup_reconstruct,
     support_functional,
     two_valued_tuples,
 )
@@ -214,3 +215,14 @@ def test_indicator_and_constant_helpers():
     assert constant(D3, 2.5).values == (2.5, 2.5, 2.5)
     assert (-chi).values == (0.0, -1.0, 0.0)
     assert chi["b"] == 1.0
+
+
+def test_functionals_reject_a_function_on_another_space():
+    mu = support_functional(D3, "min", ["a", "b"])
+    assert mu(constant(D3, 1.0)) == infsup_reconstruct(mu, constant(D3, 1.0)) == 1.0
+    for other in (discrete(["a", "b", "c", "d"]), discrete(["a", "b"]), discrete(["x", "y", "z"])):
+        f = constant(other, 1.0)
+        with pytest.raises(SpaceMismatch):
+            mu(f)
+        with pytest.raises(SpaceMismatch):
+            infsup_reconstruct(mu, f)
