@@ -41,6 +41,7 @@ from .functionals import (
     MeanFunctional,
     RealFunction,
     SupportFunctional,
+    _two_valued,
     check_axioms,
     density,
     dual,
@@ -271,18 +272,17 @@ def _run_monotone(case: dict, tol: float) -> tuple[bool, str]:
                     return False, f"min not antitone at F={fm}, G={gm}"
                 if subset_max(f, fm) > subset_max(f, gm):
                     return False, f"max not monotone at F={fm}, G={gm}"
-    if case["n"] <= 3:
-        upper = vietoris_topology(s, "upper")
-        lower = vietoris_topology(s, "lower")
-        pairings = [
-            ("min", "above", upper),
-            ("max", "below", upper),
-            ("min", "below", lower),
-            ("max", "above", lower),
-        ]
-        for kind, sense, want in pairings:
-            if functional_topology(s, kind, sense) != want:
-                return False, f"threshold topology ({kind},{sense}) mismatch"
+    upper = vietoris_topology(s, "upper")
+    lower = vietoris_topology(s, "lower")
+    pairings = [
+        ("min", "above", upper),
+        ("max", "below", upper),
+        ("min", "below", lower),
+        ("max", "above", lower),
+    ]
+    for kind, sense, want in pairings:
+        if functional_topology(s, kind, sense) != want:
+            return False, f"threshold topology ({kind},{sense}) mismatch"
     return True, "inclusion monotonicity and threshold topologies hold"
 
 
@@ -294,7 +294,7 @@ def _run_continuous_roundtrip(case: dict, tol: float) -> tuple[bool, str]:
         return True, "skipped: search too large"
     if r is None:
         return True, "no continuous retraction exists"
-    family = two_valued_tuples(e.subspace.n, 0.0, 1.0)
+    family = _two_valued(e.subspace.n)
     for kind in ("min", "max"):
         u = build_extender(r, e, kind)
         rec = supports_retraction(u, tol=tol)
@@ -308,7 +308,7 @@ def _run_continuous_roundtrip(case: dict, tol: float) -> tuple[bool, str]:
 
 def _forward_check(case: dict, tol: float, hypothesis: str) -> tuple[bool, str]:
     e = load_embedding(case["embedding"])
-    family = two_valued_tuples(e.subspace.n, 0.0, 1.0)
+    family = _two_valued(e.subspace.n)
     checked = 0
     for images in fixing_images(e):
         r = SetValuedMap(e.ambient, e.subspace, images)
@@ -409,7 +409,7 @@ def _run_axioms_fuzz(case: dict, tol: float) -> tuple[bool, str]:
         u_max = build_extender(r, e, "max")
         n = e.subspace.n
         F = np.concatenate([
-            two_valued_tuples(n, 0.0, 1.0),
+            _two_valued(n),
             np.random.default_rng(case["seed"]).uniform(-5, 5, (8, n)),
         ])
         # exact comparison, as of tuples: -0.0 equals 0.0

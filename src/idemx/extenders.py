@@ -31,16 +31,16 @@ from .errors import (
 from .functionals import (
     Functional,
     RealFunction,
-    TWO_VALUED_CAP,
     _array,
     _axiom_sweep,
+    _base,
+    _blocks,
     _class_supports,
+    _distinct,
     _fold,
     _pair_family,
-    _product,
     _verify_family,
     classify,
-    two_valued_tuples,
 )
 from .setmaps import SetValuedMap, _pairs, identity_map, is_lsc, is_retraction, is_usc
 from .spaces import FiniteTopSpace, SubspaceEmbedding, _bits, embed
@@ -183,19 +183,8 @@ def function_class(g: RealFunction, space: FiniteTopSpace) -> FunctionClassRepor
             f"g({pts[y2]}) {'<' if below else '>'} g({pts[y]}) with {pts[y2]} "
             f"in minN({pts[y]}): not {'lsc' if below else 'usc'}"
         )
-    if lsc_ok and usc_ok:
-        klass = "continuous"
-    elif lsc_ok:
-        klass = "lsc"
-    elif usc_ok:
-        klass = "usc"
-    else:
-        klass = "neither"
-    return FunctionClassReport(klass, tuple(witnesses))
-
-
-def _x_family(space: FiniteTopSpace, sample: int, rng) -> np.ndarray:
-    return np.concatenate([_verify_family(space.n), rng.uniform(-3.0, 3.0, (sample, space.n))])
+    klass = {(True, True): "continuous", (True, False): "lsc", (False, True): "usc"}
+    return FunctionClassReport(klass.get((lsc_ok, usc_ok), "neither"), tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -290,8 +279,10 @@ def verify_semicontinuity_theorem(
     functionals against the identities of their kind.
     """
     u = build_extender(r, embedding, kind)
-    rng = np.random.default_rng(seed)
-    fam = _x_family(embedding.subspace, sample, rng)
+    n = embedding.subspace.n
+    fam = np.concatenate([
+        _verify_family(n), np.random.default_rng(seed).uniform(-3.0, 3.0, (sample, n))
+    ])
     r_usc = is_usc(r)
     r_lsc = is_lsc(r)
     implications = forward_implications(u, r_usc, r_lsc, fam)
@@ -350,10 +341,19 @@ def supports_retraction(
 # -- recovery route 2: the open-set extension operator ------------------------
 
 
+def _first_failing(u: Extender, axioms, tol: float, family=None) -> str | None:
+    """The first of ``axioms`` that some pointwise functional of u fails on
+    ``family`` (the structured inputs when None), without random inputs;
+    each axiom is swept only if the ones before it hold."""
+    for axiom in axioms:
+        sweep = _axiom_sweep(u.apply_batch, u.domain_space.n, (axiom,), 0, tol, 0, family)
+        if not all(rep.passed for rep in sweep[axiom]):
+            return axiom
+    return None
+
+
 def _check_normalized(u: Extender, tol: float) -> None:
-    ones = RealFunction(u.domain_space, (1.0,) * u.domain_space.n)
-    out = u.apply(ones)
-    if any(abs(v - 1.0) > tol for v in out.values):
+    if _first_failing(u, ("normed",), tol):
         raise NotNormalized("u(1) != 1 on the ambient space")
 
 
@@ -439,16 +439,6 @@ def retraction_from_open_sets(
     return SetValuedMap(u.ambient_space, u.domain_space, images)
 
 
-def _extender_preserves(u: Extender, op: str, tol: float, family) -> bool:
-    """Pointwise check of u(max(f,g)) = max(uf, ug) (or min) over a family."""
-    fam = _array(family, u.domain_space.n)
-    F, G = _product(fam, fam)
-    outs = u.apply_batch(fam)
-    uF, uG = _product(outs, outs)
-    lhs = u.apply_batch(_fold(op, (F, G)))
-    return not (np.abs(lhs - _fold(op, (uF, uG))) > tol).any()
-
-
 @dataclass(frozen=True)
 class AlgebraReport:
     """Intersection and monotonicity behavior of the extension operator."""
@@ -478,8 +468,7 @@ def check_open_extension_algebra(
     if x_space.n > 6:
         raise TooLarge("exhaustive open-pair check needs |X| <= 6")
     op = "max" if variant == "max_usc" else "min"
-    fam = _pair_family(x_space.n)
-    if not _extender_preserves(u, op, tol, fam):
+    if _first_failing(u, (f"preserves_{op}",), tol, _pair_family(x_space.n)):
         raise AxiomPrecheckFailed(f"extender does not preserve {op}")
     details = dict(zip(x_space.opens, _extend_opens(u, x_space.opens, variant, tol)))
     e_masks = {um: d[0] for um, d in details.items()}
@@ -496,14 +485,11 @@ def check_open_extension_algebra(
                 f"e({x_space.ids(ua)} & {x_space.ids(ub)}): "
                 f"{u.ambient_space.ids(lhs)} != {u.ambient_space.ids(rhs)}"
             )
-        if not (ua & ~ub) and (e_masks[ua] & ~e_masks[ub]):
-            failures.append(
-                f"monotonicity: e({x_space.ids(ua)}) not inside e({x_space.ids(ub)})"
-            )
-        if not (ub & ~ua) and (e_masks[ub] & ~e_masks[ua]):
-            failures.append(
-                f"monotonicity: e({x_space.ids(ub)}) not inside e({x_space.ids(ua)})"
-            )
+        for a, b in ((ua, ub), (ub, ua)):
+            if not (a & ~b) and (e_masks[a] & ~e_masks[b]):
+                failures.append(
+                    f"monotonicity: e({x_space.ids(a)}) not inside e({x_space.ids(b)})"
+                )
     return AlgebraReport(
         pairs,
         tuple(failures),
@@ -515,23 +501,16 @@ def check_open_extension_algebra(
 # -- connectivity of recovered values ------------------------------------------
 
 
-def _continuous_family(space: FiniteTopSpace) -> list[tuple[float, ...]]:
-    """Structured continuous functions: constant on each component."""
-    comps = space.components
-    k = len(comps)
-    fam = []
-    patterns = [(0.0,) * k, (1.0,) * k, (-1.0,) * k]
-    if k <= TWO_VALUED_CAP:
-        patterns += two_valued_tuples(k, 0.0, 1.0)
-        patterns += two_valued_tuples(k, -1.0, 1.0)
-        patterns += two_valued_tuples(k, 0.0, 5.0)
-    for pat in dict.fromkeys(patterns):
-        vals = [0.0] * space.n
-        for cval, cmask in zip(pat, comps):
-            for i in _bits(cmask):
-                vals[i] = cval
-        fam.append(tuple(vals))
-    return list(dict.fromkeys(fam))
+def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
+    """Structured continuous functions: constant on each component.
+
+    Row j takes, on the c-th component, the c-th value of the j-th distinct
+    row of the constants and the {0,1}, {-1,1} and {0,5} blocks over the
+    components.
+    """
+    k = len(space.components)
+    of = [next(c for c, m in enumerate(space.components) if m >> i & 1) for i in range(space.n)]
+    return _distinct(_base(k)[:3], *_blocks(k, (0.0, 1.0), (-1.0, 1.0), (0.0, 5.0)))[:, of]
 
 
 @dataclass(frozen=True)
@@ -559,24 +538,19 @@ def connectivity_analysis(u: Extender, tol: float = 1e-9) -> ConnectivityReport:
     """
     _check_normalized(u, tol)
     x_space = u.domain_space
-    if x_space.is_discrete():
-        fam = _pair_family(x_space.n)
-        checked_on = "all"
-    else:
-        fam = _continuous_family(x_space)
-        checked_on = "continuous"
-    for op in ("max", "min"):
-        if not _extender_preserves(u, op, tol, fam):
-            raise AxiomPrecheckFailed(f"extender does not preserve {op} ({checked_on} inputs)")
+    discrete = x_space.is_discrete()
+    fam = _pair_family(x_space.n) if discrete else _continuous_family(x_space)
+    checked_on = "all" if discrete else "continuous"
+    op = _first_failing(u, ("preserves_max", "preserves_min"), tol, fam)
+    if op:
+        raise AxiomPrecheckFailed(f"extender does not preserve {op[-3:]} ({checked_on} inputs)")
 
     y_space = u.ambient_space
     region_mask, images = _recover_by_closures(u, "max_usc", tol)
     region = y_space.ids(region_mask)
+    limited = not isinstance(u.provenance, FromRetraction)
     if not region:
-        return ConnectivityReport(
-            region, {}, True, True, checked_on,
-            schedule_limited=not isinstance(u.provenance, FromRetraction),
-        )
+        return ConnectivityReport(region, {}, True, True, checked_on, schedule_limited=limited)
 
     img_masks = {p: images[y_space.index(p)] for p in region}
     values = {p: x_space.ids(m) for p, m in img_masks.items()}
@@ -592,5 +566,5 @@ def connectivity_analysis(u: Extender, tol: float = 1e-9) -> ConnectivityReport:
         connected_values=connected,
         usc_on_region=is_usc(restricted),
         axioms_checked_on=checked_on,
-        schedule_limited=not isinstance(u.provenance, FromRetraction),
+        schedule_limited=limited,
     )

@@ -343,36 +343,54 @@ def _spikes(n: int, values) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
+def _two_valued(n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """All {lo,hi}-valued rows in bitmask order: row m is hi at point i when bit i of m is set."""
+    a = np.where((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, hi, lo).astype(float)
+    a.flags.writeable = False
+    return a
+
+
 def two_valued_tuples(n: int, lo: float = 0.0, hi: float = 1.0) -> tuple[tuple[float, ...], ...]:
     """All {lo,hi}-valued tuples in bitmask order."""
-    return tuple(
-        tuple(hi if (m >> i) & 1 else lo for i in range(n)) for m in range(1 << n)
-    )
+    return tuple(map(tuple, _two_valued(n, lo, hi).tolist()))
 
 
-@lru_cache(maxsize=64)
-def _base_tuples(n: int) -> tuple[tuple[float, ...], ...]:
-    fam = [(0.0,) * n, (1.0,) * n, (-1.0,) * n]
-    for i in range(n):
-        fam.append(tuple(1.0 if j == i else 0.0 for j in range(n)))
-        fam.append(tuple(-1.0 if j == i else 0.0 for j in range(n)))
-    return tuple(fam)
+def _blocks(n: int, *patterns: tuple[float, float]) -> list[np.ndarray]:
+    """The two-valued block of each (lo, hi) pattern, in order; none above
+    ``TWO_VALUED_CAP`` points, where a block's 2^n rows stop paying."""
+    if n > TWO_VALUED_CAP:
+        return []
+    return [_two_valued(n, lo, hi) for lo, hi in patterns]
+
+
+def _distinct(*blocks: np.ndarray) -> np.ndarray:
+    """The rows of the blocks, in order, each kept where it first occurs.
+
+    Rows are compared as tuples: -0.0 equals 0.0, and the first of two such
+    rows keeps its own sign of zero.
+    """
+    rows = np.concatenate(blocks)
+    first = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        first.setdefault(row, i)
+    return _array(rows[list(first.values())], rows.shape[1])
+
+
+def _base(n: int) -> np.ndarray:
+    """The constants 0, 1 and -1, then a +1 and a -1 spike at each point."""
+    return np.concatenate([np.outer((0.0, 1.0, -1.0), np.ones(n)), _spikes(n, (1.0, -1.0))])
 
 
 @lru_cache(maxsize=64)
 def _pair_family(n: int) -> np.ndarray:
-    """Structured inputs, closed under negation.
+    """Structured inputs, closed under negation: the base rows and the
+    {0,1}, {-1,0} and {-1,1} blocks, each distinct row once.
 
     Negation closure makes axiom verdicts on a functional and its
     order-reversing dual agree exactly: a violation of a min identity at
     (f, g) mirrors to a violation of the max identity at (-f, -g).
     """
-    fam = list(_base_tuples(n))
-    if n <= TWO_VALUED_CAP:
-        fam += two_valued_tuples(n, 0.0, 1.0)
-        fam += two_valued_tuples(n, -1.0, 0.0)
-        fam += two_valued_tuples(n, -1.0, 1.0)
-    return _array(list(dict.fromkeys(fam)), n)
+    return _distinct(_base(n), *_blocks(n, (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)))
 
 
 @lru_cache(maxsize=64)
@@ -384,44 +402,39 @@ def _pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     everything would triple the cost without adding coverage for the
     selection-type functionals this library classifies.
     """
-    base = _array(list(dict.fromkeys(_base_tuples(n))), n)
+    base = _distinct(_base(n))
     parts = [(base, base)]
-    if n <= TWO_VALUED_CAP:
-        for lo, hi in ((0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)):
-            block = _array(two_valued_tuples(n, lo, hi), n)
-            parts += [(block, block), (base, block), (block, base)]
-    pairs = [_product(a, b) for a, b in parts]
-    return (
-        _array(np.concatenate([f for f, _ in pairs]), n),
-        _array(np.concatenate([g for _, g in pairs]), n),
-    )
+    for block in _blocks(n, (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)):
+        parts += [(block, block), (base, block), (block, base)]
+    F, G = zip(*(_product(a, b) for a, b in parts))
+    return _array(np.concatenate(F), n), _array(np.concatenate(G), n)
+
+
+@lru_cache(maxsize=64)
+def _verify_family(n: int) -> np.ndarray:
+    """Structured inputs on which a proposed formula for a functional is
+    checked: ``_pair_family`` and the {0,5} block, each distinct row once."""
+    return _distinct(_pair_family(n), *_blocks(n, (0.0, 5.0)))
 
 
 @lru_cache(maxsize=64)
 def _weak_family(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(f, c) rows for the weak (constant-argument) identities.
+    """(f, c) rows for the weak (constant-argument) identities: each row f
+    of ``_verify_family`` with its constants c, then the negated rows.
 
-    Scaled two-valued functions are included so that clipping constants fall
+    The scaled {0,5} rows are included so that clipping constants fall
     strictly between the two values; that is where densities with finite
     negative weights break the weak-min identity.
     """
-    pairs = []
-    base_cs = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-    fams = [map(tuple, _pair_family(n).tolist())]
-    if n <= TWO_VALUED_CAP:
-        fams.append(two_valued_tuples(n, 0.0, 5.0))
-    for fam in fams:
-        for f in fam:
-            lo, hi = min(f), max(f)
-            cs = set(base_cs)
-            for t in (0.25, 0.5, 0.8):
-                cs.add(lo + t * (hi - lo))
-            for c in sorted(cs):
-                pairs.append((f, c))
+    rows = []
+    for f in _verify_family(n).tolist():
+        lo, hi = min(f), max(f)
+        cs = {-1.0, -0.5, 0.0, 0.5, 1.0, 2.0} | {lo + t * (hi - lo) for t in (0.25, 0.5, 0.8)}
+        rows += [f + [c] for c in sorted(cs)]
+    rows = np.array(rows)
     # negation closure, for exact verdict exchange under duality
-    mirrored = [(tuple(-v for v in f), -c) for f, c in pairs]
-    pairs = list(dict.fromkeys(pairs + mirrored))
-    return _array([f for f, _ in pairs], n), _array([c for _, c in pairs], 1)[:, 0]
+    rows = _distinct(rows, -rows)
+    return rows[:, :n], rows[:, n]
 
 
 def _passes_sampled(rng, low, high, trials: int, failing) -> bool:
@@ -469,21 +482,20 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
     bad = np.abs(lhs - rhs) > tol
     if not bad.any():
         return [AxiomReport(axiom, True)] * bad.shape[1]
+    rows = bad.argmax(axis=0)  # each column's first violation, or row 0 where it has none
+    at = rows, np.arange(bad.shape[1])
     rhs = np.broadcast_to(rhs, lhs.shape)
-    reports = []
-    for j, failing in enumerate(bad.any(axis=0).tolist()):
-        if not failing:
-            reports.append(AxiomReport(axiom, True))
-            continue
-        i = int(bad[:, j].argmax())
-        reports.append(AxiomReport(axiom, False, AxiomWitness(
+    sides = zip(rows.tolist(), bad[at].tolist(), lhs[at].tolist(), rhs[at].tolist())
+    return [
+        AxiomReport(axiom, False, AxiomWitness(
             tuple(F[i].tolist()),
             None if G is None else tuple(G[i].tolist()),
             None if C is None else float(C[i]),
-            float(lhs[i, j]),
-            float(rhs[i, j]),
-        )))
-    return reports
+            lv,
+            rv,
+        )) if failing else AxiomReport(axiom, True)
+        for i, failing, lv, rv in sides
+    ]
 
 
 def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[AxiomReport]]:
@@ -492,11 +504,12 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
 
     Each input block is built once and each distinct block evaluated once,
     in ``AXIOMS`` order, each identity's left-hand side before the blocks it
-    shares: both lattice identities share the pairs (F, G) and their values,
-    and the weak identities share the rows (F, c) and the values of F (on a
-    ``family``, additivity has constants of its own).  The random rows of
-    either group come from a fresh ``default_rng(seed)``, as each identity
-    drew them alone, so a witness is the first violating row of the
+    shares: both lattice identities share the pairs (F, G) and their values
+    (with a ``family`` and no random rows, gathered from one evaluation of
+    its rows), and the weak identities share the rows (F, c) and the values
+    of F (on a ``family``, additivity has constants of its own).  The random
+    rows of either group come from a fresh ``default_rng(seed)``, as each
+    identity drew them alone, so a witness is the first violating row of the
     identity's own block.
     """
     trials = max(0, trials)
@@ -510,10 +523,19 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
 
     def pair_block():
         F, G = _pair_grid(n) if fam is None else _product(fam, fam)
+        if not trials:
+            return F, G
         R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
         # each random pair is followed by its mirror, for verdict exchange
         # under duality
         return np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
+
+    def pair_values():  # the values of F and of G
+        F, G = once("pairs", pair_block)
+        if fam is None or trials:
+            return ev(F), ev(G)
+        V = ev(fam)  # F and G are the family's products: evaluate its rows once and gather
+        return _product(V, V)
 
     def weak_block(cs):
         if cs is None:
@@ -521,6 +543,8 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
         else:
             F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
             F, C = np.concatenate([F, -F]), np.concatenate([C, -C])
+        if not trials:
+            return F, C
         high = np.full(n + 1, 2.0)
         high[n] = 5.0  # the constant's range
         R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
@@ -537,7 +561,7 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
         elif axiom in ("preserves_max", "preserves_min"):
             F, G = once("pairs", pair_block)
             lhs = ev(_fold(kind, (F, G)))
-            rhs = _fold(kind, (once("F", lambda: ev(F)), once("G", lambda: ev(G))))
+            rhs = _fold(kind, once("FG", pair_values))
             reports[axiom] = _first_violations(axiom, lhs, rhs, tol, F, G)
         else:
             cs = None if fam is None else (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (
@@ -637,15 +661,6 @@ def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
     return (fired.T.astype(np.int64) @ (1 << np.arange(n))).tolist()
 
 
-@lru_cache(maxsize=64)
-def _verify_family(n: int) -> np.ndarray:
-    """Structured inputs on which a proposed formula for a functional is checked."""
-    fam = [tuple(f) for f in _pair_family(n).tolist()]
-    if n <= TWO_VALUED_CAP:
-        fam += two_valued_tuples(n, 0.0, 5.0)
-    return _array(list(dict.fromkeys(fam)), n)
-
-
 def _reproduces(mu: Functional, formula, tol: float, budget: int, rng) -> bool:
     """Check mu(f) == formula(f) on the structured family plus random f.
 
@@ -697,10 +712,8 @@ def support(
     probes = [sign * s for s in _PROBE_SCALES for sign in (-1.0, 1.0)]
     probes = _spikes(n, probes).reshape(n, len(probes), n)
     sweep_grid = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
-    fam = _base_tuples(n)
-    if n <= 4:
-        fam = fam + two_valued_tuples(n, 0.0, 1.0)
-    fam = _array(list(dict.fromkeys(fam)), n)
+    # the base rows, and the {0,1} block up to 4 points only
+    fam = _distinct(_base(n), *([_two_valued(n)] if n <= 4 else []))
     # each family input, to be moved along sweep_grid at one point
     swept = np.repeat(fam, len(sweep_grid), axis=0)
     shift = np.tile(sweep_grid, len(fam))

@@ -1,17 +1,17 @@
 """The hyperspace of nonempty subsets of a finite space.
 
 Provides subset enumeration, Hausdorff distance over finite metric spaces,
-Vietoris-style neighborhoods, and the round trip between subsets and their
-min/max functionals: F -> (f -> min_F f) -> support recovers F.
+Vietoris-style neighborhoods, the topologies that upper, lower and threshold
+sets generate on the hyperspace, and the round trip between subsets and
+their min/max functionals: F -> (f -> min_F f) -> support recovers F.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import EmptySet, InvariantViolation, ModeArity, SpaceMismatch, TooLarge
-from .functionals import Functional, RealFunction, SupportFunctional, classify, support
+from .functionals import Functional, RealFunction, SupportFunctional, classify, indicator, support
 from .spaces import FiniteTopSpace, MetricSpace, _bits
 
 #: Full hyperspace enumeration stays below 2^16 subsets.
@@ -87,24 +87,21 @@ def hausdorff_distance(f: HyperPoint, g: HyperPoint, metric: MetricSpace) -> flo
     """max of the two directed sup-inf distances between the subsets."""
     if f.space != metric or g.space != metric:
         raise SpaceMismatch("hyperspace points must live on the metric space")
+    # over Python floats: at these sizes a numpy reduction costs more than the loop
+    d = metric.dist.tolist()
     fi = list(_bits(f.member))
     gi = list(_bits(g.member))
-    d = metric.dist
-    forward = max(min(d[i, j] for j in gi) for i in fi)
-    backward = max(min(d[i, j] for j in fi) for i in gi)
-    return float(max(forward, backward))
+    forward = max(min(d[i][j] for j in gi) for i in fi)
+    backward = max(min(d[i][j] for j in fi) for i in gi)
+    return max(forward, backward)
 
 
 def lipschitz_constant(f: RealFunction, metric: MetricSpace) -> float:
     """Smallest L with |f(x)-f(y)| <= L d(x,y) over all pairs."""
-    n = metric.n
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = metric.dist[i, j]
-            if d > 0:
-                best = max(best, abs(f.values[i] - f.values[j]) / d)
-    return best
+    d = metric.dist.tolist()
+    v = f.values
+    pairs = ((i, j) for i in range(metric.n) for j in range(i + 1, metric.n))
+    return max((abs(v[i] - v[j]) / d[i][j] for i, j in pairs if d[i][j] > 0), default=0.0)
 
 
 def subset_min(f: RealFunction, member: int) -> float:
@@ -166,69 +163,50 @@ def hyperspace_roundtrip(space: FiniteTopSpace, kind: str) -> RoundtripReport:
 # -- generated topologies on the hyperspace (discrete base spaces) ------------
 
 
-def generated_topology(
-    subbasis: list[frozenset[int]], universe: frozenset[int]
-) -> frozenset[frozenset[int]]:
-    """Close a subbasis under finite intersection, then arbitrary union."""
-    base = {universe, frozenset()}
-    frontier = [universe] + [s & universe for s in subbasis]
-    for s in frontier:
-        base.add(s)
-    # finite intersections
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(base), 2):
-            c = a & b
-            if c not in base:
-                base.add(c)
-                changed = True
-    # arbitrary unions, built incrementally
-    opens = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(opens), 2):
-            c = a | b
-            if c not in opens:
-                opens.add(c)
-                changed = True
-    return frozenset(opens)
+def _generated_topology(space, subbasis) -> FiniteTopSpace:
+    """The topology that ``subbasis`` generates on the hyperspace of ``space``.
+
+    Subbasis sets are bitmasks over hyperspace positions, the subset with
+    bitmask m at position m - 1.  The result has one point per subset, named
+    by its bitmask; the minimal neighbourhood of a point is the intersection
+    of the subbasis sets that contain it.
+    """
+    points = enumerate_hyperspace(space)
+    nbhd = [(1 << len(points)) - 1] * len(points)
+    for s in subbasis:
+        for i in _bits(s):
+            nbhd[i] &= s
+    return FiniteTopSpace(tuple(str(h.member) for h in points), tuple(nbhd))
 
 
-def vietoris_topology(space: FiniteTopSpace, mode: str) -> frozenset[frozenset[int]]:
+def _hyperspace_set(space, contains) -> int:
+    """The hyperspace points F with ``contains(F)``, as a bitmask over positions."""
+    return sum(1 << (m - 1) for m in range(1, space.full_mask + 1) if contains(m))
+
+
+def vietoris_topology(space: FiniteTopSpace, mode: str) -> FiniteTopSpace:
     """Topology generated on the hyperspace by upper or lower basic sets."""
-    points = [h.member for h in enumerate_hyperspace(space)]
-    universe = frozenset(points)
-    subbasis = []
-    for u in space.opens:
-        if mode == "upper":
-            subbasis.append(frozenset(m for m in points if not (m & ~u)))
-        elif mode == "lower":
-            subbasis.append(frozenset(m for m in points if m & u))
-        else:
-            raise InvariantViolation("mode", "must be upper or lower")
-    return generated_topology(subbasis, universe)
+    if mode == "upper":
+        subbasis = [_hyperspace_set(space, lambda m, u=u: not (m & ~u)) for u in space.opens]
+    elif mode == "lower":
+        subbasis = [_hyperspace_set(space, lambda m, u=u: m & u) for u in space.opens]
+    else:
+        raise InvariantViolation("mode", "must be upper or lower")
+    return _generated_topology(space, subbasis)
 
 
-def functional_topology(
-    space: FiniteTopSpace, kind: str, sense: str
-) -> frozenset[frozenset[int]]:
+def functional_topology(space: FiniteTopSpace, kind: str, sense: str) -> FiniteTopSpace:
     """Topology induced on subsets by threshold sets of their min/max values.
 
     sense "above" uses {F : agg_F f > a}, sense "below" uses
     {F : agg_F f < a}; f ranges over two-valued functions and a over
     midpoints, which exhausts the generated topology on a discrete base.
     """
-    points = [h.member for h in enumerate_hyperspace(space)]
-    universe = frozenset(points)
     agg = subset_min if kind == "min" else subset_max
-    subbasis = []
-    for m in range(1, space.full_mask + 1):
-        f = RealFunction(space, tuple(1.0 if (m >> i) & 1 else 0.0 for i in range(space.n)))
-        for a in (-0.5, 0.5):
-            if sense == "above":
-                subbasis.append(frozenset(p for p in points if agg(f, p) > a))
-            else:
-                subbasis.append(frozenset(p for p in points if agg(f, p) < a))
-    return generated_topology(subbasis, universe)
+    above = sense == "above"
+    subbasis = [
+        _hyperspace_set(space, lambda p: agg(f, p) > a if above else agg(f, p) < a)
+        for f in (indicator(space, m) for m in range(1, space.full_mask + 1))
+        for a in (-0.5, 0.5)
+    ]
+    return _generated_topology(space, subbasis)

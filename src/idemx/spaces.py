@@ -281,7 +281,7 @@ class MetricSpace(_PointSet):
         object.__setattr__(self, "dist", d)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, MetricSpace)
             and self.points == other.points
             and np.array_equal(self.dist, other.dist)

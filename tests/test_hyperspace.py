@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from idemx.errors import EmptySet, ModeArity, TooLarge
+from idemx import campaign
+from idemx.errors import EmptySet, ModeArity, SpaceMismatch, TooLarge
 from idemx.functionals import LambdaFunctional, RealFunction, SupportFunctional
 from idemx.hyperspace import (
     HyperPoint,
@@ -17,7 +20,7 @@ from idemx.hyperspace import (
     vietoris_contains,
     vietoris_topology,
 )
-from idemx.spaces import discrete, line_metric
+from idemx.spaces import MetricSpace, _bits, discrete, line_metric
 
 
 def test_enumeration_counts():
@@ -147,3 +150,124 @@ def test_threshold_topologies_match_vietoris_on_discrete():
     assert functional_topology(s, "max", "below") == upper
     assert functional_topology(s, "min", "below") == lower
     assert functional_topology(s, "max", "above") == lower
+
+
+# -- reference: the pairwise closure over frozensets, and the loop reductions ----
+
+
+def ref_generated_topology(subbasis, universe):
+    base = {universe, frozenset()}
+    for s in [universe] + [s & universe for s in subbasis]:
+        base.add(s)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(base), 2):
+            if a & b not in base:
+                base.add(a & b)
+                changed = True
+    opens = set(base)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(opens), 2):
+            if a | b not in opens:
+                opens.add(a | b)
+                changed = True
+    return frozenset(opens)
+
+
+def ref_vietoris_topology(space, mode):
+    points = range(1, space.full_mask + 1)
+    if mode == "upper":
+        subbasis = [frozenset(m for m in points if not (m & ~u)) for u in space.opens]
+    else:
+        subbasis = [frozenset(m for m in points if m & u) for u in space.opens]
+    return ref_generated_topology(subbasis, frozenset(points))
+
+
+def ref_functional_topology(space, kind, sense):
+    points = range(1, space.full_mask + 1)
+    agg = subset_min if kind == "min" else subset_max
+    subbasis = []
+    for m in points:
+        f = RealFunction(space, tuple(1.0 if (m >> i) & 1 else 0.0 for i in range(space.n)))
+        for a in (-0.5, 0.5):
+            if sense == "above":
+                subbasis.append(frozenset(p for p in points if agg(f, p) > a))
+            else:
+                subbasis.append(frozenset(p for p in points if agg(f, p) < a))
+    return ref_generated_topology(subbasis, frozenset(points))
+
+
+def open_subsets(top):
+    """The opens of a hyperspace table, as sets of subset bitmasks."""
+    return frozenset(frozenset(int(top.points[i]) for i in _bits(o)) for o in top.opens)
+
+
+def test_topology_tables_match_the_pairwise_closure(spaces):
+    for space in [s for s in spaces if s.n <= 3]:
+        for mode in ("upper", "lower"):
+            top = vietoris_topology(space, mode)
+            assert top.points == tuple(str(m) for m in range(1, space.full_mask + 1))
+            assert open_subsets(top) == ref_vietoris_topology(space, mode)
+        for kind in ("min", "max"):
+            for sense in ("above", "below"):
+                want = ref_functional_topology(space, kind, sense)
+                assert open_subsets(functional_topology(space, kind, sense)) == want
+
+
+def test_monotone_suite_compares_topologies_at_four_points(monkeypatch):
+    assert campaign._run_monotone({"n": 4}, 1e-9)[0]
+    # the comparison runs at n = 4: a wrong threshold topology is reported
+    monkeypatch.setattr(campaign, "functional_topology", lambda s, kind, sense: discrete(["x"]))
+    assert campaign._run_monotone({"n": 4}, 1e-9) == (
+        False, "threshold topology (min,above) mismatch"
+    )
+
+
+def ref_hausdorff_distance(f, g, metric):
+    fi, gi, d = list(_bits(f.member)), list(_bits(g.member)), metric.dist
+    forward = max(min(d[i, j] for j in gi) for i in fi)
+    backward = max(min(d[i, j] for j in fi) for i in gi)
+    return float(max(forward, backward))
+
+
+def ref_lipschitz_constant(f, metric):
+    best = 0.0
+    for i in range(metric.n):
+        for j in range(i + 1, metric.n):
+            d = metric.dist[i, j]
+            if d > 0:
+                best = max(best, abs(f.values[i] - f.values[j]) / d)
+    return best
+
+
+def test_hausdorff_and_lipschitz_match_the_loops(rng):
+    for t in range(300):
+        n = int(rng.integers(1, 8))
+        if t % 2:
+            m = line_metric({f"p{i}": float(x) for i, x in enumerate(rng.uniform(0, 10, n))})
+        else:  # shortest paths on random positive weights: a general metric
+            w = rng.uniform(0.5, 3.0, (n, n))
+            d = np.minimum(w, w.T)
+            np.fill_diagonal(d, 0.0)
+            for k in range(n):
+                d = np.minimum(d, d[:, k, None] + d[None, k, :])
+            m = MetricSpace(tuple(f"p{i}" for i in range(n)), d)
+        f = RealFunction(m, tuple(rng.uniform(-5, 5, n)))
+        a = HyperPoint(m, int(rng.integers(1, 1 << n)))
+        b = HyperPoint(m, int(rng.integers(1, 1 << n)))
+        assert hausdorff_distance(a, b, m) == ref_hausdorff_distance(a, b, m)
+        assert type(hausdorff_distance(a, b, m)) is float
+        assert lipschitz_constant(f, m) == ref_lipschitz_constant(f, m)
+
+
+def test_metric_space_equality_keeps_its_value_checks():
+    m = line_metric({"a": 0.0, "b": 1.0})
+    assert m == m
+    assert m == line_metric({"a": 0.0, "b": 1.0})
+    assert m != line_metric({"a": 0.0, "b": 2.0})
+    assert m != line_metric({"a": 0.0, "c": 1.0})
+    with pytest.raises(SpaceMismatch):
+        hausdorff_distance(HyperPoint(m, 1), HyperPoint(m, 1), line_metric({"a": 0.0, "b": 2.0}))
