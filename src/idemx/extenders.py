@@ -323,7 +323,7 @@ def supports_retraction(
     """
     x_space = u.domain_space
     y_space = u.ambient_space
-    _, _, masks = _class_supports(u.apply_batch, x_space.n, budget, tol, 0)
+    _, _, masks, _ = _class_supports(u.apply_batch, x_space.n, min(budget, 32), budget, tol, 0)
     images = []
     for p, mask in zip(y_space.points, masks):
         if not mask:
@@ -352,7 +352,11 @@ def _first_failing(u: Extender, axioms, tol: float, family=None) -> str | None:
     return None
 
 
-def _check_normalized(u: Extender, tol: float) -> None:
+def _check_opens(u: Extender, variant: str, tol: float) -> None:
+    """The checks of each public open-set call before ``_extend_opens``:
+    the variant, then that u is normalized."""
+    if variant not in ("max_usc", "min_lsc"):
+        raise InvariantViolation("variant", "must be max_usc or min_lsc")
     if _first_failing(u, ("normed",), tol):
         raise NotNormalized("u(1) != 1 on the ambient space")
 
@@ -369,6 +373,7 @@ def extend_open_set(
     umask = u.domain_space.mask(open_set)
     if not u.domain_space.is_open_mask(umask):
         raise InvariantViolation("open_set", "not open in the subspace")
+    _check_opens(u, variant, tol)
     ((mask, _),) = _extend_opens(u, (umask,), variant, tol)
     return u.ambient_space.subset(mask)
 
@@ -377,10 +382,8 @@ def _extend_opens(
     u: Extender, open_masks, variant: str, tol: float
 ) -> list[tuple[int, dict[str, float]]]:
     """For each open mask, its extension and the c that first reached each
-    of its points; all candidates go through one ``apply_batch``."""
-    if variant not in ("max_usc", "min_lsc"):
-        raise InvariantViolation("variant", "must be max_usc or min_lsc")
-    _check_normalized(u, tol)
+    of its points; all candidates go through one ``apply_batch``.  The
+    caller has run ``_check_opens``."""
     x_space = u.domain_space
     sign = -1.0 if variant == "max_usc" else 1.0
     inside = (np.array(open_masks)[:, None] >> np.arange(x_space.n)) & 1
@@ -435,6 +438,7 @@ def retraction_from_open_sets(
     the subspace) of all opens U whose extension contains y; points reached
     by no extension get the whole subspace.
     """
+    _check_opens(u, variant, tol)
     _, images = _recover_by_closures(u, variant, tol)
     return SetValuedMap(u.ambient_space, u.domain_space, images)
 
@@ -470,6 +474,7 @@ def check_open_extension_algebra(
     op = "max" if variant == "max_usc" else "min"
     if _first_failing(u, (f"preserves_{op}",), tol, _pair_family(x_space.n)):
         raise AxiomPrecheckFailed(f"extender does not preserve {op}")
+    _check_opens(u, variant, tol)
     details = dict(zip(x_space.opens, _extend_opens(u, x_space.opens, variant, tol)))
     e_masks = {um: d[0] for um, d in details.items()}
     attained = {x_space.ids(um): d[1] for um, d in details.items()}
@@ -536,7 +541,7 @@ def connectivity_analysis(u: Extender, tol: float = 1e-9) -> ConnectivityReport:
     and report connectivity and upper semicontinuity of its values on the
     region reached by the open-set extension.
     """
-    _check_normalized(u, tol)
+    _check_opens(u, "max_usc", tol)
     x_space = u.domain_space
     discrete = x_space.is_discrete()
     fam = _pair_family(x_space.n) if discrete else _continuous_family(x_space)

@@ -437,6 +437,12 @@ def _weak_family(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :n], rows[:, n]
 
 
+def _verification_rows(n: int, budget: int, rng) -> np.ndarray:
+    """The rows every proposed formula for a functional is checked on:
+    ``_verify_family(n)``, then ``budget`` uniform(-5, 5) rows from ``rng``."""
+    return np.concatenate([_verify_family(n), rng.uniform(-5.0, 5.0, (budget, n))])
+
+
 def _passes_sampled(rng, low, high, trials: int, failing) -> bool:
     """Whether none of ``trials`` sampled rows fails.
 
@@ -576,15 +582,6 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     return {a: reports[a] for a in axioms}
 
 
-def _class_kind(reports: Mapping[str, AxiomReport]) -> Kind | None:
-    """"min" when the min-type identities hold, else "max" when the max-type
-    ones do, else None."""
-    for kind, axioms in (("min", MIN_CLASS_AXIOMS), ("max", MAX_CLASS_AXIOMS)):
-        if all(reports[a].passed for a in axioms):
-            return kind
-    return None
-
-
 def _columns(mu: Functional):  # mu's values as a k x 1 array, for the sweeps
     return lambda A: mu.eval_batch(A)[:, None]
 
@@ -661,27 +658,41 @@ def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
     return (fired.T.astype(np.int64) @ (1 << np.arange(n))).tolist()
 
 
-def _reproduces(mu: Functional, formula, tol: float, budget: int, rng) -> bool:
-    """Check mu(f) == formula(f) on the structured family plus random f.
+def _misses(values, rows, kind: Kind, mask: int, tol: float) -> np.ndarray:
+    """Where ``values`` differ by more than tol from the rows' min/max over ``mask``."""
+    return np.abs(values - _fold(kind, (rows[:, i] for i in _bits(mask)))) > tol
 
-    ``formula`` evaluates a batch, like ``Functional.eval_batch``.
+
+def _class_supports(ev, n: int, trials: int, budget: int, tol: float, seed: int):
+    """The one min/max support route, for each column of ``ev``'s k x m values.
+
+    An axiom sweep at ``trials`` random trials (``min(budget, 32)`` for
+    ``classify`` and ``supports_retraction``, 8 for ``support``) gives each
+    column's kind; spike probes propose its support; and the min or max
+    over that support is compared with the column on one batch of
+    ``_verification_rows(n, budget, default_rng(seed))``.  Returns the
+    reports (a list per axiom), the kinds, the masks (0 unless verified)
+    and, per column, the rows compared up to and including the first that
+    fails (0 when none was compared).
     """
-    n = len(mu.space.points)
-    fam = _verify_family(n)
-    if (np.abs(mu.eval_batch(fam) - formula(fam)) > tol).any():
-        return False
-    return _passes_sampled(
-        rng, np.full(n, -5.0), np.full(n, 5.0), budget,
-        lambda R: np.abs(mu.eval_batch(R) - formula(R)) > tol,
-    )
-
-
-def _verify_kind(mu: Functional, kind: Kind, mask: int, tol: float, budget: int, rng) -> bool:
-    """Check mu(f) == min/max of f over ``mask`` on structured plus random f."""
-    if mask == 0:
-        return False
-    formula = SupportFunctional(mu.space, kind, mask).eval_batch
-    return _reproduces(mu, formula, tol, budget, rng)
+    reports = _axiom_sweep(ev, n, AXIOMS, trials, tol, seed, None)
+    classes = (("min", MIN_CLASS_AXIOMS), ("max", MAX_CLASS_AXIOMS))
+    kinds = [  # "min" where the min-type identities hold, else "max" where those do
+        next((k for k, axioms in classes if all(reports[a][j].passed for a in axioms)), None)
+        for j in range(len(reports["normed"]))
+    ]
+    probed = {k: _probe_supports(ev, n, k, tol) for k in ("min", "max") if k in kinds}
+    masks = [probed[k][j] if k else 0 for j, k in enumerate(kinds)]
+    compared = [0] * len(masks)
+    if any(masks):
+        rows = _verification_rows(n, budget, np.random.default_rng(seed))
+        values = ev(rows)
+        for j, (kind, m) in enumerate(zip(kinds, masks)):
+            if m:
+                bad = _misses(values[:, j], rows, kind, m, tol)
+                compared[j] = int(bad.argmax()) + 1 if bad.any() else len(rows)
+                masks[j] = 0 if bad.any() else m
+    return reports, kinds, masks, compared
 
 
 def support(
@@ -690,38 +701,38 @@ def support(
     """Points where the functional is sensitive to local changes.
 
     A point x belongs to the support when two inputs that agree everywhere
-    except at x separate the functional.  Min/max-type functionals take a
-    fast certified route: indicator probes propose the support and the
-    min/max formula over it is then verified; if that verification fails
-    and the generic sweeps found no witness either, the result would be
-    unfounded and BudgetExhaustedInconclusive is raised.
+    except at x separate the functional.  Min/max-type functionals take the
+    one certified route, ``_class_supports`` at 8 axiom trials with
+    ``min(budget, 64)`` random verification rows.  Otherwise a generic sweep
+    looks for witnesses: the route's spikes, then at each point not yet
+    found, shifts of the base rows and the {0,1} block and ``budget`` random
+    changes, drawn past the random rows the route compared.  A min/max-type
+    mu whose formula over the swept support fails the verification rows
+    drawn after those raises BudgetExhaustedInconclusive, as absences would
+    be unfounded.
     """
     space = mu.space
     n = len(space.points)
     ev = mu.eval_batch
+    cols = _columns(mu)
+    _, (kind,), (mask,), (compared,) = _class_supports(cols, n, 8, min(budget, 64), tol, seed)
+    if mask:
+        return space.subset(mask)
+    # the route certified no support; the sweep draws on from where it stopped
     rng = np.random.default_rng(seed)
-
-    kind = _class_kind(check_axioms(mu, AXIOMS, trials=8, tol=tol, seed=seed))
-    if kind is not None:
-        mask = _probe_supports(_columns(mu), n, kind, tol)[0]
-        if _verify_kind(mu, kind, mask, tol, min(budget, 64), rng):
-            return space.subset(mask)
-        # fall through to the generic sweep; a failed verification means the
-        # probe route cannot certify absence from the support
-    zero = ev(np.zeros((1, n)))[0]
-    probes = [sign * s for s in _PROBE_SCALES for sign in (-1.0, 1.0)]
-    probes = _spikes(n, probes).reshape(n, len(probes), n)
+    _verification_rows(n, max(0, compared - len(_verify_family(n))), rng)
+    found = _probe_supports(cols, n, "min", tol)[0] | _probe_supports(cols, n, "max", tol)[0]
     sweep_grid = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
-    # the base rows, and the {0,1} block up to 4 points only
-    fam = _distinct(_base(n), *([_two_valued(n)] if n <= 4 else []))
+    fam = _distinct(_base(n), *_blocks(n, (0.0, 1.0)))
     # each family input, to be moved along sweep_grid at one point
     swept = np.repeat(fam, len(sweep_grid), axis=0)
     shift = np.tile(sweep_grid, len(fam))
     base = np.repeat(ev(fam), len(sweep_grid))
     low, high = np.r_[np.full(n, -2.0), -10.0], np.r_[np.full(n, 2.0), 10.0]
 
-    found = 0
     for i in range(n):
+        if found >> i & 1:
+            continue
 
         def moved(R, i=i):  # the random inputs with a random change at i
             G = R[:, :n].copy()
@@ -730,18 +741,16 @@ def support(
 
         g = swept.copy()
         g[:, i] += shift
-        if (
-            (np.abs(ev(probes[i]) - zero) > tol).any()
-            or (np.abs(ev(g) - base) > tol).any()
-            or not _passes_sampled(rng, low, high, budget, moved)
-        ):
+        if (np.abs(ev(g) - base) > tol).any() or not _passes_sampled(rng, low, high, budget, moved):
             found |= 1 << i
 
-    if kind is not None and not _verify_kind(mu, kind, found, tol, min(budget, 64), rng):
-        raise BudgetExhaustedInconclusive(
-            "functional looks min/max-type on samples but no support set "
-            "reproduces it; absence witnesses would be unfounded"
-        )
+    if kind is not None:
+        rows = _verification_rows(n, min(budget, 64), rng)
+        if not found or _misses(ev(rows), rows, kind, found, tol).any():
+            raise BudgetExhaustedInconclusive(
+                "functional looks min/max-type on samples but no support set "
+                "reproduces it; absence witnesses would be unfounded"
+            )
     return space.subset(found)
 
 
@@ -813,9 +822,8 @@ def _essential_masks(mu, tol) -> np.ndarray:
     for nbhd in space.min_nbhd:
         cl = space.closure_mask(nbhd)
         anchors[(regions & cl) == cl] |= nbhd
-    extremal = np.where((regions[:, None] >> np.arange(n)) & 1, -1.0, 0.0)
     blocked = np.zeros(1 << n, dtype=bool)
-    blocked[anchors[np.abs(mu.eval_batch(extremal)) <= tol]] = True
+    blocked[anchors[np.abs(mu.eval_batch(_two_valued(n, 0.0, -1.0))) <= tol]] = True
     for i in range(n):  # a subset of a blocked anchor is blocked as well
         halves = blocked.reshape(-1, 2, 1 << i)
         halves[:, 0] |= halves[:, 1]
@@ -885,46 +893,6 @@ def infsup_reconstruct(
     return min(max(vals[i] for i in _bits(m)) for m in family.members)
 
 
-def agreement_family(
-    mu: Functional, tol: float = 1e-9, budget: int = 64, seed: int = 0
-) -> SubsetFamily:
-    """Subsets A such that inputs agreeing on A get equal values (sampled).
-
-    Swept over pairs from the structured two-valued family that agree on A,
-    plus random off-A perturbations.  The intersection of all members
-    recovers the support for normed weakly additive monotone functionals.
-    """
-    space = mu.space
-    if space.n > 10:
-        raise TooLarge("agreement-family enumeration needs |points| <= 10")
-    n = space.n
-    rng = np.random.default_rng(seed)
-    fam = _pair_family(n)
-    vals = mu.eval_batch(fam)
-    I, J = np.triu_indices(len(fam), 1)
-    bad = np.abs(vals[I] - vals[J]) > tol
-    # a separated pair rules out every A on which its two inputs agree
-    differ = (fam[I[bad]] != fam[J[bad]]) @ (1 << np.arange(n))
-    members = []
-    for m in range(1, space.full_mask + 1):
-        off = [i for i in range(n) if not (m >> i) & 1]
-
-        def moved(R, off=off):  # the random inputs with random changes off A
-            G = R[:, :n].copy()
-            G[:, off] += R[:, n:]
-            return np.abs(mu.eval_batch(R[:, :n]) - mu.eval_batch(G)) > tol
-
-        if not ((differ & m) == 0).any() and _passes_sampled(
-            rng,
-            np.r_[np.full(n, -2.0), np.full(len(off), -5.0)],
-            np.r_[np.full(n, 2.0), np.full(len(off), 5.0)],
-            budget,
-            moved,
-        ):
-            members.append(m)
-    return SubsetFamily(space, tuple(members))
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -973,44 +941,22 @@ def _extract_density(mu: Functional, tol: float) -> tuple[float, ...]:
     return tuple(v if v == NEG_INF else v - top for v in lam)
 
 
-def _class_supports(ev, n: int, budget: int, tol: float, seed: int):
-    """``classify``'s min/max route for each column of ``ev``'s k x m values.
-
-    Returns the axiom reports (a list per axiom, one per column), each
-    column's kind (None unless the min- or max-type identities hold) and its
-    support mask: 0 unless the min or max over the probed support reproduces
-    the column on the structured family plus ``budget`` random inputs.
-    """
-    reports = _axiom_sweep(ev, n, AXIOMS, min(budget, 32), tol, seed, None)
-    kinds = [_class_kind({a: reps[j] for a, reps in reports.items()}) for j in range(len(reports["normed"]))]
-    probed = {k: _probe_supports(ev, n, k, tol) for k in ("min", "max") if k in kinds}
-    masks = [probed[k][j] if k else 0 for j, k in enumerate(kinds)]
-    if any(masks):
-        rows = np.concatenate([
-            _verify_family(n),
-            np.random.default_rng(seed).uniform(np.full(n, -5.0), np.full(n, 5.0), (budget, n)),
-        ])
-        values = ev(rows)
-        for j, (kind, m) in enumerate(zip(kinds, masks)):
-            if m and (np.abs(values[:, j] - _fold(kind, (rows[:, i] for i in _bits(m)))) > tol).any():
-                masks[j] = 0
-    return reports, kinds, masks
-
-
 def classify(
     mu: Functional, budget: int = 64, tol: float = 1e-9, seed: int = 0
 ) -> Classification:
     """Sort a functional into min-type, max-type, idempotent measure, or none.
 
-    Axiom checks run first; when the min-type (max-type) set holds, the
-    support is proposed by indicator probes and the min (max) formula over
-    it is verified on structured plus random inputs.  When only the
-    max-preservation axioms hold, a density is extracted from spike probes
-    and verified the same way.  A sampled class that fails verification is
-    reported as BudgetExhaustedInconclusive rather than guessed.
+    The one min/max support route, ``_class_supports`` at ``min(budget, 32)``
+    axiom trials, proposes a min (max) formula over the probed support and
+    checks it on ``_verification_rows`` with ``budget`` random rows.  When
+    only the max-preservation identities hold, a density from spike probes
+    is checked on the same rows.  A sampled class that fails its check
+    raises BudgetExhaustedInconclusive rather than being guessed.
     """
     space = mu.space
-    reports, (kind,), (mask,) = _class_supports(_columns(mu), space.n, budget, tol, seed)
+    reports, (kind,), (mask,), _ = _class_supports(
+        _columns(mu), space.n, min(budget, 32), budget, tol, seed
+    )
     reports = {a: reps[0] for a, reps in reports.items()}
     if kind is not None:
         label = f"R_{kind}"
@@ -1023,7 +969,8 @@ def classify(
 
     if all(reports[a].passed for a in ("normed", "weakly_additive", "preserves_max")):
         cand = IdempotentDensity(space, _extract_density(mu, tol))
-        if not _reproduces(mu, cand.eval_batch, tol, budget, np.random.default_rng(seed)):
+        rows = _verification_rows(space.n, budget, np.random.default_rng(seed))
+        if (np.abs(mu.eval_batch(rows) - cand.eval_batch(rows)) > tol).any():
             raise BudgetExhaustedInconclusive(
                 "passes the idempotent-measure axioms on samples but the "
                 "extracted density does not reproduce the functional"

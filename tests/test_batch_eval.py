@@ -47,7 +47,10 @@ from idemx.functionals import (
     RealFunction,
     SupportFunctional,
     TableFunctional,
+    _class_supports,
     _passes_sampled,
+    _probe_supports,
+    _verify_family,
     check_axiom,
     check_axioms,
     classify,
@@ -328,7 +331,7 @@ def ref_support(mu, budget=200, tol=1e-9, seed=0):
     zero = ev((0.0,) * n)
     sweep_grid = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
     fam = ref_base(n)
-    if n <= 4:
+    if n <= TWO_VALUED_CAP:
         fam = fam + two_valued_tuples(n, 0.0, 1.0)
     fam = list(dict.fromkeys(fam))
     for i in range(n):
@@ -661,19 +664,54 @@ def test_random_preorder_essential_families_match_the_grid_reference():
 
 
 def test_hidden_lambda_reaches_the_random_support_sweep(monkeypatch):
-    # the probe route proposes {a} and fails on a random input; the generic
-    # sweep then needs random inputs for b (none separates) and c (one does)
-    calls = []
+    # the route proposes min over {a} and fails it on the first random
+    # verification row; the generic sweep then needs random inputs for b
+    # (none separates) and c (one does)
+    routes, calls = [], []
+
+    def recorded_route(*args):
+        out = _class_supports(*args)
+        routes.append(out[1:])
+        return out
 
     def recorded(rng, low, high, trials, failing):
         passed = _passes_sampled(rng, low, high, trials, failing)
         calls.append((len(low), trials, passed))
         return passed
 
+    mu = PLANTED[-1]
+    assert _probe_supports(functionals._columns(mu), 3, "min", 1e-9) == [0b001]
+    monkeypatch.setattr(functionals, "_class_supports", recorded_route)
     monkeypatch.setattr(functionals, "_passes_sampled", recorded)
     with pytest.raises(BudgetExhaustedInconclusive):
-        support(PLANTED[-1])
-    assert calls == [(3, 64, False), (4, 200, True), (4, 200, False)]
+        support(mu)
+    assert routes == [(["min"], [0], [len(_verify_family(3)) + 1])]
+    assert calls == [(4, 200, True), (4, 200, False)]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_support_sweep_draws_on_past_the_rows_the_route_compared(monkeypatch, seed):
+    # the random stream of the generic sweep starts where the route's
+    # verification stopped: after the first random row on which the hidden
+    # functional leaves min over {a}
+    mu = PLANTED[-1]
+    R = np.random.default_rng(seed).uniform(-5.0, 5.0, (64, 3))
+    bad = [
+        i for i, row in enumerate(R.tolist()) if _hidden_min(RealFunction(D3, tuple(row))) != row[0]
+    ]
+    assert bad
+    want = np.random.default_rng(seed)
+    want.uniform(-5.0, 5.0, (bad[0] + 1, 3))
+    states = []
+
+    def recorded(rng, low, high, trials, failing):
+        if len(low) == 4:  # a random change at one point: the sweep's draws
+            states.append(rng.bit_generator.state)
+        return _passes_sampled(rng, low, high, trials, failing)
+
+    monkeypatch.setattr(functionals, "_passes_sampled", recorded)
+    outcome(support, mu, seed=seed)
+    assert states and states[0] == want.bit_generator.state
 
 
 def test_sampled_pass_rewinds_like_a_per_trial_loop():

@@ -15,9 +15,11 @@ import pytest
 
 from idemx.campaign import _random_preorder_space as random_space
 from idemx.errors import AxiomPrecheckFailed, IdemxError, NotNormalized
+from idemx import extenders
 from idemx.extenders import (
     Extender,
     _continuous_family,
+    build_extender,
     check_open_extension_algebra,
     connectivity_analysis,
     extend_open_set,
@@ -26,6 +28,7 @@ from idemx.functionals import (
     TWO_VALUED_CAP,
     LambdaFunctional,
     RealFunction,
+    _axiom_sweep,
     _blocks,
     _distinct,
     _pair_family,
@@ -33,6 +36,7 @@ from idemx.functionals import (
     support,
     two_valued_tuples,
 )
+from idemx.setmaps import SetValuedMap
 from idemx.spaces import FiniteTopSpace, _bits, discrete, embed
 
 
@@ -127,10 +131,12 @@ def test_continuous_family_matches_the_per_point_builder(rng):
     assert min(seen) <= TWO_VALUED_CAP < max(seen)
 
 
-def test_support_sweeps_the_01_block_up_to_four_points():
+def test_support_sweeps_the_01_block_up_to_the_cap():
     """A functional that follows its last point only where the others read
-    1, ..., 1, 0: only a {0,1} row of the sweep finds that point."""
-    for n, swept in ((3, True), (4, True), (5, False)):
+    1, ..., 1, 0: only a {0,1} row of the sweep finds that point, and the
+    sweep has that block up to ``TWO_VALUED_CAP`` points."""
+    for n in range(3, TWO_VALUED_CAP + 2):
+        swept = n <= TWO_VALUED_CAP
         space = discrete([f"p{i}" for i in range(n)])
         pattern = (1.0,) * (n - 2) + (0.0,)
         mu = LambdaFunctional(space, lambda f: f.values[-1] if f.values[:-1] == pattern else 0.0)
@@ -259,3 +265,29 @@ def test_sweep_precheck_raises_before_the_open_set_search():
     with pytest.raises(NotNormalized, match=r"^u\(1\) != 1 on the ambient space$"):
         extend_open_set(u, x.full_mask)
     assert calls == [(1.0,)]
+
+
+def test_connectivity_analysis_checks_normalization_once(monkeypatch, rng):
+    """One one-row normalization sweep per analysis, also where the open-set
+    extension runs: a singleton-valued extender passes every precheck."""
+    sweeps = []
+
+    def recorded(ev, n, axioms, *args):
+        sweeps.append(axioms)
+        return _axiom_sweep(ev, n, axioms, *args)
+
+    monkeypatch.setattr(extenders, "_axiom_sweep", recorded)
+    for _ in range(20):
+        ambient = random_space(rng, int(rng.integers(2, 6)))
+        k = int(rng.integers(1, ambient.n + 1))
+        e = embed(ambient, [str(p) for p in rng.choice(ambient.points, k, replace=False)])
+        # each embedded point to itself, every other point to one random point
+        images = tuple(
+            1 << e.subspace.index(p) if p in e.subspace.points else 1 << int(rng.integers(k))
+            for p in ambient.points
+        )
+        r = SetValuedMap(ambient, e.subspace, images)
+        sweeps.clear()
+        report = connectivity_analysis(build_extender(r, e, "min"))
+        assert report.region
+        assert sweeps.count(("normed",)) == 1

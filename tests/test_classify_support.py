@@ -8,7 +8,6 @@ from idemx.functionals import (
     MeanFunctional,
     RealFunction,
     SupportFunctional,
-    agreement_family,
     classify,
     density,
     dirac,
@@ -159,24 +158,6 @@ def test_reconstruct_size_cap():
     mu = support_functional(big, "min", ["p0"])
     with pytest.raises(TooLarge):
         infsup_reconstruct(mu, RealFunction(big, (0.0,) * 13))
-
-
-# -- agreement family ----------------------------------------------------------------
-
-
-def test_agreement_family_intersection_recovers_support():
-    mu = support_functional(D3, "min", ["a", "b"])
-    fam = agreement_family(mu)
-    acc = D3.full_mask
-    for m in fam.members:
-        acc &= m
-    assert D3.subset(acc) == support(mu)
-    # closed under pairwise intersection when the intersection is nonempty
-    members = set(fam.members)
-    for x in members:
-        for y in members:
-            if x & y:
-                assert (x & y) in members
 
 
 # -- classification ------------------------------------------------------------------
