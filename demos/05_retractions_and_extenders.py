@@ -18,6 +18,7 @@ from idemx import (
     from_mapping,
     from_minimal_basis,
     function_class,
+    greatest_retraction,
     is_lsc,
     is_usc,
     retraction_from_open_sets,
@@ -55,12 +56,15 @@ for m in E.subspace.opens:
 print("open-set recovery:", retraction_from_open_sets(u_max, "max_usc").as_dict())
 print("algebra e(U&V)=e(U)&e(V):", check_open_extension_algebra(u_max, "max_usc").passed)
 
-# Exhaustive search: the wedge admits no usc retraction at all, while the
-# isolated-point instance has one (the smallest-image candidate is found).
+# Retraction search: the greatest fixed point of the pairwise rules shows
+# that the wedge admits no usc retraction at all, while the isolated-point
+# instance has one; the exact search below the greatest retraction then
+# returns the smallest-image one.
 wedge = embed(
     from_minimal_basis({"p": ["p", "w"], "q": ["q", "w"], "w": ["w"]}), ["p", "q"]
 )
-print("\nwedge usc retraction:", search_retraction(wedge, "usc"))
+print("\nwedge greatest usc retraction:", greatest_retraction(wedge, "usc"))
+print("wedge usc retraction:", search_retraction(wedge, "usc"))
 print("wedge lsc retraction:", search_retraction(wedge, "lsc").as_dict())
 iso = embed(discrete(["p", "q", "w"]), ["p", "q"])
 print("isolated usc retraction:", search_retraction(iso, "usc").as_dict())

@@ -2,6 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +198,35 @@ def test_cli_extend_and_recover(files, capsys):
 def test_cli_search(files, capsys):
     assert main(["search", "--embedding", str(files["emb"])]) == 0
     assert json.loads(capsys.readouterr().out)["w"] == ["p"]
+
+
+def test_python_m_idemx_runs_the_cli_with_its_exit_codes(files):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    wedge = files["tmp"] / "wedge.json"
+    wedge.write_text(json.dumps({
+        "ambient": {
+            "points": ["p", "q", "w"],
+            "min_nbhd": {"p": ["p", "w"], "q": ["q", "w"], "w": ["w"]},
+        },
+        "subset": ["p", "q"],
+    }))
+    bad = files["tmp"] / "bad.json"
+    bad.write_text("{")
+
+    def run(path):
+        return subprocess.run(
+            [sys.executable, "-m", "idemx", "search", "--embedding", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    found, none, malformed = run(files["emb"]), run(wedge), run(bad)
+    assert found.returncode == 0 and json.loads(found.stdout)["w"] == ["p"]
+    assert none.returncode == 1 and none.stdout.strip() == "none"  # no usc retraction
+    assert malformed.returncode == 2 and malformed.stderr.startswith("error: ParseError")
 
 
 def test_cli_campaign_writes_report_and_replays(files, capsys):

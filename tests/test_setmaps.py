@@ -4,9 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from idemx import setmaps
+from idemx.cli import main
 from idemx.errors import EmptySet, InvariantViolation, SpaceMismatch, TooLarge
+from idemx.instances import embedding_to_json
 from idemx.setmaps import (
     SetValuedMap,
+    greatest_retraction,
     identity_map,
     is_connected_valued,
     is_continuous,
@@ -110,11 +114,75 @@ def test_search_retraction_identity_case():
     assert r == identity_map(d)
 
 
-def test_search_cap():
-    big = discrete([f"p{i}" for i in range(12)])
-    e = embed(big, ["p0", "p1", "p2", "p3", "p4"])
-    with pytest.raises(TooLarge):
+BIG = discrete([f"p{i}" for i in range(12)])
+BIG_EMBEDDING = embed(BIG, ["p0", "p1", "p2", "p3", "p4"])  # 31^7 candidates
+
+
+def test_search_cap(tmp_path, capsys):
+    # 31^7 candidates, far over the 10^6 the search once refused: every
+    # outside point goes to {p0}, through the API and through `idemx search`
+    want = {p: ["p0"] for p in BIG.points[5:]}
+    want.update({p: [p] for p in BIG.points[:5]})
+    r = search_retraction(BIG_EMBEDDING, "usc")
+    assert {p: list(ids) for p, ids in r.as_dict().items()} == want
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(embedding_to_json(BIG_EMBEDDING)))
+    assert main(["search", "--embedding", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
+def test_search_raises_too_large_when_its_node_budget_runs_out(monkeypatch):
+    # the image lists cost 5 + 7 * 31 = 222 nodes; the first descent then
+    # takes every image of every point, 222 more, and the bound cuts the rest
+    monkeypatch.setattr(setmaps, "SEARCH_NODES", 444)
+    assert search_retraction(BIG_EMBEDDING, "usc") is not None
+    monkeypatch.setattr(setmaps, "SEARCH_NODES", 443)
+    with pytest.raises(TooLarge, match="reached 444 nodes"):
+        search_retraction(BIG_EMBEDDING, "usc")
+    monkeypatch.setattr(setmaps, "SEARCH_NODES", 221)
+    with pytest.raises(TooLarge, match="reached 222 nodes"):
+        search_retraction(BIG_EMBEDDING, "usc")
+
+
+def test_search_on_a_large_identity_embedding_returns_the_identity():
+    # every pair lies inside the subspace, so no hull or closure is needed
+    # and each point has one image: 30 nodes, not 2^30 table entries
+    d = discrete([f"p{i}" for i in range(30)])
+    for prop in ("usc", "lsc", "continuous"):
+        assert search_retraction(embed(d, d.points), prop) == identity_map(d)
+
+
+def _wide_cone(k: int) -> SubspaceEmbedding:
+    """k discrete points inside and one point "w" outside whose minimal
+    neighborhood holds them all."""
+    pts = [f"p{i}" for i in range(k)]
+    basis = {p: [p] for p in pts}
+    basis["w"] = pts + ["w"]
+    return embed(from_minimal_basis(basis), pts)
+
+
+def test_search_refuses_a_large_subspace_before_building_anything(monkeypatch):
+    # usc forces r(w) = X; listing the 2^20 - 1 submasks of it would cost
+    # more than the budget, so the search stops before listing any
+    e = _wide_cone(20)
+    assert greatest_retraction(e, "usc").image_of("w") == set(e.subset)
+
+    def never(mask):
+        raise AssertionError("image lists built past the budget")
+
+    monkeypatch.setattr(setmaps, "_submasks", never)
+    with pytest.raises(TooLarge, match=f"reached {2**20 - 1 + 20} nodes"):
         search_retraction(e, "usc")
+
+
+def test_greatest_retraction_needs_no_table_over_every_subspace_mask():
+    # 40 points inside: a table over all 2^40 masks could not be built.
+    # usc forces r(w) = X; lsc forces r(w) into the closure {x} of every x
+    e = _wide_cone(40)
+    usc = greatest_retraction(e, "usc")
+    assert usc.image_of("w") == set(e.subset) and is_usc(usc)
+    assert greatest_retraction(e, "lsc") is None
+    assert greatest_retraction(e, "continuous") is None
 
 
 def test_search_continuous_results_pass_both_predicates(rng):
@@ -124,10 +192,7 @@ def test_search_continuous_results_pass_both_predicates(rng):
         k = int(rng.integers(1, y.n))
         subset = [y.points[i] for i in sorted(rng.choice(y.n, size=k, replace=False))]
         e = embed(y, subset)
-        try:
-            r = search_retraction(e, "continuous")
-        except TooLarge:
-            continue
+        r = search_retraction(e, "continuous")
         if r is not None:
             assert is_lsc(r) and is_usc(r) and is_retraction(r, e)
 
@@ -204,6 +269,66 @@ def reference_search(e, prop):
         if REFERENCE[prop](r):
             return r
     return None
+
+
+#: The candidate cap of the search before the greatest fixed point.
+SEARCH_CAP = 10**6
+
+
+def reference_branch_and_bound(e, prop, cap=SEARCH_CAP):
+    """The search before the greatest fixed point: the ordered branch and
+    bound over every fixing map, with each pair tested through
+    ``hull_mask``/``closure_mask``.  It refuses more than ``cap`` candidates;
+    ``cap=None`` lifts the refusal."""
+    amb, sub = e.ambient, e.subspace
+    n_outside = amb.n - len(e.subset)
+    if cap is not None and sub.full_mask**n_outside > cap:
+        raise TooLarge(f"{sub.full_mask}^{n_outside} candidates exceed the search cap")
+    tests = []
+    if prop != "lsc":
+        tests.append(lambda ry, ry2: not ry2 & ~sub.hull_mask(ry))
+    if prop != "usc":
+        tests.append(lambda ry, ry2: not ry & ~sub.closure_mask(ry2))
+    choices = [
+        (1 << sub.index(p),) if p in e.subset else range(1, sub.full_mask + 1)
+        for p in amb.points
+    ]
+    closing = [[] for _ in range(amb.n)]
+    for y, m in enumerate(amb.min_nbhd):
+        for y2 in range(amb.n):
+            if y2 != y and (m >> y2) & 1:
+                closing[max(y, y2)].append((y, y2))
+    images = [0] * amb.n
+    best = [amb.n * sub.n + 1, None]
+
+    def extend(i, card):
+        if i == amb.n:
+            best[:] = [card, tuple(images)]
+            return
+        unassigned = amb.n - 1 - i
+        for m in choices[i]:
+            c = card + bin(m).count("1")
+            if c + unassigned >= best[0]:
+                continue
+            images[i] = m
+            if all(t(images[y], images[y2]) for y, y2 in closing[i] for t in tests):
+                extend(i + 1, c)
+
+    extend(0, 0)
+    return None if best[1] is None else SetValuedMap(amb, sub, best[1])
+
+
+PREDICATE = {"usc": is_usc, "lsc": is_lsc, "continuous": is_continuous}
+
+
+def assert_greatest_bounds(e, prop, found):
+    """The greatest retraction is a retraction of the kind, lies above the
+    search's answer, and is None exactly when the answer is."""
+    g = greatest_retraction(e, prop)
+    assert (g is None) == (found is None), (e.ambient.min_nbhd, e.subset, prop)
+    if g is not None:
+        assert is_retraction(g, e) and PREDICATE[prop](g)
+        assert all(not m & ~gm for m, gm in zip(found.images, g.images))
 
 
 def _random_image(rng, cod):
@@ -283,6 +408,8 @@ def test_search_matches_the_sorted_exhaustive_reference():
         for prop in ("usc", "lsc", "continuous"):
             r = search_retraction(e, prop)
             assert r == reference_search(e, prop), (y.min_nbhd, subset, prop)
+            assert r == reference_branch_and_bound(e, prop), (y.min_nbhd, subset, prop)
+            assert_greatest_bounds(e, prop, r)
             answers[None if r is None else "found"] += 1
     assert answers[None] >= 30 and answers["found"] >= 1000
 
@@ -300,3 +427,48 @@ def test_search_reproduces_the_recorded_pool():
         for prop, want in entry["answers"].items():
             r = search_retraction(e, prop)
             assert (None if r is None else list(r.images)) == want, (entry["subset"], prop)
+            assert r == reference_branch_and_bound(e, prop), (entry["subset"], prop)
+            assert_greatest_bounds(e, prop, r)
+
+
+def test_search_matches_the_uncapped_branch_and_bound_on_sparse_preorders():
+    # edge probability 0.15 leaves large fixed-point images, so these
+    # searches go deep; 4 in / 6 out is 15^6 candidates, over the old cap
+    rng = np.random.default_rng(906)
+    answers = {None: 0, "found": 0}
+    for k_in, k_out, count in ((4, 5, 12), (4, 6, 12)):
+        for _ in range(count):
+            y = _random_preorder(rng, k_in + k_out, 0.15)
+            subset = [y.points[i] for i in sorted(rng.choice(y.n, size=k_in, replace=False))]
+            e = embed(y, subset)
+            for prop in ("usc", "lsc", "continuous"):
+                r = search_retraction(e, prop)
+                want = reference_branch_and_bound(e, prop, cap=None)
+                assert r == want, (y.min_nbhd, subset, prop)
+                assert_greatest_bounds(e, prop, r)
+                answers[None if r is None else "found"] += 1
+    assert answers[None] >= 10 and answers["found"] >= 10
+
+
+def test_greatest_retraction_is_the_union_of_every_retraction_of_its_kind():
+    # on every cell small enough to list all fixing maps
+    rng = np.random.default_rng(2011)
+    for _ in range(150):
+        k_in, k_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        y = _random_preorder(rng, k_in + k_out, float(rng.choice([0.15, 0.3, 0.5])))
+        subset = [y.points[i] for i in sorted(rng.choice(y.n, size=k_in, replace=False))]
+        e = embed(y, subset)
+        for prop, holds in PREDICATE.items():
+            union = None
+            for images in fixing_images(e):
+                if holds(SetValuedMap(y, e.subspace, images)):
+                    union = images if union is None else tuple(
+                        a | b for a, b in zip(union, images)
+                    )
+            g = greatest_retraction(e, prop)
+            assert (None if g is None else g.images) == union, (y.min_nbhd, subset, prop)
+
+
+def test_greatest_retraction_rejects_an_unknown_property():
+    with pytest.raises(InvariantViolation, match="semicontinuity"):
+        greatest_retraction(embed(WEDGE, ["p", "q"]), "open")

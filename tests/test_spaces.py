@@ -226,6 +226,39 @@ def test_line_metric_and_validation():
         MetricSpace(("a", "b"), np.zeros((2, 2)))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "dist, path, message",
+    [
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], "dist.shape", "expected (2, 2), got (2, 3)"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "dist.nonnegative", "negative distance"),
+        ([[0.5, 1.0], [1.0, 0.0]], "dist.diagonal", "d(x,x) must be 0"),
+        ([[0.0, 1.0], [2.0, 0.0]], "dist.symmetry", "d(x,y) != d(y,x)"),
+        ([[0.0, 0.0], [0.0, 0.0]], "dist.identity", "d(x,y)=0 for distinct points"),
+        (
+            [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+            "dist.triangle",
+            "triangle inequality fails",
+        ),
+        # two defects: the earlier check in the order above raises
+        ([[0.0, -1.0], [2.0, 0.0]], "dist.nonnegative", "negative distance"),
+        ([[1.0, 0.0], [3.0, 0.0]], "dist.diagonal", "d(x,x) must be 0"),
+        # NaN compares false, except under !=
+        ([[NAN, 1.0], [1.0, 0.0]], "dist.diagonal", "d(x,x) must be 0"),
+        ([[0.0, NAN], [NAN, 0.0]], "dist.symmetry", "d(x,y) != d(y,x)"),
+    ],
+)
+def test_each_metric_check_fires_on_a_planted_matrix(dist, path, message):
+    d = np.array(dist, dtype=float)
+    points = tuple("abc"[: len(d)])
+    with pytest.raises(InvariantViolation) as exc:
+        MetricSpace(points, d)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_metric_matrix_is_frozen():
     m = line_metric({"a": 0.0, "b": 1.0})
     with pytest.raises(ValueError):
