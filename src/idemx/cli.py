@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .campaign import (
@@ -123,6 +124,25 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _at_least_zero(convert, what: str):
+    """The type of a numeric flag whose values are ``what`` >= 0."""
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and x >= 0):
+            raise argparse.ArgumentTypeError(f"must be {what} >= 0, got {text!r}")
+        return x
+
+    return parse
+
+
+_tol = _at_least_zero(float, "a finite number")  # --tol
+_count = _at_least_zero(int, "an integer")  # --seed, --budget, --trials
+
+
 def _parse_caps(pairs) -> dict[str, int]:
     caps = {}
     for item in pairs or []:
@@ -167,33 +187,40 @@ def _cmd_replay(args) -> int:
     return 1 if bad else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as one-line ParseErrors, like every other bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idemx",
         description="Finite-model checks for min/max-preserving functional extenders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--tol", type=_tol, default=1e-9)
+        p.add_argument("--seed", type=_count, default=42)
 
     p = sub.add_parser("check-axioms", help="check identities of a functional")
     p.add_argument("functional", help="functional instance file")
     p.add_argument("--axiom", action="append", choices=AXIOMS, help="repeatable")
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=_count, default=64)
     common(p)
     p.set_defaults(fn=_cmd_check_axioms)
 
     p = sub.add_parser("support", help="locate the support of a functional")
     p.add_argument("functional")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_count, default=200)
     common(p)
     p.set_defaults(fn=_cmd_support)
 
     p = sub.add_parser("classify", help="classify a functional")
     p.add_argument("functional")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_count, default=64)
     common(p)
     p.set_defaults(fn=_cmd_classify)
 
@@ -209,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--kind", choices=("min", "max"), default="max")
     p.add_argument("--method", choices=("supports", "opens"), default="opens")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("search", help="search for a set-valued retraction")
@@ -229,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run the failure witnesses of a report")
     p.add_argument("report")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=None)
     p.set_defaults(fn=_cmd_replay)
 
     return parser
@@ -239,10 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
     except IdemxError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

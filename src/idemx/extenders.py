@@ -29,6 +29,8 @@ from .errors import (
     TooLarge,
 )
 from .functionals import (
+    MAX_CLASS_AXIOMS,
+    MIN_CLASS_AXIOMS,
     Functional,
     RealFunction,
     _array,
@@ -214,20 +216,8 @@ class SemicontinuityTheoremReport:
 #: Identities every pointwise functional of a retraction-derived extender
 #: must satisfy, by kind.
 KIND_AXIOMS = {
-    "min": (
-        "normed",
-        "weakly_additive",
-        "preserves_min",
-        "weakly_preserves_max",
-        "weakly_preserves_min",
-    ),
-    "max": (
-        "normed",
-        "weakly_additive",
-        "preserves_max",
-        "weakly_preserves_min",
-        "weakly_preserves_max",
-    ),
+    "min": MIN_CLASS_AXIOMS + ("weakly_preserves_min",),
+    "max": MAX_CLASS_AXIOMS + ("weakly_preserves_max",),
 }
 
 

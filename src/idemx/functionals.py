@@ -813,10 +813,13 @@ def _essential_masks(mu, tol) -> np.ndarray:
     minimal neighbourhoods whose closure lies in V; the function is
     admissible for A exactly when A lies in the anchor.  A nonempty A is
     essential when no admissible extremal function evaluates to zero.
+    The table has 2^n entries, so it is refused above 12 points.
     """
-    _essential_precheck(mu, tol)
     space = mu.space
     n = space.n
+    if n > 12:
+        raise TooLarge("the essential-set table needs |points| <= 12")
+    _essential_precheck(mu, tol)
     regions = np.arange(1 << n)
     anchors = np.zeros(1 << n, dtype=np.int64)
     for nbhd in space.min_nbhd:
@@ -858,11 +861,8 @@ def essential_family(mu: Functional, tol: float = 1e-9) -> SubsetFamily:
     0 elsewhere (see ``is_essential``); this relies on the precheck that mu
     is normed, weakly additive and monotone.
     """
-    space = mu.space
-    if space.n > 12:
-        raise TooLarge("essential-family enumeration needs |points| <= 12")
     members = np.flatnonzero(_essential_masks(mu, tol))
-    return SubsetFamily(space, tuple(int(m) for m in members))
+    return SubsetFamily(mu.space, tuple(int(m) for m in members))
 
 
 def infsup_reconstruct(
@@ -875,11 +875,10 @@ def infsup_reconstruct(
 
     Valid for normed, monotone, weakly additive functionals that weakly
     preserve both max and min; those prechecks run first.  Pass a
-    precomputed ``family`` when evaluating many functions of one mu.
+    precomputed ``family`` when evaluating many functions of one mu;
+    without one the essential-set table is built, which needs at most 12
+    points.
     """
-    space = mu.space
-    if space.n > 12:
-        raise TooLarge("reconstruction needs |points| <= 12")
     _check_space(mu, f)
     _essential_precheck(mu, tol)
     weak_failures = _weakly_preserving_failures(mu, tol)

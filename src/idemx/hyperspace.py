@@ -148,13 +148,13 @@ def subset_roundtrip_failure(
     return None
 
 
-def hyperspace_roundtrip(space: FiniteTopSpace, kind: str) -> RoundtripReport:
+def hyperspace_roundtrip(space: FiniteTopSpace, kind: str, tol: float = 1e-9) -> RoundtripReport:
     """Run ``subset_roundtrip_failure`` for every nonempty subset."""
     if space.n > 6:
         raise TooLarge("exhaustive roundtrip needs |points| <= 6")
     failures = []
     for m in range(1, space.full_mask + 1):
-        failure = subset_roundtrip_failure(SupportFunctional(space, kind, m), kind, m)
+        failure = subset_roundtrip_failure(SupportFunctional(space, kind, m), kind, m, tol=tol)
         if failure:
             failures.append(failure)
     return RoundtripReport(space.full_mask, tuple(failures))

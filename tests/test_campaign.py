@@ -2,19 +2,26 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from idemx import setmaps
 from idemx.campaign import (
+    _DUAL_PAIRS,
     CATALOGUE,
     CampaignConfig,
+    _run_axioms_fuzz,
+    _suite_seed,
     replay_witnesses,
     run_campaign,
     run_suite,
     write_report,
 )
 from idemx.cli import main
-from idemx.errors import InvariantViolation, UnknownSuite
-from idemx.instances import embedding_to_json
+from idemx.errors import InvariantViolation, ParseError, TooLarge, UnknownSuite
+from idemx.extenders import KIND_AXIOMS
+from idemx.functionals import AXIOMS, RealFunction, check_axioms, dual
+from idemx.instances import embedding_to_json, load_embedding, load_functional
 from idemx.spaces import discrete, embed
 
 
@@ -30,6 +37,23 @@ def test_config_rejects_caps_beyond_hard_limit():
         CampaignConfig(size_caps={"support_roundtrip": 9})
     with pytest.raises(InvariantViolation):
         CampaignConfig(size_caps={"usc_forward": 0})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-12}, {"seed": -1}],
+    ids=["tol=nan", "tol=inf", "tol=-1e-12", "seed=-1"],
+)
+def test_config_rejects_bad_tol_and_seed(kwargs):
+    with pytest.raises(InvariantViolation):
+        CampaignConfig(**kwargs)
+
+
+def test_replay_rejects_a_negative_report_tol(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"config": {"tol": -1.0}, "suites": {}}))
+    with pytest.raises(ParseError):
+        replay_witnesses(path)
 
 
 def test_empty_suite_list_gives_empty_report():
@@ -162,3 +186,84 @@ def test_seed_42_campaign_report_matches_the_recorded_one(tmp_path, capsys):
     for suite in got["suites"].values():
         suite.pop("wall_time", None)
     assert got == json.loads(EXPECTED_REPORT.read_text())
+
+
+def test_campaign_tol_reaches_every_support_suite(tmp_path, capsys):
+    # support_roundtrip and hyperspace_bijection run the same round trips on
+    # the 4-point discrete space, so a loose tol must fail both
+    out = tmp_path / "report.json"
+    args = ["campaign", "--suite", "support_roundtrip", "--suite", "hyperspace_bijection"]
+    assert main(args + ["--tol", "3", "--out", str(out)]) == 1
+    suites = json.loads(out.read_text())["suites"]
+    assert suites["support_roundtrip"]["failed"] > 0
+    assert suites["hyperspace_bijection"]["failed"] > 0
+    assert main(args) == 0
+
+
+SEARCH_SUITES = ("retraction_search", "open_set_recovery", "continuous_retraction_roundtrip")
+
+
+def test_a_search_over_its_node_budget_fails_its_case_and_replays(monkeypatch, tmp_path):
+    # no generated case comes near the budget, so shrink it: every case
+    # whose search runs out must fail with the TooLarge message, none may pass
+    monkeypatch.setattr(setmaps, "SEARCH_NODES", 1)
+    out = tmp_path / "report.json"
+    rep = run_campaign(CampaignConfig(seed=42, suites=SEARCH_SUITES, output=str(out)))
+    for name in SEARCH_SUITES:
+        suite = CATALOGUE[name]
+        semicontinuity = "continuous" if name == "continuous_retraction_roundtrip" else "usc"
+        over = []
+        for case in suite.gen_cases(suite.cap_default, _suite_seed(42, name)):
+            try:
+                setmaps.search_retraction(load_embedding(case["embedding"]), semicontinuity)
+            except TooLarge:
+                over.append(case)
+        assert over, name
+        failed = {json.dumps(w["case"], sort_keys=True): w["detail"] for w in rep.suites[name].witnesses}
+        for case in over:
+            assert failed[json.dumps(case, sort_keys=True)].startswith("TooLarge: search reached")
+    outcomes = replay_witnesses(out)
+    assert len(outcomes) == sum(rep.suites[name].failed for name in SEARCH_SUITES)
+    assert all(o.reproduced for o in outcomes)
+    assert sum(o.detail.startswith("TooLarge: search reached") for o in outcomes) >= 3
+
+
+def _reference_axioms_fuzz(case, tol):
+    """The functional branch of the axioms_fuzz runner as two check_axioms
+    sweeps and sixteen one-row calls, kept as the reference."""
+    mu = load_functional(case["functional"])
+    nu = dual(mu)
+    reports = check_axioms(mu, AXIOMS, trials=24, tol=tol, seed=case["seed"])
+    dual_reports = check_axioms(nu, AXIOMS, trials=24, tol=tol, seed=case["seed"])
+    verdicts = {a: rep.passed for a, rep in reports.items()}
+    for a in AXIOMS:
+        if verdicts[a] != dual_reports[_DUAL_PAIRS[a]].passed:
+            return False, f"dual verdict differs on {a}"
+    rng = np.random.default_rng(case["seed"])
+    n = mu.space.n
+    for _ in range(8):
+        f = RealFunction(mu.space, tuple(float(v) for v in rng.uniform(-5, 5, n)))
+        if dual(dual(mu))(f) != mu(f):
+            return False, "dual is not an involution"
+    expected_true = {
+        "support_min": KIND_AXIOMS["min"],
+        "support_max": KIND_AXIOMS["max"],
+        "density": ("normed", "weakly_additive", "preserves_max"),
+        "mean": ("normed", "weakly_additive"),
+    }[case["profile"]]
+    for a in expected_true:
+        if not verdicts[a]:
+            return False, f"{case['profile']} unexpectedly fails {a}"
+    if case["profile"] == "mean" and n > 1:
+        if verdicts["preserves_min"] or verdicts["preserves_max"]:
+            return False, "mean passed a lattice-preservation axiom"
+    return True, "verdicts and dual pairing as expected"
+
+
+# tol 0 and tol 2 make some of these cases fail, so failing details are compared too
+@pytest.mark.parametrize("tol,some_fail", [(0.0, True), (1e-9, False), (0.3, False), (2.0, True)])
+def test_axioms_fuzz_two_column_sweep_matches_two_sweeps(tol, some_fail):
+    cases = [c for c in CATALOGUE["axioms_fuzz"].gen_cases(120, 5) if c["type"] == "functional"]
+    outcomes = [_run_axioms_fuzz(case, tol) for case in cases]
+    assert outcomes == [_reference_axioms_fuzz(case, tol) for case in cases]
+    assert (not all(ok for ok, _ in outcomes)) == some_fail

@@ -7,6 +7,7 @@ from idemx.functionals import (
     NEG_INF,
     MeanFunctional,
     RealFunction,
+    SubsetFamily,
     SupportFunctional,
     classify,
     density,
@@ -158,6 +159,20 @@ def test_reconstruct_size_cap():
     mu = support_functional(big, "min", ["p0"])
     with pytest.raises(TooLarge):
         infsup_reconstruct(mu, RealFunction(big, (0.0,) * 13))
+
+
+def test_essential_set_table_size_cap():
+    # every route to the 2^n essential-set table stops at 12 points
+    big = discrete([f"p{i}" for i in range(13)])
+    mu = support_functional(big, "min", ["p0"])
+    with pytest.raises(TooLarge):
+        is_essential(mu, {"p0"})
+    with pytest.raises(TooLarge):
+        essential_family(mu)
+    # with its family given, reconstruction builds no table
+    mu = support_functional(big, "min", ["p0", "p3"])
+    f = RealFunction(big, tuple(float(i) for i in range(13)))
+    assert infsup_reconstruct(mu, f, family=SubsetFamily(big, (0b1, 0b1000))) == mu(f) == 0.0
 
 
 # -- classification ------------------------------------------------------------------

@@ -346,6 +346,46 @@ def test_cli_usage_errors(files, capsys):
     assert "ParseError" in err
 
 
+#: (command with "{}" for a functional file, flag) pairs of every numeric flag
+NUMERIC_FLAGS = [
+    (["check-axioms", "{}"], "--tol"),
+    (["check-axioms", "{}"], "--seed"),
+    (["check-axioms", "{}"], "--trials"),
+    (["support", "{}"], "--tol"),
+    (["support", "{}"], "--seed"),
+    (["support", "{}"], "--budget"),
+    (["classify", "{}"], "--tol"),
+    (["classify", "{}"], "--seed"),
+    (["classify", "{}"], "--budget"),
+    (["campaign", "--suite", "hyperspace_monotone"], "--tol"),
+    (["campaign", "--suite", "hyperspace_monotone"], "--seed"),
+    (["replay", "{}"], "--tol"),
+]
+BAD_VALUES = {
+    "--tol": ["nan", "inf", "-inf", "-1", "-1e-12", "abc"],
+    "--seed": ["-1", "1.5", "abc"],
+    "--trials": ["-3", "2.0"],
+    "--budget": ["-1", "x"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [pytest.param(c, f, v, id=f"{c[0]}{f}={v}") for c, f in NUMERIC_FLAGS for v in BAD_VALUES[f]],
+)
+def test_cli_rejects_out_of_range_numeric_flags(files, capsys, command, flag, value):
+    args = [str(files["mean"]) if a == "{}" else a for a in command]
+    assert main(args + [f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ParseError: argument {flag}: must be")
+    assert captured.err.count("\n") == 1
+    # as a separate word, "-inf" or "-1e-12" reads as an option: still one line
+    assert main(args + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
 # -- input-boundary fuzz -----------------------------------------------------------
 
 WEDGE_JSON = {
