@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -42,6 +41,8 @@ from .functionals import (
     RealFunction,
     SupportFunctional,
     _axiom_sweep,
+    _check_count,
+    _check_tol,
     _two_valued,
     density,
     dual,
@@ -608,10 +609,8 @@ class CampaignConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise InvariantViolation("tol", "must be a finite number >= 0")
-        if self.seed < 0:
-            raise InvariantViolation("seed", "must be >= 0")
+        _check_tol(self.tol)
+        _check_count("seed", self.seed)
         for name in self.suites:
             if name not in CATALOGUE:
                 raise UnknownSuite(name)

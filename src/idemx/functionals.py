@@ -48,6 +48,23 @@ MAX_CLASS_AXIOMS = ("normed", "weakly_additive", "preserves_max", "weakly_preser
 Kind = Literal["min", "max"]
 
 
+# -- parameter checks -------------------------------------------------------
+
+
+def _check_tol(tol) -> None:
+    """A tolerance must be a finite real number >= 0."""
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol >= 0):
+        raise InvariantViolation("tol", f"must be a finite number >= 0, got {tol!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """A trial count, budget or seed must be an integer >= 0."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 0):
+        raise InvariantViolation(name, f"must be an integer >= 0, got {value!r}")
+
+
 # -- functions on a space -------------------------------------------------
 
 
@@ -504,22 +521,51 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
     ]
 
 
+#: Entries kept by the cache of shared sweep inputs, one per (n, seed, drawn) key.
+SWEEP_CACHE = 4
+#: Random trials drawn for the shared inputs of a sweep at up to this many trials.
+SHARED_TRIALS = 64
+
+
+@lru_cache(maxsize=SWEEP_CACHE)
+def _shared_inputs(n: int, seed: int, drawn: int) -> dict:
+    """The input blocks of every sweep without a family at n points and
+    ``seed`` whose random rows are the first of ``drawn`` trials.
+
+    The sweeps fill the dict as their identities need inputs, one group of
+    read-only arrays at a time, each built once at ``drawn`` trials.
+    """
+    return {}
+
+
 def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[AxiomReport]]:
     """Check identities for the m functionals whose values on a k x n array
     of inputs are the k x m array ``ev(A)``; one report per column.
 
-    Each input block is built once and each distinct block evaluated once,
-    in ``AXIOMS`` order, each identity's left-hand side before the blocks it
-    shares: both lattice identities share the pairs (F, G) and their values
-    (with a ``family`` and no random rows, gathered from one evaluation of
-    its rows), and the weak identities share the rows (F, c) and the values
-    of F (on a ``family``, additivity has constants of its own).  The random
-    rows of either group come from a fresh ``default_rng(seed)``, as each
-    identity drew them alone, so a witness is the first violating row of the
-    identity's own block.
+    The identities share their input blocks and evaluate each distinct block
+    once, in ``AXIOMS`` order: both lattice identities the pairs (F, G) and
+    their values (with a ``family`` and no random rows, gathered from one
+    evaluation of its rows), the weak identities the rows (F, c) and the
+    values of F (on a ``family``, additivity has constants of its own).
+    Each group's random rows come from a fresh ``default_rng(seed)``, each
+    row followed by its mirror, so a witness is the first violating row of
+    the identity's own block.
+
+    Without a ``family`` the blocks depend only on n, the seed and the
+    trials, not on ``ev``.  The pairs, the rows (F, c) and the left-hand
+    inputs min(F, G), max(F, G), F + c, min(F, c) and max(F, c) are built
+    once, as read-only arrays, into the entry
+    ``_shared_inputs(n, seed, max(trials, SHARED_TRIALS))`` of a cache of
+    ``SWEEP_CACHE`` entries, the least recently used going first.  A draw
+    fills its rows one trial after another from the seed's stream, so the
+    random rows for t trials are the first t of the shared draw: a sweep
+    reads the leading rows of each block.  A ``family`` goes through the
+    same ``pairs`` and ``weak`` functions into blocks of its own, not shared.
     """
-    trials = max(0, trials)
     fam = None if family is None else _array(family, n)
+    drawn = trials if fam is not None else max(trials, SHARED_TRIALS)
+    inputs = {} if fam is not None else _shared_inputs(n, seed, drawn)
+    built = AXIOMS if fam is None else axioms  # shared inputs serve every identity
     memo = {}
 
     def once(key, build):
@@ -527,34 +573,56 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
             memo[key] = build()
         return memo[key]
 
-    def pair_block():
+    def group(key, build):  # a group's inputs, at this call's trials
+        if key not in memo:
+            if key not in inputs:
+                inputs[key] = build()  # at ``drawn`` trials
+                for a in inputs[key].values():
+                    a.flags.writeable = False
+            skip = 2 * (drawn - trials)  # the random rows past this call's trials
+            memo[key] = {k: a[: len(a) - skip] for k, a in inputs[key].items()}
+        return memo[key]
+
+    def pairs():  # the pairs (F, G), and the left-hand inputs min(F, G) and max(F, G)
         F, G = _pair_grid(n) if fam is None else _product(fam, fam)
-        if not trials:
-            return F, G
-        R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
-        # each random pair is followed by its mirror, for verdict exchange
-        # under duality
-        return np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
+        if drawn:
+            R = np.random.default_rng(seed).uniform(-2.0, 2.0, (drawn, 2, n))
+            # each random pair is followed by its mirror, for verdict
+            # exchange under duality
+            F, G = np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
+        lhs = {a: _fold(a[-3:], (F, G)) for a in ("preserves_max", "preserves_min") if a in built}
+        return {"F": F, "G": G, **lhs}
 
     def pair_values():  # the values of F and of G
-        F, G = once("pairs", pair_block)
+        P = group("pairs", pairs)
         if fam is None or trials:
-            return ev(F), ev(G)
+            return ev(P["F"]), ev(P["G"])
         V = ev(fam)  # F and G are the family's products: evaluate its rows once and gather
         return _product(V, V)
 
-    def weak_block(cs):
+    def constants(axiom):  # a weak identity's constants on a family; None without one
+        if fam is None:
+            return None
+        return (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)
+
+    def weak(cs):  # the rows (F, c), and the left-hand inputs F + c, min(F, c) and max(F, c)
         if cs is None:
             F, C = _weak_family(n)
         else:
             F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
             F, C = np.concatenate([F, -F]), np.concatenate([C, -C])
-        if not trials:
-            return F, C
-        high = np.full(n + 1, 2.0)
-        high[n] = 5.0  # the constant's range
-        R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
-        return np.concatenate([F, _mirrored(R[:, :n])]), np.concatenate([C, _mirrored(R[:, n])])
+        if drawn:
+            high = np.full(n + 1, 2.0)
+            high[n] = 5.0  # the constant's range
+            R = np.random.default_rng(seed).uniform(-high, high, (drawn, n + 1))
+            F, C = np.concatenate([F, _mirrored(R[:, :n])]), np.concatenate([C, _mirrored(R[:, n])])
+        c = C[:, None]
+        lhs = {
+            a: F + c if a == "weakly_additive" else _fold(a[-3:], (F, c))
+            for a in ("weakly_additive", "weakly_preserves_max", "weakly_preserves_min")
+            if a in built and constants(a) == cs
+        }
+        return {"F": F, "C": C, **lhs}
 
     reports = {}
     for axiom in AXIOMS:
@@ -565,20 +633,18 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
             one = np.ones((1, n))
             reports[axiom] = _first_violations(axiom, ev(one), 1.0, tol, one)
         elif axiom in ("preserves_max", "preserves_min"):
-            F, G = once("pairs", pair_block)
-            lhs = ev(_fold(kind, (F, G)))
+            P = group("pairs", pairs)
+            lhs = ev(P[axiom])
             rhs = _fold(kind, once("FG", pair_values))
-            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, F, G)
+            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, P["F"], P["G"])
         else:
-            cs = None if fam is None else (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (
-                -1.0, 0.25, 0.5, 0.8, 1.0, 4.0
-            )
-            F, C = once(("weak", cs), lambda: weak_block(cs))
-            c = C[:, None]
-            lhs = ev(F + c) if axiom == "weakly_additive" else ev(_fold(kind, (F, c)))
-            values = once(("weak F", cs), lambda: ev(F))
+            cs = constants(axiom)
+            W = group(("weak", cs), lambda: weak(cs))
+            lhs = ev(W[axiom])
+            c = W["C"][:, None]
+            values = once(("weak F", cs), lambda: ev(W["F"]))
             rhs = values + c if axiom == "weakly_additive" else _fold(kind, (values, c))
-            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, F, C=C)
+            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, W["F"], C=W["C"])
     return {a: reports[a] for a in axioms}
 
 
@@ -606,10 +672,22 @@ def check_axioms(
     left-hand side.  Each distinct block is evaluated once, as one batch;
     the witness of an identity is the first violation in its own sweep
     order, the same as when it is checked alone.
+
+    Without a ``family`` the inputs are shared across calls, whatever the
+    functional: the pairs, the rows (f, c) and the left-hand inputs built
+    from them are cached by point count, seed and ``max(trials, 64)``, at
+    most ``SWEEP_CACHE`` = 4 entries.  The random rows for ``trials`` trials
+    are the first ``trials`` of the shared draw, so rows, witnesses and
+    reports are those of a fresh build; only the functional's values are
+    computed on every call.  ``trials`` and ``seed`` must be integers >= 0
+    and ``tol`` a finite number >= 0, else InvariantViolation.
     """
     unknown = [a for a in axioms if a not in AXIOMS]
     if unknown:
         raise UnknownAxiom(unknown[0])
+    _check_count("trials", trials)
+    _check_count("seed", seed)
+    _check_tol(tol)
     sweep = _axiom_sweep(_columns(mu), len(mu.space.points), axioms, trials, tol, seed, family)
     return {a: reps[0] for a, reps in sweep.items()}
 
@@ -711,6 +789,9 @@ def support(
     drawn after those raises BudgetExhaustedInconclusive, as absences would
     be unfounded.
     """
+    _check_count("budget", budget)
+    _check_count("seed", seed)
+    _check_tol(tol)
     space = mu.space
     n = len(space.points)
     ev = mu.eval_batch
@@ -788,7 +869,9 @@ def _essential_precheck_failures(mu, tol) -> tuple[str, ...]:
 
 
 def _essential_precheck(mu, tol) -> None:
-    """The space guard and the axiom precheck of every essential-set test."""
+    """The tolerance and space guards and the axiom precheck of every
+    essential-set test."""
+    _check_tol(tol)
     if not isinstance(mu.space, FiniteTopSpace):
         raise SpaceMismatch("essential-set tests need a topological space")
     failures = _essential_precheck_failures(mu, tol)
@@ -952,6 +1035,9 @@ def classify(
     is checked on the same rows.  A sampled class that fails its check
     raises BudgetExhaustedInconclusive rather than being guessed.
     """
+    _check_count("budget", budget)
+    _check_count("seed", seed)
+    _check_tol(tol)
     space = mu.space
     reports, (kind,), (mask,), _ = _class_supports(
         _columns(mu), space.n, min(budget, 32), budget, tol, seed
