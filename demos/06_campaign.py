@@ -16,9 +16,9 @@ from idemx.campaign import (
     run_campaign,
 )
 
-print("suite catalogue:")
+print("suite catalogue (default and hard size caps):")
 for name, suite in CATALOGUE.items():
-    print(f"  {name:32s} {suite.describes}")
+    print(f"  {name:32s} {suite.cap_default:>6d} {suite.cap_hard:>7d}")
 
 cfg = CampaignConfig(
     seed=42,

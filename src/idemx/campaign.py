@@ -103,7 +103,6 @@ class SuiteDef:
     cap_hard: int
     gen_cases: CaseGen
     run_case: CaseRunner
-    describes: str
 
 
 # -- shared generators ---------------------------------------------------------
@@ -535,42 +534,23 @@ def _gen_hausdorff(cap: int, seed: int) -> list[dict]:
 
 
 CATALOGUE: dict[str, SuiteDef] = {
-    "support_roundtrip": SuiteDef(
-        4, 6, _support_cases, _run_support_roundtrip,
-        "support and classification recover every min/max functional's set",
-    ),
-    "reconstruct_identity": SuiteDef(
-        4, 5, _support_cases, _run_reconstruct,
-        "inf-over-essential-sets of sups rebuilds min-type functionals",
-    ),
-    "essential_support_match": SuiteDef(
-        4, 5, _support_cases, _run_essential_support,
-        "singleton essential sets coincide with the support",
-    ),
+    "support_roundtrip": SuiteDef(4, 6, _support_cases, _run_support_roundtrip),
+    "reconstruct_identity": SuiteDef(4, 5, _support_cases, _run_reconstruct),
+    "essential_support_match": SuiteDef(4, 5, _support_cases, _run_essential_support),
     "hyperspace_bijection": SuiteDef(
         4, 6, lambda cap, seed: [{"n": cap, "kind": k} for k in ("min", "max")], _run_bijection,
-        "subset -> functional -> support is the identity on the hyperspace",
     ),
-    "hyperspace_monotone": SuiteDef(
-        3, 4, lambda cap, seed: [{"n": cap}], _run_monotone,
-        "inclusion monotonicity and threshold/Vietoris topology agreement",
-    ),
+    "hyperspace_monotone": SuiteDef(3, 4, lambda cap, seed: [{"n": cap}], _run_monotone),
     "continuous_retraction_roundtrip": SuiteDef(
         5, 7, lambda cap, seed: _embedding_corpus(15, seed, max_y=cap), _run_continuous_roundtrip,
-        "continuous retractions round-trip through both extenders",
     ),
     "usc_forward": SuiteDef(
         4, 5, _forward_instances, functools.partial(_forward_check, hypothesis="usc"),
-        "usc maps give lsc min-extensions and usc max-extensions",
     ),
     "lsc_forward": SuiteDef(
         4, 5, _forward_instances, functools.partial(_forward_check, hypothesis="lsc"),
-        "lsc maps give usc min-extensions and lsc max-extensions",
     ),
-    "open_set_recovery": SuiteDef(
-        50, 500, _embedding_corpus, _run_open_recovery,
-        "usc retractions are recovered from open-set extensions and supports",
-    ),
+    "open_set_recovery": SuiteDef(50, 500, _embedding_corpus, _run_open_recovery),
     "connectivity_shadow": SuiteDef(
         3, 4,
         lambda cap, seed: [
@@ -579,20 +559,10 @@ CATALOGUE: dict[str, SuiteDef] = {
             for combo in itertools.combinations([f"p{i}" for i in range(cap)], r)
         ],
         _run_connectivity,
-        "extenders preserving both operations have singleton recovered values",
     ),
-    "axioms_fuzz": SuiteDef(
-        200, 100000, _gen_axioms_fuzz, _run_axioms_fuzz,
-        "axiom verdicts, dual pairing, and extender duality on random instances",
-    ),
-    "hausdorff_lipschitz": SuiteDef(
-        2000, 100000, _gen_hausdorff, _run_hausdorff,
-        "min/max over subsets is Lipschitz for the Hausdorff distance",
-    ),
-    "retraction_search": SuiteDef(
-        50, 500, _embedding_corpus, _run_retraction_search,
-        "exhaustive usc retraction search returns verified maps or none",
-    ),
+    "axioms_fuzz": SuiteDef(200, 100000, _gen_axioms_fuzz, _run_axioms_fuzz),
+    "hausdorff_lipschitz": SuiteDef(2000, 100000, _gen_hausdorff, _run_hausdorff),
+    "retraction_search": SuiteDef(50, 500, _embedding_corpus, _run_retraction_search),
 }
 
 

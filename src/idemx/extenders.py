@@ -230,8 +230,11 @@ def forward_implications(
     ``r_usc`` and ``r_lsc``.  Upper semicontinuous maps must give lsc outputs
     through the min extender and usc outputs through the max extender; lower
     semicontinuous maps dually; continuous maps give continuous outputs.
-    Each input of ``family`` is extended and classified once.
+    Each input of ``family`` is extended and classified once.  An extender
+    that is not retraction-derived has no kind: InvariantViolation.
     """
+    if not isinstance(u.provenance, FromRetraction):
+        raise InvariantViolation("provenance", "the extender must be built from a retraction")
     kind = u.provenance.kind
     expectations = []
     if r_usc and r_lsc:
@@ -332,21 +335,22 @@ def supports_retraction(
 
 
 def _first_failing(u: Extender, axioms, tol: float, family=None) -> str | None:
-    """The first of ``axioms`` that some pointwise functional of u fails on
-    ``family`` (the structured inputs when None), without random inputs;
-    each axiom is swept only if the ones before it hold."""
-    for axiom in axioms:
-        sweep = _axiom_sweep(u.apply_batch, u.domain_space.n, (axiom,), 0, tol, 0, family)
-        if not all(rep.passed for rep in sweep[axiom]):
-            return axiom
-    return None
+    """The first of ``axioms``, in the order given, that some pointwise
+    functional of u fails on ``family`` (the structured inputs when None),
+    without random inputs; all of them are checked in one sweep."""
+    sweep = _axiom_sweep(u.apply_batch, u.domain_space.n, axioms, 0, tol, 0, family)
+    return next((a for a in axioms if not all(rep.passed for rep in sweep[a])), None)
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("max_usc", "min_lsc"):
+        raise InvariantViolation("variant", "must be max_usc or min_lsc")
 
 
 def _check_opens(u: Extender, variant: str, tol: float) -> None:
     """The checks of each public open-set call before ``_extend_opens``:
     the variant, then that u is normalized."""
-    if variant not in ("max_usc", "min_lsc"):
-        raise InvariantViolation("variant", "must be max_usc or min_lsc")
+    _check_variant(variant)
     if _first_failing(u, ("normed",), tol):
         raise NotNormalized("u(1) != 1 on the ambient space")
 
@@ -458,6 +462,7 @@ def check_open_extension_algebra(
     retraction-derived the c-schedule may undershoot the full union, which
     the ``schedule_limited`` flag records.
     """
+    _check_variant(variant)
     x_space = u.domain_space
     if x_space.n > 6:
         raise TooLarge("exhaustive open-pair check needs |X| <= 6")

@@ -102,8 +102,17 @@ def indicator(space, subset, lo: float = 0.0, hi: float = 1.0) -> RealFunction:
     )
 
 
+def _at_points(space, mapping: Mapping, name: str) -> list:
+    """The values of ``mapping`` at the points of ``space``, in order; a
+    missing point is an InvariantViolation at ``name[point]``."""
+    missing = [p for p in space.points if p not in mapping]
+    if missing:
+        raise InvariantViolation(f"{name}[{missing[0]}]", "missing value")
+    return [mapping[p] for p in space.points]
+
+
 def from_mapping(space, values: Mapping[str, float]) -> RealFunction:
-    return RealFunction(space, tuple(float(values[p]) for p in space.points))
+    return RealFunction(space, tuple(float(v) for v in _at_points(space, values, "values")))
 
 
 def _fold(kind: Kind, arrays) -> np.ndarray:
@@ -217,9 +226,7 @@ class IdempotentDensity(Functional):
 
 def density(space, lam: Mapping[str, float | None]) -> IdempotentDensity:
     """Density from a mapping; ``None`` (or -inf) marks excluded points."""
-    vals = tuple(
-        NEG_INF if lam[p] is None else float(lam[p]) for p in space.points
-    )
+    vals = tuple(NEG_INF if v is None else float(v) for v in _at_points(space, lam, "lambda"))
     return IdempotentDensity(space, vals)
 
 
@@ -527,22 +534,53 @@ SWEEP_CACHE = 4
 SHARED_TRIALS = 64
 
 
+def _pair_inputs(F, G, seed: int, trials: int) -> dict:
+    """The pairs (F, G), then ``trials`` random pairs from a fresh
+    ``default_rng(seed)``, each followed by its mirror; and the left-hand
+    inputs max(F, G) and min(F, G)."""
+    if trials:
+        R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, F.shape[1]))
+        # the mirrors are for verdict exchange under duality
+        F, G = np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
+    return {"F": F, "G": G, **{f"preserves_{k}": _fold(k, (F, G)) for k in ("max", "min")}}
+
+
+def _weak_inputs(F, C, seed: int, trials: int) -> dict:
+    """The rows (F, c), then ``trials`` random rows from a fresh
+    ``default_rng(seed)``, each followed by its mirror; and the left-hand
+    inputs F + c, max(F, c) and min(F, c)."""
+    if trials:
+        n = F.shape[1]
+        high = np.full(n + 1, 2.0)
+        high[n] = 5.0  # the constant's range
+        R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
+        F, C = np.concatenate([F, _mirrored(R[:, :n])]), np.concatenate([C, _mirrored(R[:, n])])
+    c = C[:, None]
+    lhs = {f"weakly_preserves_{k}": _fold(k, (F, c)) for k in ("max", "min")}
+    return {"F": F, "C": C, "weakly_additive": F + c, **lhs}
+
+
 @lru_cache(maxsize=SWEEP_CACHE)
 def _shared_inputs(n: int, seed: int, drawn: int) -> dict:
-    """The input blocks of every sweep without a family at n points and
-    ``seed`` whose random rows are the first of ``drawn`` trials.
-
-    The sweeps fill the dict as their identities need inputs, one group of
-    read-only arrays at a time, each built once at ``drawn`` trials.
+    """The input groups of every sweep without a family at n points and
+    ``seed`` whose random rows are the first of ``drawn`` trials: the pairs
+    and the weak rows, each built whole by its builder, all arrays read-only.
     """
-    return {}
+    entry = {
+        "pairs": _pair_inputs(*_pair_grid(n), seed, drawn),
+        ("weak", None): _weak_inputs(*_weak_family(n), seed, drawn),
+    }
+    for group in entry.values():
+        for a in group.values():
+            a.flags.writeable = False
+    return entry
 
 
 def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[AxiomReport]]:
     """Check identities for the m functionals whose values on a k x n array
     of inputs are the k x m array ``ev(A)``; one report per column.
 
-    The identities share their input blocks and evaluate each distinct block
+    The identities share their input groups and evaluate each distinct block
     once, in ``AXIOMS`` order: both lattice identities the pairs (F, G) and
     their values (with a ``family`` and no random rows, gathered from one
     evaluation of its rows), the weak identities the rows (F, c) and the
@@ -551,50 +589,31 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     row followed by its mirror, so a witness is the first violating row of
     the identity's own block.
 
-    Without a ``family`` the blocks depend only on n, the seed and the
-    trials, not on ``ev``.  The pairs, the rows (F, c) and the left-hand
-    inputs min(F, G), max(F, G), F + c, min(F, c) and max(F, c) are built
-    once, as read-only arrays, into the entry
+    Without a ``family`` the groups depend only on n, the seed and the
+    trials, not on ``ev``: they are the entry
     ``_shared_inputs(n, seed, max(trials, SHARED_TRIALS))`` of a cache of
-    ``SWEEP_CACHE`` entries, the least recently used going first.  A draw
-    fills its rows one trial after another from the seed's stream, so the
-    random rows for t trials are the first t of the shared draw: a sweep
-    reads the leading rows of each block.  A ``family`` goes through the
-    same ``pairs`` and ``weak`` functions into blocks of its own, not shared.
+    ``SWEEP_CACHE`` entries, the least recently used going first, built
+    whole by ``_pair_inputs`` and ``_weak_inputs`` and never written to
+    after.  A draw fills its rows one trial after another from the seed's
+    stream, so the random rows for t trials are the first t of the shared
+    draw: a sweep reads the leading rows of each group.  A ``family``
+    builds the groups its identities need on each call, through the same
+    two builders.
     """
     fam = None if family is None else _array(family, n)
-    drawn = trials if fam is not None else max(trials, SHARED_TRIALS)
-    inputs = {} if fam is not None else _shared_inputs(n, seed, drawn)
-    built = AXIOMS if fam is None else axioms  # shared inputs serve every identity
     memo = {}
+    if fam is None:
+        drawn = max(trials, SHARED_TRIALS)
+        skip = 2 * (drawn - trials)  # the random rows past this call's trials
+        for key, group in _shared_inputs(n, seed, drawn).items():
+            memo[key] = {k: a[: len(a) - skip] for k, a in group.items()}
 
     def once(key, build):
         if key not in memo:
             memo[key] = build()
         return memo[key]
 
-    def group(key, build):  # a group's inputs, at this call's trials
-        if key not in memo:
-            if key not in inputs:
-                inputs[key] = build()  # at ``drawn`` trials
-                for a in inputs[key].values():
-                    a.flags.writeable = False
-            skip = 2 * (drawn - trials)  # the random rows past this call's trials
-            memo[key] = {k: a[: len(a) - skip] for k, a in inputs[key].items()}
-        return memo[key]
-
-    def pairs():  # the pairs (F, G), and the left-hand inputs min(F, G) and max(F, G)
-        F, G = _pair_grid(n) if fam is None else _product(fam, fam)
-        if drawn:
-            R = np.random.default_rng(seed).uniform(-2.0, 2.0, (drawn, 2, n))
-            # each random pair is followed by its mirror, for verdict
-            # exchange under duality
-            F, G = np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
-        lhs = {a: _fold(a[-3:], (F, G)) for a in ("preserves_max", "preserves_min") if a in built}
-        return {"F": F, "G": G, **lhs}
-
-    def pair_values():  # the values of F and of G
-        P = group("pairs", pairs)
+    def pair_values(P):  # the values of F and of G
         if fam is None or trials:
             return ev(P["F"]), ev(P["G"])
         V = ev(fam)  # F and G are the family's products: evaluate its rows once and gather
@@ -605,24 +624,9 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
             return None
         return (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)
 
-    def weak(cs):  # the rows (F, c), and the left-hand inputs F + c, min(F, c) and max(F, c)
-        if cs is None:
-            F, C = _weak_family(n)
-        else:
-            F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
-            F, C = np.concatenate([F, -F]), np.concatenate([C, -C])
-        if drawn:
-            high = np.full(n + 1, 2.0)
-            high[n] = 5.0  # the constant's range
-            R = np.random.default_rng(seed).uniform(-high, high, (drawn, n + 1))
-            F, C = np.concatenate([F, _mirrored(R[:, :n])]), np.concatenate([C, _mirrored(R[:, n])])
-        c = C[:, None]
-        lhs = {
-            a: F + c if a == "weakly_additive" else _fold(a[-3:], (F, c))
-            for a in ("weakly_additive", "weakly_preserves_max", "weakly_preserves_min")
-            if a in built and constants(a) == cs
-        }
-        return {"F": F, "C": C, **lhs}
+    def weak(cs):  # the family's rows (f, c) for the constants cs, then the negated rows
+        F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
+        return _weak_inputs(np.concatenate([F, -F]), np.concatenate([C, -C]), seed, trials)
 
     reports = {}
     for axiom in AXIOMS:
@@ -633,13 +637,13 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
             one = np.ones((1, n))
             reports[axiom] = _first_violations(axiom, ev(one), 1.0, tol, one)
         elif axiom in ("preserves_max", "preserves_min"):
-            P = group("pairs", pairs)
+            P = once("pairs", lambda: _pair_inputs(*_product(fam, fam), seed, trials))
             lhs = ev(P[axiom])
-            rhs = _fold(kind, once("FG", pair_values))
+            rhs = _fold(kind, once("FG", lambda: pair_values(P)))
             reports[axiom] = _first_violations(axiom, lhs, rhs, tol, P["F"], P["G"])
         else:
             cs = constants(axiom)
-            W = group(("weak", cs), lambda: weak(cs))
+            W = once(("weak", cs), lambda: weak(cs))
             lhs = ev(W[axiom])
             c = W["C"][:, None]
             values = once(("weak F", cs), lambda: ev(W["F"]))
@@ -676,10 +680,12 @@ def check_axioms(
     Without a ``family`` the inputs are shared across calls, whatever the
     functional: the pairs, the rows (f, c) and the left-hand inputs built
     from them are cached by point count, seed and ``max(trials, 64)``, at
-    most ``SWEEP_CACHE`` = 4 entries.  The random rows for ``trials`` trials
-    are the first ``trials`` of the shared draw, so rows, witnesses and
-    reports are those of a fresh build; only the functional's values are
-    computed on every call.  ``trials`` and ``seed`` must be integers >= 0
+    most ``SWEEP_CACHE`` = 4 entries, each built whole on its first use and
+    read-only.  The random rows for ``trials`` trials are the first
+    ``trials`` of the shared draw, so rows, witnesses and reports are those
+    of a fresh build; only the functional's values are computed on every
+    call.  A ``family`` builds its inputs on each call, with the same two
+    builders.  ``trials`` and ``seed`` must be integers >= 0
     and ``tol`` a finite number >= 0, else InvariantViolation.
     """
     unknown = [a for a in axioms if a not in AXIOMS]
@@ -960,9 +966,11 @@ def infsup_reconstruct(
     preserve both max and min; those prechecks run first.  Pass a
     precomputed ``family`` when evaluating many functions of one mu;
     without one the essential-set table is built, which needs at most 12
-    points.
+    points.  A ``family`` on another space than mu's is a SpaceMismatch.
     """
     _check_space(mu, f)
+    if family is not None and family.space != mu.space:
+        raise SpaceMismatch("the family must live on the functional's space")
     _essential_precheck(mu, tol)
     weak_failures = _weakly_preserving_failures(mu, tol)
     if weak_failures:

@@ -202,6 +202,10 @@ def functional_topology(space: FiniteTopSpace, kind: str, sense: str) -> FiniteT
     {F : agg_F f < a}; f ranges over two-valued functions and a over
     midpoints, which exhausts the generated topology on a discrete base.
     """
+    if kind not in ("min", "max"):
+        raise InvariantViolation("kind", "must be min or max")
+    if sense not in ("above", "below"):
+        raise InvariantViolation("sense", "must be above or below")
     agg = subset_min if kind == "min" else subset_max
     above = sense == "above"
     subbasis = [

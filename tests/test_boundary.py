@@ -1,0 +1,85 @@
+"""Malformed calls into the library end in an ``IdemxError`` with a
+one-line message, never a bare exception or a silently wrong answer."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from idemx.errors import AxiomPrecheckFailed, IdemxError, InvariantViolation, SpaceMismatch
+from idemx.extenders import (
+    Extender,
+    build_extender,
+    check_open_extension_algebra,
+    forward_implications,
+)
+from idemx.functionals import (
+    SubsetFamily,
+    density,
+    from_mapping,
+    infsup_reconstruct,
+    support_functional,
+)
+from idemx.hyperspace import functional_topology
+from idemx.setmaps import setmap
+from idemx.spaces import discrete, embed, from_minimal_basis
+
+X = discrete(["a", "b"])
+MU = support_functional(X, "min", ["a", "b"])
+F = from_mapping(X, {"a": 1.0, "b": 2.0})
+E = embed(from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["w"]}), ["p", "q"])
+R = setmap(E.ambient, E.subspace, {"p": ["p"], "q": ["q"], "w": ["p", "q"]})
+
+CASES = {
+    # a max extender does not preserve min, so the variant must go first
+    "algebra-bogus-variant": (
+        lambda: check_open_extension_algebra(build_extender(R, E, "max"), "bogus"),
+        InvariantViolation, "^variant: ",
+    ),
+    "forward-user-extender": (
+        lambda: forward_implications(Extender(E, lambda f: f, "user"), True, True, [(0.0, 1.0)]),
+        InvariantViolation, "^provenance: ",
+    ),
+    "infsup-family-same-size": (
+        lambda: infsup_reconstruct(MU, F, family=SubsetFamily(discrete(["x", "y"]), (0b10,))),
+        SpaceMismatch, "family",
+    ),
+    "infsup-family-larger": (
+        lambda: infsup_reconstruct(MU, F, family=SubsetFamily(discrete(["x", "y", "z"]), (0b100,))),
+        SpaceMismatch, "family",
+    ),
+    "density-missing-point": (
+        lambda: density(X, {"a": 0}), InvariantViolation, r"^lambda\[b\]: ",
+    ),
+    "from_mapping-missing-point": (
+        lambda: from_mapping(X, {"a": 0}), InvariantViolation, r"^values\[b\]: ",
+    ),
+    "topology-bad-kind-and-sense": (
+        lambda: functional_topology(X, "mean", "sideways"), InvariantViolation, "^kind: ",
+    ),
+    "topology-bad-sense": (
+        lambda: functional_topology(X, "min", "sideways"), InvariantViolation, "^sense: ",
+    ),
+    "topology-bad-kind": (
+        lambda: functional_topology(X, "mean", "above"), InvariantViolation, "^kind: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_malformed_calls_raise_one_line_idemx_errors(case):
+    call, error, message = CASES[case]
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert isinstance(info.value, IdemxError)
+    assert "\n" not in str(info.value)
+
+
+def test_the_boundary_keeps_the_valid_calls():
+    assert infsup_reconstruct(MU, F, family=SubsetFamily(X, (0b01, 0b10))) == MU(F) == 1.0
+    assert density(X, {"a": 0, "b": None}).lam == (0.0, float("-inf"))
+    assert functional_topology(X, "max", "below") == functional_topology(X, "min", "above")
+    with pytest.raises(AxiomPrecheckFailed):
+        check_open_extension_algebra(build_extender(R, E, "max"), "min_lsc")
+    (implication,) = forward_implications(build_extender(R, E, "max"), True, False, np.eye(2))
+    assert implication.passed
