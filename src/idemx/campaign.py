@@ -656,8 +656,8 @@ def run_suite(name: str, cfg: CampaignConfig) -> SuiteResult:
         raise UnknownSuite(name)
     cap = cfg.size_caps.get(name, suite.cap_default)
     seed = _suite_seed(cfg.seed, name)
+    start = time.perf_counter()  # the suite's time includes generating its cases
     cases = suite.gen_cases(cap, seed)
-    start = time.perf_counter()
 
     witnesses = []
     passed = 0

@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
     UnknownAxiom,
 )
-from .spaces import FiniteTopSpace, MetricSpace, _bits
+from .spaces import FiniteTopSpace, MetricSpace, _at_points, _bits
 
 NEG_INF = float("-inf")
 
@@ -100,15 +100,6 @@ def indicator(space, subset, lo: float = 0.0, hi: float = 1.0) -> RealFunction:
     return RealFunction(
         space, tuple(hi if (mask >> i) & 1 else lo for i in range(len(space.points)))
     )
-
-
-def _at_points(space, mapping: Mapping, name: str) -> list:
-    """The values of ``mapping`` at the points of ``space``, in order; a
-    missing point is an InvariantViolation at ``name[point]``."""
-    missing = [p for p in space.points if p not in mapping]
-    if missing:
-        raise InvariantViolation(f"{name}[{missing[0]}]", "missing value")
-    return [mapping[p] for p in space.points]
 
 
 def from_mapping(space, values: Mapping[str, float]) -> RealFunction:

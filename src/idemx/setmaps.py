@@ -40,7 +40,7 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .spaces import FiniteTopSpace, SubspaceEmbedding, _bits
+from .spaces import FiniteTopSpace, SubspaceEmbedding, _at_points, _bits
 
 #: Node budget of a retraction search, which raises TooLarge past it.  The
 #: largest search of the benchmark's retractions workload (seeds 1-40)
@@ -80,12 +80,8 @@ def setmap(
     codomain: FiniteTopSpace,
     images: Mapping[str, Iterable[str]],
 ) -> SetValuedMap:
-    masks = []
-    for p in domain.points:
-        if p not in images:
-            raise InvariantViolation(f"map[{p}]", "missing image")
-        masks.append(codomain.mask(images[p]))
-    return SetValuedMap(domain, codomain, tuple(masks))
+    masks = tuple(codomain.mask(v) for v in _at_points(domain, images, "map"))
+    return SetValuedMap(domain, codomain, masks)
 
 
 def identity_map(space: FiniteTopSpace) -> SetValuedMap:

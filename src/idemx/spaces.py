@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     EmptySet,
@@ -21,6 +19,9 @@ from .errors import (
     PreorderViolation,
     TooLarge,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Hard cap for enumerating the full open-set family.
 OPENS_ENUM_CAP = 12
@@ -35,6 +36,19 @@ def _bits(mask: int) -> Iterable[int]:
             yield i
         mask >>= 1
         i += 1
+
+
+def _at_points(space, mapping: Mapping, name: str) -> list:
+    """The values of ``mapping`` at the points of ``space``, in order; a
+    missing point, or a key that is not a point, is an InvariantViolation
+    at ``name[key]``."""
+    missing = [p for p in space.points if p not in mapping]
+    if missing:
+        raise InvariantViolation(f"{name}[{missing[0]}]", "missing value")
+    if len(mapping) > len(space.points):  # every point is a key, so some key is not a point
+        unknown = next(k for k in mapping if k not in space.points)
+        raise InvariantViolation(f"{name}[{unknown}]", "not a point of the space")
+    return [mapping[p] for p in space.points]
 
 
 class _PointSet:
@@ -258,6 +272,8 @@ class MetricSpace(_PointSet):
     dist: np.ndarray
 
     def __post_init__(self):
+        import numpy as np  # here, so the bitmask layers load without numpy
+
         n = len(self.points)
         if len(set(self.points)) != n:
             raise InvariantViolation("points", "duplicate point identifiers")
@@ -283,10 +299,12 @@ class MetricSpace(_PointSet):
         object.__setattr__(self, "dist", d)
 
     def __eq__(self, other):
+        # equal points give equal validated (n, n) shapes, so the matrices
+        # compare elementwise; they hold no NaN
         return other is self or (
             isinstance(other, MetricSpace)
             and self.points == other.points
-            and np.array_equal(self.dist, other.dist)
+            and bool((self.dist == other.dist).all())
         )
 
     def __hash__(self):
@@ -295,6 +313,8 @@ class MetricSpace(_PointSet):
 
 def line_metric(coords: Mapping[str, float]) -> MetricSpace:
     """Metric space of labelled points on the real line."""
+    import numpy as np
+
     pts = tuple(coords.keys())
     xs = np.array([coords[p] for p in pts], dtype=float)
     return MetricSpace(pts, np.abs(xs[:, None] - xs[None, :]))

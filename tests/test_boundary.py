@@ -54,6 +54,16 @@ CASES = {
     "from_mapping-missing-point": (
         lambda: from_mapping(X, {"a": 0}), InvariantViolation, r"^values\[b\]: ",
     ),
+    "density-unknown-point": (
+        lambda: density(X, {"a": 0, "b": 1, "z": 5}), InvariantViolation, r"^lambda\[z\]: ",
+    ),
+    "from_mapping-unknown-point": (
+        lambda: from_mapping(X, {"a": 0, "b": 1, "z": 5}), InvariantViolation, r"^values\[z\]: ",
+    ),
+    "setmap-unknown-point": (
+        lambda: setmap(E.ambient, E.subspace, {"p": ["p"], "q": ["q"], "w": ["p"], "z": ["q"]}),
+        InvariantViolation, r"^map\[z\]: ",
+    ),
     "topology-bad-kind-and-sense": (
         lambda: functional_topology(X, "mean", "sideways"), InvariantViolation, "^kind: ",
     ),

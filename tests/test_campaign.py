@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,17 @@ def test_support_roundtrip_cap4_runs_15_cases():
                                             size_caps={"support_roundtrip": 4})
     )
     assert rep.cases_run == 15 and rep.failed == 0
+
+
+def test_suite_wall_time_counts_case_generation(monkeypatch):
+    def slow_gen_cases(cap, seed):  # no cases, so the suite's time is all generation
+        time.sleep(0.05)
+        return []
+
+    suite = dataclasses.replace(CATALOGUE["support_roundtrip"], gen_cases=slow_gen_cases)
+    monkeypatch.setitem(CATALOGUE, "support_roundtrip", suite)
+    rep = run_suite("support_roundtrip", CampaignConfig(seed=42, suites=("support_roundtrip",)))
+    assert rep.cases_run == 0 and rep.wall_time >= 0.05
 
 
 def test_unknown_suite_at_run_time():
