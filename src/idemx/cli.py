@@ -21,7 +21,7 @@ from .campaign import (
 from .errors import IdemxError, ParseError
 from .extenders import build_extender, retraction_from_open_sets, supports_retraction
 from .functionals import AXIOMS, Functional, RealFunction, check_axioms, classify, support
-from .instances import _number, load_setmap, parse_instance, read_json, setmap_to_json
+from .instances import _number, _point_keys, load_setmap, parse_instance, read_json, setmap_to_json
 from .setmaps import search_retraction
 from .spaces import SubspaceEmbedding
 
@@ -48,6 +48,7 @@ def _function_on(space, path: str) -> RealFunction:
     missing = [p for p in space.points if p not in values]
     if missing:
         raise ParseError(f"{path}: missing values for {missing}")
+    _point_keys(values, space.points, f"{path}: values")
     vals = tuple(_number(values[p], f"{path}: values[{p}]") for p in space.points)
     return RealFunction(space, vals)
 

@@ -348,7 +348,7 @@ def _check_variant(variant: str) -> None:
 
 
 def _check_opens(u: Extender, variant: str, tol: float) -> None:
-    """The checks of each public open-set call before ``_extend_opens``:
+    """The checks of each public open-set call before ``_open_hits``:
     the variant, then that u is normalized."""
     _check_variant(variant)
     if _first_failing(u, ("normed",), tol):
@@ -368,34 +368,27 @@ def extend_open_set(
     if not u.domain_space.is_open_mask(umask):
         raise InvariantViolation("open_set", "not open in the subspace")
     _check_opens(u, variant, tol)
-    ((mask, _),) = _extend_opens(u, (umask,), variant, tol)
+    (mask,) = _pack(_open_hits(u, (umask,), variant, tol).any(axis=1))
     return u.ambient_space.subset(mask)
 
 
-def _extend_opens(
-    u: Extender, open_masks, variant: str, tol: float
-) -> list[tuple[int, dict[str, float]]]:
-    """For each open mask, its extension and the c that first reached each
-    of its points; all candidates go through one ``apply_batch``.  The
-    caller has run ``_check_opens``."""
-    x_space = u.domain_space
+def _open_hits(u: Extender, open_masks, variant: str, tol: float) -> np.ndarray:
+    """The table hits[k, j, y]: the candidate 1 -+ c*chi_U, for the k-th
+    open mask U and the j-th c of ``EXTENSION_SCHEDULE``, reaches ambient
+    point y.  All candidates go through one ``apply_batch``.  The caller has
+    run ``_check_opens``."""
+    n = u.domain_space.n
     sign = -1.0 if variant == "max_usc" else 1.0
-    inside = (np.array(open_masks)[:, None] >> np.arange(x_space.n)) & 1
-    # rows 1 + sign * c * chi_U, c-schedule innermost
+    inside = (np.array(open_masks)[:, None] >> np.arange(n)) & 1
     H = 1.0 + sign * inside[:, None, :] * np.array(EXTENSION_SCHEDULE)[:, None]
-    G = u.apply_batch(H.reshape(-1, x_space.n))
-    hits = G < 1.0 - tol if variant == "max_usc" else G > 1.0 + tol
-    out = []
-    for rows in hits.reshape(len(open_masks), len(EXTENSION_SCHEDULE), -1):
-        mask = 0
-        attained: dict[str, float] = {}
-        for c, row in zip(EXTENSION_SCHEDULE, rows):
-            for i in np.flatnonzero(row):
-                if not mask >> int(i) & 1:
-                    mask |= 1 << int(i)
-                    attained[u.ambient_space.points[i]] = c
-        out.append((mask, attained))
-    return out
+    G = u.apply_batch(H.reshape(-1, n)).reshape(*H.shape[:2], -1)
+    return G < 1.0 - tol if variant == "max_usc" else G > 1.0 + tol
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The bitmask of each boolean row (last axis), as Python ints of any width."""
+    n = bits.shape[-1]
+    return bits.astype(object) @ (np.ones(n, dtype=object) << np.arange(n, dtype=object))
 
 
 def _recover_by_closures(u: Extender, variant: str, tol: float) -> tuple[int, tuple[int, ...]]:
@@ -404,23 +397,16 @@ def _recover_by_closures(u: Extender, variant: str, tol: float) -> tuple[int, tu
     contains it (the whole subspace where none does).
     """
     x_space = u.domain_space
-    opens = x_space.opens
-    e_masks = {um: em for um, (em, _) in zip(opens, _extend_opens(u, opens, variant, tol))}
-    region = 0
-    for em in e_masks.values():
-        region |= em
-    images = []
-    for i, p in enumerate(u.ambient_space.points):
-        acc = x_space.full_mask
-        for um, em in e_masks.items():
-            if (em >> i) & 1:
-                acc &= x_space.closure_mask(um)
-        if acc == 0:
-            raise InvariantViolation(
-                "recovered.nonempty", f"empty recovered value at {p!r}"
-            )
-        images.append(acc)
-    return region, tuple(images)
+    opens = np.array(x_space.opens)
+    reach = _open_hits(u, opens, variant, tol).any(axis=1)
+    # x is adherent to U iff its minimal neighborhood meets U
+    closures = _pack((np.array(x_space.min_nbhd) & opens[:, None]) != 0)
+    images = np.bitwise_and.reduce(np.where(reach, closures[:, None], x_space.full_mask))
+    empty = np.flatnonzero(images == 0)
+    if empty.size:
+        at = u.ambient_space.points[empty[0]]
+        raise InvariantViolation("recovered.nonempty", f"empty recovered value at {at!r}")
+    return _pack(reach.any(axis=0)), tuple(images.tolist())
 
 
 def retraction_from_open_sets(
@@ -470,9 +456,15 @@ def check_open_extension_algebra(
     if _first_failing(u, (f"preserves_{op}",), tol, _pair_family(x_space.n)):
         raise AxiomPrecheckFailed(f"extender does not preserve {op}")
     _check_opens(u, variant, tol)
-    details = dict(zip(x_space.opens, _extend_opens(u, x_space.opens, variant, tol)))
-    e_masks = {um: d[0] for um, d in details.items()}
-    attained = {x_space.ids(um): d[1] for um, d in details.items()}
+    hits = _open_hits(u, x_space.opens, variant, tol)
+    reach = hits.any(axis=1)
+    e_masks = np.zeros(x_space.full_mask + 1, dtype=object)  # indexed by open mask
+    e_masks[list(x_space.opens)] = _pack(reach)
+    first = np.array(EXTENSION_SCHEDULE)[hits.argmax(axis=1)].tolist()
+    attained = {
+        x_space.ids(um): {p: c for p, c, hit in zip(u.ambient_space.points, cs, row) if hit}
+        for um, cs, row in zip(x_space.opens, first, reach.tolist())
+    }
     failures = []
     pairs = 0
     for ua, ub in itertools.combinations_with_replacement(x_space.opens, 2):
@@ -552,18 +544,12 @@ def connectivity_analysis(u: Extender, tol: float = 1e-9) -> ConnectivityReport:
     if not region:
         return ConnectivityReport(region, {}, True, True, checked_on, schedule_limited=limited)
 
-    img_masks = {p: images[y_space.index(p)] for p in region}
-    values = {p: x_space.ids(m) for p, m in img_masks.items()}
-
-    connected = all(x_space.is_connected_mask(m) for m in img_masks.values())
-    sub = embed(y_space, region)
-    restricted = SetValuedMap(
-        sub.subspace, x_space, tuple(img_masks[p] for p in sub.subspace.points)
-    )
+    img_masks = tuple(images[i] for i in _bits(region_mask))  # in region order
+    restricted = SetValuedMap(embed(y_space, region).subspace, x_space, img_masks)
     return ConnectivityReport(
         region,
-        values,
-        connected_values=connected,
+        dict(zip(region, map(x_space.ids, img_masks))),
+        connected_values=all(map(x_space.is_connected_mask, img_masks)),
         usc_on_region=is_usc(restricted),
         axioms_checked_on=checked_on,
         schedule_limited=limited,

@@ -103,7 +103,7 @@ def indicator(space, subset, lo: float = 0.0, hi: float = 1.0) -> RealFunction:
 
 
 def from_mapping(space, values: Mapping[str, float]) -> RealFunction:
-    return RealFunction(space, tuple(float(v) for v in _at_points(space, values, "values")))
+    return RealFunction(space, tuple(float(v) for v in _at_points(space.points, values, "values")))
 
 
 def _fold(kind: Kind, arrays) -> np.ndarray:
@@ -217,8 +217,8 @@ class IdempotentDensity(Functional):
 
 def density(space, lam: Mapping[str, float | None]) -> IdempotentDensity:
     """Density from a mapping; ``None`` (or -inf) marks excluded points."""
-    vals = tuple(NEG_INF if v is None else float(v) for v in _at_points(space, lam, "lambda"))
-    return IdempotentDensity(space, vals)
+    weights = _at_points(space.points, lam, "lambda")
+    return IdempotentDensity(space, tuple(NEG_INF if v is None else float(v) for v in weights))
 
 
 @dataclass(frozen=True)
@@ -848,6 +848,8 @@ class SubsetFamily:
         full = self.space.full_mask
         if any(m & ~full for m in self.members):
             raise InvariantViolation("members", "member outside the space")
+        if 0 in self.members:
+            raise EmptySet("family members are nonempty subsets")
 
     def subsets(self) -> tuple[frozenset[str], ...]:
         return tuple(self.space.subset(m) for m in self.members)

@@ -98,6 +98,8 @@ def hausdorff_distance(f: HyperPoint, g: HyperPoint, metric: MetricSpace) -> flo
 
 def lipschitz_constant(f: RealFunction, metric: MetricSpace) -> float:
     """Smallest L with |f(x)-f(y)| <= L d(x,y) over all pairs."""
+    if f.space != metric:
+        raise SpaceMismatch("the function must live on the metric space")
     d = metric.dist.tolist()
     v = f.values
     pairs = ((i, j) for i in range(metric.n) for j in range(i + 1, metric.n))

@@ -185,20 +185,19 @@ def load_functional(data: dict) -> Functional:
         return MeanFunctional(space)
     if kind == "table":
         table_in = _object(data.get("table", {}), "table")
-        values = [0.0] * (1 << space.n)
-        seen = set()
+        values = {}  # pattern bitmask -> value
         for key, val in table_in.items():
-            ids = [s for s in key.split(",") if s]
-            mask = space.mask(ids)
+            mask = space.mask([s for s in key.split(",") if s])
+            if mask in values:
+                raise ParseError(f"table[{key}] repeats a pattern given earlier")
             values[mask] = _number(val, f"table[{key}]")
-            seen.add(mask)
-        if len(seen) != 1 << space.n:
+        if len(values) != 1 << space.n:
             raise InvariantViolation(
                 "table.complete", "need one value per two-valued pattern"
             )
         lo = _number(data.get("lo"), "lo")
         hi = _number(data.get("hi"), "hi")
-        return TableFunctional(space, lo, hi, tuple(values))
+        return TableFunctional(space, lo, hi, tuple(values[m] for m in range(1 << space.n)))
     raise ParseError(f"unknown functional kind {kind!r}")
 
 
@@ -243,4 +242,12 @@ def functional_to_json(mu: Functional) -> dict:
         }
     if isinstance(mu, MeanFunctional):
         return {"space": space_to_json(mu.space), "kind": "mean"}
+    if isinstance(mu, TableFunctional):
+        return {
+            "space": space_to_json(mu.space),
+            "kind": "table",
+            "lo": mu.lo,
+            "hi": mu.hi,
+            "table": {",".join(mu.space.ids(m)): v for m, v in enumerate(mu.table)},
+        }
     raise ParseError(f"functional {mu.label!r} has no file form")

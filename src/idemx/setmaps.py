@@ -80,7 +80,7 @@ def setmap(
     codomain: FiniteTopSpace,
     images: Mapping[str, Iterable[str]],
 ) -> SetValuedMap:
-    masks = tuple(codomain.mask(v) for v in _at_points(domain, images, "map"))
+    masks = tuple(codomain.mask(v) for v in _at_points(domain.points, images, "map"))
     return SetValuedMap(domain, codomain, masks)
 
 

@@ -38,17 +38,16 @@ def _bits(mask: int) -> Iterable[int]:
         i += 1
 
 
-def _at_points(space, mapping: Mapping, name: str) -> list:
-    """The values of ``mapping`` at the points of ``space``, in order; a
-    missing point, or a key that is not a point, is an InvariantViolation
-    at ``name[key]``."""
-    missing = [p for p in space.points if p not in mapping]
+def _at_points(points: Sequence[str], mapping: Mapping, name: str) -> list:
+    """The values of ``mapping`` at ``points``, in order; a missing point,
+    or a key that is not a point, is an InvariantViolation at ``name[key]``."""
+    missing = [p for p in points if p not in mapping]
     if missing:
         raise InvariantViolation(f"{name}[{missing[0]}]", "missing value")
-    if len(mapping) > len(space.points):  # every point is a key, so some key is not a point
-        unknown = next(k for k in mapping if k not in space.points)
+    if len(mapping) > len(points):  # every point is a key, so some key is not a point
+        unknown = next(k for k in mapping if k not in points)
         raise InvariantViolation(f"{name}[{unknown}]", "not a point of the space")
-    return [mapping[p] for p in space.points]
+    return [mapping[p] for p in points]
 
 
 class _PointSet:
@@ -218,16 +217,15 @@ def from_minimal_basis(
     """Build a validated space from a point -> minimal-open-set mapping.
 
     ``points`` fixes the point order; by default the mapping's own order is
-    used.  Raises MembershipViolation or PreorderViolation on bad tables.
+    used.  Raises MembershipViolation or PreorderViolation on bad tables, and
+    InvariantViolation on a missing point or a key that is not a point.
     """
     pts = tuple(points) if points is not None else tuple(min_nbhd.keys())
     index = {p: i for i, p in enumerate(pts)}
     masks = []
-    for p in pts:
-        if p not in min_nbhd:
-            raise InvariantViolation(f"min_nbhd[{p}]", "missing entry")
+    for p, members in zip(pts, _at_points(pts, min_nbhd, "min_nbhd")):
         m = 0
-        for q in min_nbhd[p]:
+        for q in members:
             if q not in index:
                 raise InvariantViolation(f"min_nbhd[{p}]", f"{q!r} is not a point")
             m |= 1 << index[q]

@@ -6,7 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from idemx.errors import AxiomPrecheckFailed, IdemxError, InvariantViolation, SpaceMismatch
+from idemx.errors import (
+    AxiomPrecheckFailed,
+    EmptySet,
+    IdemxError,
+    InvariantViolation,
+    SpaceMismatch,
+)
 from idemx.extenders import (
     Extender,
     build_extender,
@@ -14,15 +20,16 @@ from idemx.extenders import (
     forward_implications,
 )
 from idemx.functionals import (
+    RealFunction,
     SubsetFamily,
     density,
     from_mapping,
     infsup_reconstruct,
     support_functional,
 )
-from idemx.hyperspace import functional_topology
+from idemx.hyperspace import functional_topology, lipschitz_constant
 from idemx.setmaps import setmap
-from idemx.spaces import discrete, embed, from_minimal_basis
+from idemx.spaces import discrete, embed, from_minimal_basis, line_metric
 
 X = discrete(["a", "b"])
 MU = support_functional(X, "min", ["a", "b"])
@@ -47,6 +54,25 @@ CASES = {
     "infsup-family-larger": (
         lambda: infsup_reconstruct(MU, F, family=SubsetFamily(discrete(["x", "y", "z"]), (0b100,))),
         SpaceMismatch, "family",
+    ),
+    "infsup-family-empty-member": (
+        lambda: infsup_reconstruct(MU, F, family=SubsetFamily(X, (0,))), EmptySet, "nonempty",
+    ),
+    "lipschitz-other-space": (
+        lambda: lipschitz_constant(
+            RealFunction(discrete(["x", "y"]), (0.0, 1.0)), line_metric({"x": 0, "y": 1, "z": 2})
+        ),
+        SpaceMismatch, "metric space",
+    ),
+    "lipschitz-same-size-other-space": (
+        lambda: lipschitz_constant(
+            RealFunction(discrete(["x", "y"]), (0.0, 1.0)), line_metric({"x": 0, "y": 1})
+        ),
+        SpaceMismatch, "metric space",
+    ),
+    "min-basis-unknown-point": (
+        lambda: from_minimal_basis({"p": ["p"], "z": ["z", "p"]}, points=["p"]),
+        InvariantViolation, r"^min_nbhd\[z\]: not a point of the space$",
     ),
     "density-missing-point": (
         lambda: density(X, {"a": 0}), InvariantViolation, r"^lambda\[b\]: ",

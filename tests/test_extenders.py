@@ -342,3 +342,103 @@ def test_batched_open_extensions_match_one_open_at_a_time():
                         acc &= e.subspace.closure_mask(um)
                 images.append(acc)
             assert retraction_from_open_sets(u, variant).images == tuple(images)
+
+
+def ref_algebra_failures(x, y, want):
+    """The failures of ``check_open_extension_algebra``, from the reference
+    extensions, in the order the pair loop reports them."""
+    e = {um: mask for um, (mask, _) in want.items()}
+    out = []
+    for ua, ub in itertools.combinations_with_replacement(x.opens, 2):
+        if e[ua & ub] != e[ua] & e[ub]:
+            lhs, rhs = y.ids(e[ua & ub]), y.ids(e[ua] & e[ub])
+            out.append(f"e({x.ids(ua)} & {x.ids(ub)}): {lhs} != {rhs}")
+        for a, b in ((ua, ub), (ub, ua)):
+            if not (a & ~b) and (e[a] & ~e[b]):
+                out.append(f"monotonicity: e({x.ids(a)}) not inside e({x.ids(b)})")
+    return out
+
+
+def user_extender(e, kind, terms, switch=False):
+    """A user-built extender preserving max (min), normalized: at an outside
+    point y, the max (min) over the terms (x, s) of y of phi_s(f(x)), where
+    phi_s(t) = min(t + s, max(t, 1)) (dually max(t - s, min(t, 1))) is the
+    identity at s = 0 and first falls below (rises above) 1 at t = 1 -+ c
+    for c > s.  ``switch`` turns the fold at y into its opposite once some
+    input is below -5 (above 5), which the precheck's {-1, 0, 1} inputs
+    never reach, so the extension algebra can fail."""
+    amb, sub = e.ambient, e.subspace
+
+    def apply(f):
+        v = dict(zip(sub.points, f.values))
+        out = []
+        for p in amb.points:
+            if p in v:
+                out.append(v[p])
+                continue
+            if kind == "max":
+                vals = [min(v[x] + s, max(v[x], 1.0)) for x, s in terms[p]]
+                fold = min if switch and min(v.values()) < -5 else max
+            else:
+                vals = [max(v[x] - s, min(v[x], 1.0)) for x, s in terms[p]]
+                fold = max if switch and max(v.values()) > 5 else min
+            out.append(fold(vals))
+        return RealFunction(amb, tuple(out))
+
+    return Extender(e, apply)
+
+
+def user_extender_inputs():
+    """Both subspace topologies, both kinds, and for each outside point a
+    nonempty set of terms with shifts 0, 5 and 50, so that contributions
+    are first reached at c = 1, 10 and 100."""
+    discrete_x = from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["w"], "v": ["v", "p"]})
+    sierpinski_x = from_minimal_basis({"0": ["0", "1"], "1": ["1"], "w": ["w"], "v": ["v", "1"]})
+    spaces = (embed(discrete_x, ["p", "q"]), embed(sierpinski_x, ["0", "1"]))
+    for e in spaces:
+        x0, x1 = e.subspace.points
+        choices = [
+            [(x, s) for x, s in zip((x0, x1), pick) if s is not None]
+            for pick in itertools.product((None, 0.0, 5.0, 50.0), repeat=2)
+        ][1:]
+        for kind in ("max", "min"):
+            for i, w_terms in enumerate(choices):
+                for v_terms in (choices[(3 * i + 1) % 15], choices[(7 * i + 4) % 15]):
+                    yield e, kind, {"w": w_terms, "v": v_terms}, False
+            yield e, kind, {"w": [(x0, 0.0), (x1, 0.0)], "v": [(x1, 5.0)]}, True
+
+
+def test_batched_open_extensions_match_one_open_at_a_time_on_user_extenders():
+    seen_c = set()
+    algebra_failed = recovery_failed = 0
+    for e, kind, terms, switch in user_extender_inputs():
+        x, y = e.subspace, e.ambient
+        u = user_extender(e, kind, terms, switch)
+        own = "max_usc" if kind == "max" else "min_lsc"
+        for variant in ("max_usc", "min_lsc"):
+            want = ref_extend_opens(u, variant)
+            for um, (mask, attained) in want.items():
+                assert extend_open_set(u, um, variant) == y.subset(mask)
+                seen_c.update(attained.values())
+            images = []
+            for i in range(y.n):
+                acc = x.full_mask
+                for um, (mask, _) in want.items():
+                    if (mask >> i) & 1:
+                        acc &= x.closure_mask(um)
+                images.append(acc)
+            if 0 in images:
+                recovery_failed += 1
+                at = y.points[images.index(0)]
+                with pytest.raises(InvariantViolation, match=f"empty recovered value at {at!r}"):
+                    retraction_from_open_sets(u, variant)
+            else:
+                assert retraction_from_open_sets(u, variant).images == tuple(images)
+            if variant == own:
+                rep = check_open_extension_algebra(u, variant)
+                assert rep.attained == {x.ids(um): a for um, (_, a) in want.items()}
+                assert list(rep.failures) == ref_algebra_failures(x, y, want)
+                assert rep.schedule_limited
+                algebra_failed += not rep.passed
+    assert seen_c == set(EXTENSION_SCHEDULE)
+    assert algebra_failed and recovery_failed

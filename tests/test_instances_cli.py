@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from idemx.cli import main
 from idemx.errors import InvariantViolation, MembershipViolation, ParseError
-from idemx.functionals import IdempotentDensity, MeanFunctional, SupportFunctional
+from idemx.functionals import (
+    IdempotentDensity,
+    MeanFunctional,
+    SupportFunctional,
+    TableFunctional,
+)
 from idemx.instances import (
     embedding_to_json,
     functional_to_json,
@@ -112,6 +117,7 @@ def test_serialization_roundtrips():
         SupportFunctional(d, "max", 3),
         IdempotentDensity(d, (0.0, float("-inf"))),
         MeanFunctional(d),
+        TableFunctional(d, -1.0, 2.0, (0.0, 0.5, -3.0, 7.25)),
     ):
         assert load_instance(functional_to_json(mu)) == mu
 
@@ -278,6 +284,10 @@ def test_cli_campaign_csv(files):
         ("classify", {"space": {"points": ["a"], "min_nbhd": {"a": ["a"], "b": ["b"]}},
                       "kind": "mean"}),
         ("classify", {"space": {"min_nbhd": {}}, "kind": "mean"}),
+        ("classify", {"space": D3_JSON, "kind": "table", "lo": 0, "hi": 1,
+                      "table": {"a,b": 1, "b,a": 5}}),
+        ("classify", {"space": D3_JSON, "kind": "table", "lo": 0, "hi": 1,
+                      "table": {"a": 1, "a,a": 5}}),
         ("replay", {"suites": ["a"]}),
         ("replay", {"suites": {"support_roundtrip": {"witnesses": ["x"]}}}),
         ("replay", {"suites": {"support_roundtrip": {"witnesses": [{"case": {}}]}}}),
@@ -286,6 +296,7 @@ def test_cli_campaign_csv(files):
         "space-not-object", "density-weight", "subset-entry", "replay-list", "F-string",
         "min-not-bool", "weight-for-unknown-point", "weight-overflow", "weight-bool",
         "points-null", "nbhd-for-unknown-point", "empty-space",
+        "table-pattern-repeated", "table-point-repeated",
         "replay-suites-list", "replay-witness-string", "replay-empty-case",
     ],
 )
@@ -306,6 +317,15 @@ def test_cli_extend_rejects_a_non_numeric_function_value(files, capsys):
         assert main(args + ["--function", str(files["f"])]) == 2, values
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError") and err.count("\n") == 1, err
+
+
+def test_cli_extend_rejects_a_value_for_an_unknown_point(files, capsys):
+    args = ["extend", "--embedding", str(files["emb"]), "--map", str(files["map"])]
+    files["f"].write_text(json.dumps({"values": {"p": 1, "q": 2, "zz": 7}}))
+    assert main(args + ["--function", str(files["f"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and err.count("\n") == 1, err
+    assert "['zz']" in err
 
 
 def test_cli_classify_rejects_a_table_input_outside_lo_hi(tmp_path, capsys):
