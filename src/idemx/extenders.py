@@ -37,6 +37,8 @@ from .functionals import (
     _axiom_sweep,
     _base,
     _blocks,
+    _check_count,
+    _check_tol,
     _class_supports,
     _distinct,
     _fold,
@@ -161,32 +163,38 @@ class FunctionClassReport:
     witnesses: tuple[str, ...] = ()
 
 
-def function_class(g: RealFunction, space: FiniteTopSpace) -> FunctionClassReport:
-    """Classify a function as continuous, lsc, usc, or neither.
+def _classes(G: np.ndarray, space: FiniteTopSpace) -> np.ndarray:
+    """The class of each row of G, whose last axis runs over the points of
+    ``space`` (any leading shape), as an array of shape G.shape[:-1] of
+    "continuous", "lsc", "usc" or "neither".
 
-    On a finite space the test is pairwise, for every point y and every y'
-    in minN(y): g is lsc iff g(y') >= g(y), since then every upper set
-    {g > a} is a union of minimal neighborhoods, and usc iff g(y') <= g(y).
+    This is the pair rule that ``setmaps._rules`` applies to maps, over the
+    pairs (y, y') of ``setmaps._pairs``, y' in minN(y): a row is lsc iff
+    every G[..., y'] >= G[..., y] (each upper set is then open), and usc
+    iff every G[..., y'] <= G[..., y].
+    """
+    y, y2 = np.array(_pairs(space), dtype=int).reshape(-1, 2).T
+    lo, hi = G[..., y2], G[..., y]
+    lsc, usc = (lo >= hi).all(axis=-1), (lo <= hi).all(axis=-1)
+    return np.array(["neither", "lsc", "usc", "continuous"])[lsc + 2 * usc]
+
+
+def function_class(g: RealFunction, space: FiniteTopSpace) -> FunctionClassReport:
+    """Classify a function as continuous, lsc, usc, or neither, by
+    ``_classes``, with a witness for each pair (y, y') it compares unequal.
     """
     if g.space != space:
         raise SpaceMismatch("function must live on the given space")
     v, pts = g.values, space.points
     witnesses = []
-    lsc_ok = usc_ok = True
     for y, y2 in _pairs(space):
-        if v[y2] == v[y]:
-            continue
-        below = v[y2] < v[y]
-        if below:
-            lsc_ok = False
-        else:
-            usc_ok = False
-        witnesses.append(
-            f"g({pts[y2]}) {'<' if below else '>'} g({pts[y]}) with {pts[y2]} "
-            f"in minN({pts[y]}): not {'lsc' if below else 'usc'}"
-        )
-    klass = {(True, True): "continuous", (True, False): "lsc", (False, True): "usc"}
-    return FunctionClassReport(klass.get((lsc_ok, usc_ok), "neither"), tuple(witnesses))
+        if v[y2] != v[y]:
+            below = v[y2] < v[y]
+            witnesses.append(
+                f"g({pts[y2]}) {'<' if below else '>'} g({pts[y]}) with {pts[y2]} "
+                f"in minN({pts[y]}): not {'lsc' if below else 'usc'}"
+            )
+    return FunctionClassReport(str(_classes(np.array(v), space)), tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -230,8 +238,9 @@ def forward_implications(
     ``r_usc`` and ``r_lsc``.  Upper semicontinuous maps must give lsc outputs
     through the min extender and usc outputs through the max extender; lower
     semicontinuous maps dually; continuous maps give continuous outputs.
-    Each input of ``family`` is extended and classified once.  An extender
-    that is not retraction-derived has no kind: InvariantViolation.
+    All inputs of ``family`` are extended in one ``apply_batch`` and
+    classified in one ``_classes``.  A non-finite output, and an extender
+    that is not retraction-derived (it has no kind), are InvariantViolations.
     """
     if not isinstance(u.provenance, FromRetraction):
         raise InvariantViolation("provenance", "the extender must be built from a retraction")
@@ -246,17 +255,18 @@ def forward_implications(
         want = ("usc", "continuous") if kind == "min" else ("lsc", "continuous")
         expectations.append((f"lsc map gives {want[0]} outputs ({kind} extender)", want))
 
-    failures = {name: [] for name, _ in expectations}
     F = _array(family, u.domain_space.n)
-    for vals, out in zip(F.tolist(), u.apply_batch(F).tolist()):
-        g = RealFunction(u.ambient_space, tuple(out))
-        klass = function_class(g, u.ambient_space).klass
-        for name, allowed in expectations:
-            if klass not in allowed:
-                failures[name].append(f"f={tuple(vals)} -> u(f)={g.values} is {klass}")
+    G = u.apply_batch(F)
+    if not np.isfinite(G).all():
+        raise InvariantViolation("values", "values must be finite")
+    classes = _classes(G, u.ambient_space).tolist()
     return tuple(
-        ImplicationResult(name, len(family), tuple(failures[name]))
-        for name, _ in expectations
+        ImplicationResult(name, len(family), tuple(
+            f"f={tuple(F[i].tolist())} -> u(f)={tuple(G[i].tolist())} is {c}"
+            for i, c in enumerate(classes)
+            if c not in allowed
+        ))
+        for name, allowed in expectations
     )
 
 
@@ -271,6 +281,9 @@ def verify_semicontinuity_theorem(
     """Check ``forward_implications`` for r, and check the pointwise
     functionals against the identities of their kind.
     """
+    _check_count("sample", sample)
+    _check_count("seed", seed)
+    _check_tol(tol)
     u = build_extender(r, embedding, kind)
     n = embedding.subspace.n
     fam = np.concatenate([
@@ -314,6 +327,8 @@ def supports_retraction(
     A column that is not verified is classified alone, so its error is the
     one ``classify`` raises.
     """
+    _check_count("budget", budget)
+    _check_tol(tol)
     x_space = u.domain_space
     y_space = u.ambient_space
     _, _, masks, _ = _class_supports(u.apply_batch, x_space.n, min(budget, 32), budget, tol, 0)
@@ -342,15 +357,16 @@ def _first_failing(u: Extender, axioms, tol: float, family=None) -> str | None:
     return next((a for a in axioms if not all(rep.passed for rep in sweep[a])), None)
 
 
-def _check_variant(variant: str) -> None:
+def _check_args(variant: str, tol) -> None:
+    _check_tol(tol)
     if variant not in ("max_usc", "min_lsc"):
         raise InvariantViolation("variant", "must be max_usc or min_lsc")
 
 
 def _check_opens(u: Extender, variant: str, tol: float) -> None:
     """The checks of each public open-set call before ``_open_hits``:
-    the variant, then that u is normalized."""
-    _check_variant(variant)
+    the tolerance and the variant, then that u is normalized."""
+    _check_args(variant, tol)
     if _first_failing(u, ("normed",), tol):
         raise NotNormalized("u(1) != 1 on the ambient space")
 
@@ -448,7 +464,7 @@ def check_open_extension_algebra(
     retraction-derived the c-schedule may undershoot the full union, which
     the ``schedule_limited`` flag records.
     """
-    _check_variant(variant)
+    _check_args(variant, tol)
     x_space = u.domain_space
     if x_space.n > 6:
         raise TooLarge("exhaustive open-pair check needs |X| <= 6")

@@ -155,8 +155,7 @@ class SupportFunctional(Functional):
     member: int  # bitmask of the support set
 
     def __post_init__(self):
-        if self.member == 0:
-            raise EmptySet("support set must be nonempty")
+        self.space.member(self.member, "member")
         if self.kind not in ("min", "max"):
             raise InvariantViolation("kind", "must be 'min' or 'max'")
 
@@ -845,11 +844,8 @@ class SubsetFamily:
     def __post_init__(self):
         if len(set(self.members)) != len(self.members):
             raise InvariantViolation("members", "duplicate member subsets")
-        full = self.space.full_mask
-        if any(m & ~full for m in self.members):
-            raise InvariantViolation("members", "member outside the space")
-        if 0 in self.members:
-            raise EmptySet("family members are nonempty subsets")
+        for m in self.members:
+            self.space.member(m, "members")
 
     def subsets(self) -> tuple[frozenset[str], ...]:
         return tuple(self.space.subset(m) for m in self.members)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySet, InvariantViolation, ModeArity, SpaceMismatch, TooLarge
+from .errors import InvariantViolation, ModeArity, SpaceMismatch, TooLarge
 from .functionals import Functional, RealFunction, SupportFunctional, classify, indicator, support
 from .spaces import FiniteTopSpace, MetricSpace, _bits
 
@@ -26,11 +26,7 @@ class HyperPoint:
     member: int
 
     def __post_init__(self):
-        if self.member == 0:
-            raise EmptySet("hyperspace points are nonempty subsets")
-        full = (1 << len(self.space.points)) - 1
-        if self.member & ~full:
-            raise InvariantViolation("member", "subset outside the space")
+        self.space.member(self.member, "member")
 
     def ids(self) -> tuple[str, ...]:
         return self.space.ids(self.member)
@@ -107,11 +103,11 @@ def lipschitz_constant(f: RealFunction, metric: MetricSpace) -> float:
 
 
 def subset_min(f: RealFunction, member: int) -> float:
-    return min(f.values[i] for i in _bits(member))
+    return min(f.values[i] for i in _bits(f.space.member(member, "member")))
 
 
 def subset_max(f: RealFunction, member: int) -> float:
-    return max(f.values[i] for i in _bits(member))
+    return max(f.values[i] for i in _bits(f.space.member(member, "member")))
 
 
 # -- the subset <-> functional correspondence --------------------------------

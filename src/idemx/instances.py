@@ -224,30 +224,34 @@ def setmap_to_json(r: SetValuedMap) -> dict:
 
 
 def functional_to_json(mu: Functional) -> dict:
-    if isinstance(mu, SupportFunctional):
-        return {
-            "space": space_to_json(mu.space),
-            "kind": "support",
-            "min": mu.kind == "min",
-            "F": list(mu.space.ids(mu.member)),
-        }
-    if isinstance(mu, IdempotentDensity):
-        return {
-            "space": space_to_json(mu.space),
-            "kind": "density",
-            "lambda": {
-                p: ("-inf" if v == NEG_INF else v)
-                for p, v in zip(mu.space.points, mu.lam)
-            },
-        }
-    if isinstance(mu, MeanFunctional):
-        return {"space": space_to_json(mu.space), "kind": "mean"}
-    if isinstance(mu, TableFunctional):
-        return {
-            "space": space_to_json(mu.space),
-            "kind": "table",
-            "lo": mu.lo,
-            "hi": mu.hi,
-            "table": {",".join(mu.space.ids(m)): v for m, v in enumerate(mu.table)},
-        }
+    """The file form of ``mu``; a functional without one, such as any
+    functional on a metric space, is a ParseError."""
+    if isinstance(mu.space, FiniteTopSpace):
+        space = space_to_json(mu.space)
+        if isinstance(mu, SupportFunctional):
+            return {
+                "space": space,
+                "kind": "support",
+                "min": mu.kind == "min",
+                "F": list(mu.space.ids(mu.member)),
+            }
+        if isinstance(mu, IdempotentDensity):
+            return {
+                "space": space,
+                "kind": "density",
+                "lambda": {
+                    p: ("-inf" if v == NEG_INF else v)
+                    for p, v in zip(mu.space.points, mu.lam)
+                },
+            }
+        if isinstance(mu, MeanFunctional):
+            return {"space": space, "kind": "mean"}
+        if isinstance(mu, TableFunctional):
+            return {
+                "space": space,
+                "kind": "table",
+                "lo": mu.lo,
+                "hi": mu.hi,
+                "table": {",".join(mu.space.ids(m)): v for m, v in enumerate(mu.table)},
+            }
     raise ParseError(f"functional {mu.label!r} has no file form")

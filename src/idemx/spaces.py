@@ -84,6 +84,15 @@ class _PointSet:
             m |= 1 << self.index(p)
         return m
 
+    def member(self, mask: int, what: str) -> int:
+        """``mask`` as a nonempty subset of the space: EmptySet when it is 0,
+        InvariantViolation at ``what`` when it names a point past the space."""
+        if not mask:
+            raise EmptySet(f"{what}: must be nonempty")
+        if mask >> self.n:
+            raise InvariantViolation(what, "names a point outside the space")
+        return mask
+
     def ids(self, mask: int) -> tuple[str, ...]:
         """Point identifiers of a bitmask, in point order."""
         return tuple(self.points[i] for i in _bits(mask))

@@ -11,23 +11,31 @@ from idemx.errors import (
     EmptySet,
     IdemxError,
     InvariantViolation,
+    ParseError,
     SpaceMismatch,
 )
 from idemx.extenders import (
     Extender,
     build_extender,
     check_open_extension_algebra,
+    connectivity_analysis,
+    extend_open_set,
     forward_implications,
+    retraction_from_open_sets,
+    supports_retraction,
+    verify_semicontinuity_theorem,
 )
 from idemx.functionals import (
     RealFunction,
     SubsetFamily,
+    SupportFunctional,
     density,
     from_mapping,
     infsup_reconstruct,
     support_functional,
 )
-from idemx.hyperspace import functional_topology, lipschitz_constant
+from idemx.hyperspace import functional_topology, lipschitz_constant, subset_max, subset_min
+from idemx.instances import functional_to_json
 from idemx.setmaps import setmap
 from idemx.spaces import discrete, embed, from_minimal_basis, line_metric
 
@@ -36,6 +44,8 @@ MU = support_functional(X, "min", ["a", "b"])
 F = from_mapping(X, {"a": 1.0, "b": 2.0})
 E = embed(from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["w"]}), ["p", "q"])
 R = setmap(E.ambient, E.subspace, {"p": ["p"], "q": ["q"], "w": ["p", "q"]})
+U = build_extender(R, E, "max")
+NAN = float("nan")
 
 CASES = {
     # a max extender does not preserve min, so the variant must go first
@@ -99,6 +109,50 @@ CASES = {
     "topology-bad-kind": (
         lambda: functional_topology(X, "mean", "above"), InvariantViolation, "^kind: ",
     ),
+    # the extender layer's parameters
+    "supports-negative-budget": (
+        lambda: supports_retraction(U, budget=-1), InvariantViolation, "^budget: ",
+    ),
+    "supports-nan-tol": (lambda: supports_retraction(U, tol=NAN), InvariantViolation, "^tol: "),
+    "extend-open-nan-tol": (
+        lambda: extend_open_set(U, {"p"}, tol=NAN), InvariantViolation, "^tol: ",
+    ),
+    "open-sets-nan-tol": (
+        lambda: retraction_from_open_sets(U, tol=NAN), InvariantViolation, "^tol: ",
+    ),
+    "open-sets-negative-tol": (
+        lambda: retraction_from_open_sets(U, tol=-1), InvariantViolation, "^tol: ",
+    ),
+    "algebra-nan-tol": (
+        lambda: check_open_extension_algebra(U, tol=NAN), InvariantViolation, "^tol: ",
+    ),
+    "connectivity-nan-tol": (
+        lambda: connectivity_analysis(U, tol=NAN), InvariantViolation, "^tol: ",
+    ),
+    "theorem-negative-sample": (
+        lambda: verify_semicontinuity_theorem(R, E, "max", sample=-1),
+        InvariantViolation, "^sample: ",
+    ),
+    "theorem-negative-seed": (
+        lambda: verify_semicontinuity_theorem(R, E, "max", seed=-1),
+        InvariantViolation, "^seed: ",
+    ),
+    "theorem-nan-tol": (
+        lambda: verify_semicontinuity_theorem(R, E, "max", tol=NAN),
+        InvariantViolation, "^tol: ",
+    ),
+    # subset masks
+    "subset-min-empty": (lambda: subset_min(F, 0), EmptySet, "nonempty"),
+    "subset-min-past-space": (lambda: subset_min(F, 0b100), InvariantViolation, "^member: "),
+    "subset-max-empty": (lambda: subset_max(F, 0), EmptySet, "nonempty"),
+    "subset-max-past-space": (lambda: subset_max(F, 0b100), InvariantViolation, "^member: "),
+    "support-functional-past-space": (
+        lambda: SupportFunctional(X, "min", 0b100), InvariantViolation, "^member: ",
+    ),
+    "functional-json-metric-space": (
+        lambda: functional_to_json(SupportFunctional(line_metric({"a": 0, "b": 1}), "min", 1)),
+        ParseError, "has no file form",
+    ),
 }
 
 
@@ -117,5 +171,8 @@ def test_the_boundary_keeps_the_valid_calls():
     assert functional_topology(X, "max", "below") == functional_topology(X, "min", "above")
     with pytest.raises(AxiomPrecheckFailed):
         check_open_extension_algebra(build_extender(R, E, "max"), "min_lsc")
-    (implication,) = forward_implications(build_extender(R, E, "max"), True, False, np.eye(2))
+    (implication,) = forward_implications(U, True, False, np.eye(2))
     assert implication.passed
+    assert (subset_min(F, 0b11), subset_max(F, 0b11)) == (1.0, 2.0)
+    assert extend_open_set(U, {"p"}, tol=0) == {"p"}
+    assert retraction_from_open_sets(U, tol=0) == R
