@@ -345,7 +345,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _mirrored(a: np.ndarray) -> np.ndarray:
     """Each row of ``a`` followed by its negation."""
-    return np.stack([a, -a], axis=1).reshape(-1, *a.shape[1:])
+    return np.concatenate([a[:, None], -a[:, None]], axis=1).reshape(-1, *a.shape[1:])
 
 
 def _spikes(n: int, values) -> np.ndarray:
@@ -407,7 +407,6 @@ def _pair_family(n: int) -> np.ndarray:
     return _distinct(_base(n), *_blocks(n, (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)))
 
 
-@lru_cache(maxsize=64)
 def _pair_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairs for the binary lattice identities, as a negation-closed set.
 
@@ -497,8 +496,20 @@ class AxiomReport:
     witness: AxiomWitness | None = None
 
 
+@dataclass(frozen=True)
+class _Gathered:
+    """The rows ``rows[idx[i]]`` of one side of an identity, gathered when asked for."""
+
+    rows: np.ndarray
+    idx: np.ndarray
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.rows[self.idx[i]]
+
+
 def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomReport]:
-    """Per column of the k x m sides, the first row where they differ by more than tol."""
+    """Per column of the k x m sides, the first row i where they differ by
+    more than tol; its inputs are ``F[i]``, ``G[i]`` and ``C[i]``."""
     bad = np.abs(lhs - rhs) > tol
     if not bad.any():
         return [AxiomReport(axiom, True)] * bad.shape[1]
@@ -518,127 +529,222 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
     ]
 
 
-#: Entries kept by the cache of shared sweep inputs, one per (n, seed, drawn) key.
+#: Entries kept by the cache of random sweep rows, one per (n, seed, drawn) key.
 SWEEP_CACHE = 4
-#: Random trials drawn for the shared inputs of a sweep at up to this many trials.
+#: Random trials drawn for the random rows of a sweep at up to this many trials.
 SHARED_TRIALS = 64
 
-
-def _pair_inputs(F, G, seed: int, trials: int) -> dict:
-    """The pairs (F, G), then ``trials`` random pairs from a fresh
-    ``default_rng(seed)``, each followed by its mirror; and the left-hand
-    inputs max(F, G) and min(F, G)."""
-    if trials:
-        R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, F.shape[1]))
-        # the mirrors are for verdict exchange under duality
-        F, G = np.concatenate([F, _mirrored(R[:, 0])]), np.concatenate([G, _mirrored(R[:, 1])])
-    return {"F": F, "G": G, **{f"preserves_{k}": _fold(k, (F, G)) for k in ("max", "min")}}
+#: The identities checked on each input group: the pairs (F, G) and the rows (f, c).
+_GROUPS = {
+    "pairs": ("preserves_max", "preserves_min"),
+    "weak": ("weakly_additive", "weakly_preserves_max", "weakly_preserves_min"),
+}
 
 
-def _weak_inputs(F, C, seed: int, trials: int) -> dict:
-    """The rows (F, c), then ``trials`` random rows from a fresh
-    ``default_rng(seed)``, each followed by its mirror; and the left-hand
-    inputs F + c, max(F, c) and min(F, c)."""
-    if trials:
-        n = F.shape[1]
-        high = np.full(n + 1, 2.0)
-        high[n] = 5.0  # the constant's range
-        R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
-        F, C = np.concatenate([F, _mirrored(R[:, :n])]), np.concatenate([C, _mirrored(R[:, n])])
-    c = C[:, None]
-    lhs = {f"weakly_preserves_{k}": _fold(k, (F, c)) for k in ("max", "min")}
-    return {"F": F, "C": C, "weakly_additive": F + c, **lhs}
+def _combine(axiom: str, x, y):
+    """An identity's operation: x + y for weak additivity, else the max or
+    min of x and y.  Applied to the inputs it gives the left-hand input, to
+    the values of F and to G (or c) the right-hand side."""
+    return x + y if axiom == "weakly_additive" else _fold(axiom[-3:], (x, y))
+
+
+def _group_sides(group: str, F, other) -> dict:
+    """Every side of a group as rows: F (and G) and each identity's
+    left-hand input, for the inputs F and G, or F and the constants ``other``."""
+    sides = {"F": F, "G": other} if group == "pairs" else {"F": F}
+    return sides | {a: _combine(a, F, other) for a in _GROUPS[group]}
+
+
+def _bit_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a k x n array, compared by exact bits so that
+    -0.0 and 0.0 differ, and the id of each row among them."""
+    bits = np.ascontiguousarray(rows.view(np.uint64).T)
+    order = np.lexsort(bits)
+    bits = bits.take(order, axis=1)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    count = np.cumsum(new)
+    ids = np.empty(len(rows), dtype=np.min_scalar_type(count[-1]))
+    ids[order] = count - 1
+    return rows[order[new]], ids
+
+
+@lru_cache(maxsize=64)
+def _structured_ids(n: int) -> dict:
+    """The structured rows of each group of a sweep without a family: the
+    pairs of ``_pair_grid`` and the rows (f, c) of ``_weak_family``, with the
+    left-hand inputs built from them.  Per group: its distinct rows, each
+    side as ids into them, and the weak rows' constants (None for the pairs),
+    all read-only."""
+    F, G = _pair_grid(n)
+    W, C = _weak_family(n)
+    groups = {}
+    for group, sides, c in (
+        ("pairs", _group_sides("pairs", F, G), None),
+        ("weak", _group_sides("weak", W, C[:, None]), C),
+    ):
+        # each side's distinct rows first, which keeps the temporaries small
+        local = [_bit_ids(a) for a in sides.values()]
+        rows, ids = _bit_ids(np.concatenate([r for r, _ in local]))
+        starts = np.cumsum([0] + [len(r) for r, _ in local])
+        side_ids = {s: ids[start + i.astype(np.intp)] for s, start, (_, i) in zip(sides, starts, local)}
+        for a in (rows, *side_ids.values()):
+            a.flags.writeable = False
+        groups[group] = rows, side_ids, c
+    return groups
+
+
+@lru_cache(maxsize=64)
+def _structured(n: int, group: str, sides: tuple[str, ...]):
+    """The structured rows a sweep without a family evaluates for ``sides``
+    of a group: each distinct row once, in the order a sweep reading the
+    sides one after another meets it first, and each side as indices into
+    them.  Returns the rows, the indices by side and the constants (None for
+    the pairs), all read-only."""
+    distinct, ids, C = _structured_ids(n)[group]
+    met = np.concatenate([ids[s] for s in sides])
+    first = np.full(len(distinct), len(met))
+    np.minimum.at(first, met, np.arange(len(met)))
+    order = np.argsort(first)[: np.count_nonzero(first < len(met))]
+    rank = np.zeros(len(distinct), dtype=np.min_scalar_type(len(order)))
+    rank[order] = np.arange(len(order))
+    rows, idx = distinct[order], {s: rank[ids[s]] for s in sides}
+    for a in (rows, *idx.values()):
+        a.flags.writeable = False
+    return rows, idx, C
 
 
 @lru_cache(maxsize=SWEEP_CACHE)
-def _shared_inputs(n: int, seed: int, drawn: int) -> dict:
-    """The input groups of every sweep without a family at n points and
-    ``seed`` whose random rows are the first of ``drawn`` trials: the pairs
-    and the weak rows, each built whole by its builder, all arrays read-only.
-    """
-    entry = {
-        "pairs": _pair_inputs(*_pair_grid(n), seed, drawn),
-        ("weak", None): _weak_inputs(*_weak_family(n), seed, drawn),
-    }
-    for group in entry.values():
-        for a in group.values():
-            a.flags.writeable = False
-    return entry
+def _random_tail(n: int, seed: int, drawn: int) -> dict:
+    """The random rows of every sweep at n points and ``seed`` whose random
+    rows are the first of ``drawn`` trials: per group, each side's rows and
+    the weak rows' constants, drawn from a fresh ``default_rng(seed)``, each
+    row followed by its mirror (for verdict exchange under duality).  A draw
+    fills its rows one trial after another, so the rows of t trials are the
+    first 2t of each side.  All arrays are read-only."""
+    R = np.random.default_rng(seed).uniform(-2.0, 2.0, (drawn, 2, n))
+    pairs = _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1]))
+    high = np.full(n + 1, 2.0)
+    high[n] = 5.0  # the constant's range
+    R = np.random.default_rng(seed).uniform(-high, high, (drawn, n + 1))
+    C = _mirrored(R[:, n])
+    weak = _group_sides("weak", _mirrored(R[:, :n]), C[:, None])
+    for a in (*pairs.values(), *weak.values(), C):
+        a.flags.writeable = False
+    return {"pairs": (pairs, None), "weak": (weak, C)}
+
+
+def _family_rows(family, n: int) -> np.ndarray:
+    """A ``family`` as a read-only k x n array, k >= 1, of finite reals; any
+    other family is an InvariantViolation, raised before any evaluation."""
+    try:
+        fam = np.array(family)
+    except (TypeError, ValueError):
+        fam = np.array(None)
+    if fam.dtype.kind not in "iuf":
+        raise InvariantViolation("family", "must be a sequence of inputs, each a row of real numbers")
+    if not len(fam):
+        raise InvariantViolation("family", "must hold at least one input")
+    if fam.ndim != 2 or fam.shape[1] != n:
+        raise InvariantViolation("family", f"each input must be a row of {n} values, one per point")
+    if not np.isfinite(fam).all():
+        raise InvariantViolation("family", "values must be finite")
+    fam = fam.astype(float, copy=False)
+    fam.flags.writeable = False
+    return fam
+
+
+def _family_group(fam: np.ndarray, group: str, asked, cs):
+    """The rows a sweep on a family evaluates for the identities ``asked``
+    of a group, laid out as ``_structured`` lays out its rows but without
+    removing repeats: the first left-hand input, the values that F (and G)
+    gather from, the other left-hand inputs.  The pairs are the family's
+    products; the weak rows are each row f with each constant c of ``cs``,
+    then the negated rows."""
+    k = len(fam)
+    if group == "pairs":
+        values, C, f = fam, None, np.repeat(np.arange(k), k)
+        # row i * k + j of a left-hand input combines rows i and j
+        lhs = [_combine(a, fam[:, None], fam[None]).reshape(k * k, -1) for a in asked]
+    else:
+        values, f = np.concatenate([fam, -fam]), np.repeat(np.arange(2 * k), len(cs))
+        C = np.tile(cs, k)
+        C = np.concatenate([C, -C])
+        W = values[f]
+        lhs = [_combine(a, W, C[:, None]) for a in asked]
+    layout = {asked[0]: lhs[0], "F": values} | dict(zip(asked[1:], lhs[1:]))
+    start = dict(zip(layout, np.cumsum([0, *map(len, layout.values())])))
+    idx = {s: start[s] + np.arange(len(block)) for s, block in layout.items()}
+    idx["F"] = start["F"] + f
+    if group == "pairs":
+        idx["G"] = start["F"] + np.tile(np.arange(k), k)
+    return np.concatenate(list(layout.values())), idx, C
 
 
 def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[AxiomReport]]:
     """Check identities for the m functionals whose values on a k x n array
     of inputs are the k x m array ``ev(A)``; one report per column.
 
-    The identities share their input groups and evaluate each distinct block
-    once, in ``AXIOMS`` order: both lattice identities the pairs (F, G) and
-    their values (with a ``family`` and no random rows, gathered from one
-    evaluation of its rows), the weak identities the rows (F, c) and the
-    values of F (on a ``family``, additivity has constants of its own).
-    Each group's random rows come from a fresh ``default_rng(seed)``, each
-    row followed by its mirror, so a witness is the first violating row of
-    the identity's own block.
+    The identities of a group share its inputs and are checked from one
+    evaluation of its rows: the lattice identities from the pairs (F, G),
+    the weak identities from the rows (f, c) (on a ``family``, additivity
+    has constants of its own and so a group of its own).  A group's rows
+    are its structured rows, then its random rows; each side of each
+    identity (its left-hand input, F and G) is an index array into them, so
+    the values of both sides are gathers from that one evaluation, and a
+    witness is the identity's first violating input, in the sweep order of
+    its own sides.  With ``normed`` a full sweep without a family makes
+    three ``ev`` calls.
 
-    Without a ``family`` the groups depend only on n, the seed and the
-    trials, not on ``ev``: they are the entry
-    ``_shared_inputs(n, seed, max(trials, SHARED_TRIALS))`` of a cache of
-    ``SWEEP_CACHE`` entries, the least recently used going first, built
-    whole by ``_pair_inputs`` and ``_weak_inputs`` and never written to
-    after.  A draw fills its rows one trial after another from the seed's
-    stream, so the random rows for t trials are the first t of the shared
-    draw: a sweep reads the leading rows of each group.  A ``family``
-    builds the groups its identities need on each call, through the same
-    two builders.
+    Without a family the structured rows depend only on n: each distinct
+    row once, compared by exact bits, in the order in which a sweep reading
+    the identity's sides one after another first meets it, built once per n
+    and set of identities asked (``_structured``).  The random rows depend
+    on n, the seed and the draw size only: ``_random_tail(n, seed,
+    max(trials, SHARED_TRIALS))``, a cache of ``SWEEP_CACHE`` entries with
+    the least recently used going first.  They are appended side by side
+    without removing repeats, 2 x ``trials`` rows per side, read from the
+    head of the shared draw, each row followed by its mirror.  A family
+    lays out its own rows on each call, the same way.
     """
-    fam = None if family is None else _array(family, n)
-    memo = {}
-    if fam is None:
-        drawn = max(trials, SHARED_TRIALS)
-        skip = 2 * (drawn - trials)  # the random rows past this call's trials
-        for key, group in _shared_inputs(n, seed, drawn).items():
-            memo[key] = {k: a[: len(a) - skip] for k, a in group.items()}
-
-    def once(key, build):
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
-
-    def pair_values(P):  # the values of F and of G
-        if fam is None or trials:
-            return ev(P["F"]), ev(P["G"])
-        V = ev(fam)  # F and G are the family's products: evaluate its rows once and gather
-        return _product(V, V)
-
-    def constants(axiom):  # a weak identity's constants on a family; None without one
-        if fam is None:
-            return None
-        return (-1.0, 0.5, 1.0, 2.0) if axiom == "weakly_additive" else (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)
-
-    def weak(cs):  # the family's rows (f, c) for the constants cs, then the negated rows
-        F, C = np.repeat(fam, len(cs), axis=0), np.tile(cs, len(fam))
-        return _weak_inputs(np.concatenate([F, -F]), np.concatenate([C, -C]), seed, trials)
-
+    fam = None if family is None else _family_rows(family, n)
     reports = {}
-    for axiom in AXIOMS:
-        if axiom not in axioms:
-            continue
-        kind = axiom[-3:]
-        if axiom == "normed":
-            one = np.ones((1, n))
-            reports[axiom] = _first_violations(axiom, ev(one), 1.0, tol, one)
-        elif axiom in ("preserves_max", "preserves_min"):
-            P = once("pairs", lambda: _pair_inputs(*_product(fam, fam), seed, trials))
-            lhs = ev(P[axiom])
-            rhs = _fold(kind, once("FG", lambda: pair_values(P)))
-            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, P["F"], P["G"])
+    if "normed" in axioms:
+        one = np.ones((1, n))
+        reports["normed"] = _first_violations("normed", ev(one), 1.0, tol, one)
+    batches = {}  # the identities asked of each group, groups and identities in AXIOMS order
+    for a in AXIOMS[1:]:
+        if a in axioms:
+            group = "pairs" if a.startswith("preserves") else "weak"
+            cs = None  # a weak identity's constants on a family
+            if fam is not None and group == "weak":
+                cs = (-1.0, 0.5, 1.0, 2.0) if a == "weakly_additive" else (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)
+            batches.setdefault((group, cs), []).append(a)
+    for (group, cs), asked in batches.items():
+        # in the order the sweep reads them: the first left-hand input, the
+        # values of F (and G), then the other left-hand inputs
+        sides = (asked[0], "F", "G", *asked[1:]) if group == "pairs" else (asked[0], "F", *asked[1:])
+        if fam is None:
+            rows, idx, C = _structured(n, group, sides)
         else:
-            cs = constants(axiom)
-            W = once(("weak", cs), lambda: weak(cs))
-            lhs = ev(W[axiom])
-            c = W["C"][:, None]
-            values = once(("weak F", cs), lambda: ev(W["F"]))
-            rhs = values + c if axiom == "weakly_additive" else _fold(kind, (values, c))
-            reports[axiom] = _first_violations(axiom, lhs, rhs, tol, W["F"], C=W["C"])
+            rows, idx, C = _family_group(fam, group, asked, cs)
+        if trials:
+            random, random_C = _random_tail(n, seed, max(trials, SHARED_TRIALS))[group]
+            blocks, idx, offset = [rows], dict(idx), len(rows)
+            for s in sides:
+                blocks.append(random[s][: 2 * trials])
+                idx[s] = np.concatenate([idx[s], np.arange(offset, offset + 2 * trials)])
+                offset += 2 * trials
+            rows = np.concatenate(blocks)
+            if C is not None:
+                C = np.concatenate([C, random_C[: 2 * trials]])
+        V = ev(rows)
+        values = V.take(idx["F"], axis=0)
+        other = V.take(idx["G"], axis=0) if C is None else C[:, None]
+        F, G = _Gathered(rows, idx["F"]), _Gathered(rows, idx["G"]) if C is None else None
+        for a in asked:
+            rhs = _combine(a, values, other)
+            reports[a] = _first_violations(a, V.take(idx[a], axis=0), rhs, tol, F, G, C)
     return {a: reports[a] for a in axioms}
 
 
@@ -659,24 +765,26 @@ def check_axioms(
     The structured sweep (constants, indicators, all two-valued and all
     sign patterns up to 5 points) comes first and is deterministic, so any
     witness it finds is reproducible without the seed.  ``family`` replaces
-    the structured function family, e.g. to restrict to continuous inputs.
-    The identities share their input blocks: the two lattice identities
-    evaluate one set of pairs (F, G) and differ only in the fold, and the
-    weak identities evaluate one set of rows (f, c) and differ only in the
-    left-hand side.  Each distinct block is evaluated once, as one batch;
-    the witness of an identity is the first violation in its own sweep
-    order, the same as when it is checked alone.
+    the structured function family, e.g. to restrict to continuous inputs;
+    it must be a nonempty sequence of rows of one finite real per point.
+    The identities share their inputs: the two lattice identities read one
+    set of pairs (F, G) and differ only in the fold, and the weak identities
+    read one set of rows (f, c) and differ only in the left-hand side.  Each
+    group of inputs is evaluated once, as one batch, and both sides of each
+    identity are read from it; the witness of an identity is the first
+    violation in its own sweep order, the same as when it is checked alone.
 
     Without a ``family`` the inputs are shared across calls, whatever the
-    functional: the pairs, the rows (f, c) and the left-hand inputs built
-    from them are cached by point count, seed and ``max(trials, 64)``, at
-    most ``SWEEP_CACHE`` = 4 entries, each built whole on its first use and
-    read-only.  The random rows for ``trials`` trials are the first
-    ``trials`` of the shared draw, so rows, witnesses and reports are those
-    of a fresh build; only the functional's values are computed on every
-    call.  A ``family`` builds its inputs on each call, with the same two
-    builders.  ``trials`` and ``seed`` must be integers >= 0
-    and ``tol`` a finite number >= 0, else InvariantViolation.
+    functional.  The structured rows are built once per point count, each
+    distinct row once (compared by exact bits, so -0.0 and 0.0 stay apart).
+    The random rows are drawn once per point count, seed and
+    ``max(trials, 64)``, in a cache of ``SWEEP_CACHE`` = 4 entries, and
+    appended as drawn; those of ``trials`` trials are the first ``trials``
+    of the draw, so witnesses and reports are those of a fresh build.  All
+    six identities cost three evaluations of the functional: the constant
+    1, the rows (f, c) and the pairs.  A ``family`` lays out its own rows on
+    each call.  A bad ``family``, ``trials`` or ``seed`` (integers >= 0) or
+    ``tol`` (a finite number >= 0) is an InvariantViolation.
     """
     unknown = [a for a in axioms if a not in AXIOMS]
     if unknown:
@@ -697,7 +805,7 @@ def check_axiom(
     family: Sequence[tuple[float, ...]] | None = None,
 ) -> AxiomReport:
     """Check one identity: the one-axiom case of ``check_axioms``, which
-    builds and evaluates that identity's blocks only."""
+    evaluates only the rows that identity reads."""
     return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 

@@ -29,6 +29,8 @@ from idemx.functionals import (
     RealFunction,
     SubsetFamily,
     SupportFunctional,
+    check_axiom,
+    check_axioms,
     density,
     from_mapping,
     infsup_reconstruct,
@@ -46,6 +48,13 @@ E = embed(from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["w"]}), ["p", "q"])
 R = setmap(E.ambient, E.subspace, {"p": ["p"], "q": ["q"], "w": ["p", "q"]})
 U = build_extender(R, E, "max")
 NAN = float("nan")
+# min over {a, b} on three points, whose families are rows of three values
+MIN_AB = support_functional(discrete(["a", "b", "c"]), "min", ["a", "b"])
+
+
+def _on_family(family, axiom="preserves_max"):
+    return lambda: check_axiom(MIN_AB, axiom, trials=0, family=family)
+
 
 CASES = {
     # a max extender does not preserve min, so the variant must go first
@@ -149,6 +158,22 @@ CASES = {
     "support-functional-past-space": (
         lambda: SupportFunctional(X, "min", 0b100), InvariantViolation, "^member: ",
     ),
+    # families of inputs: rows of one finite real per point, at least one
+    "family-rows-too-narrow": (
+        _on_family([(1, 0), (0, 1), (0, 0)]), InvariantViolation, r"^family: .* 3 values",
+    ),
+    "family-empty": (_on_family([]), InvariantViolation, "^family: must hold at least one"),
+    "family-nan": (_on_family([(NAN, 0, 0)]), InvariantViolation, "^family: values must be finite"),
+    "family-inf": (
+        _on_family([(0, float("inf"), 0)], "weakly_additive"),
+        InvariantViolation, "^family: values must be finite",
+    ),
+    "family-ragged": (_on_family([(1, 0, 0), (0, 1)]), InvariantViolation, "^family: "),
+    "family-non-numeric": (_on_family([("a", 0, 0)]), InvariantViolation, "^family: "),
+    "family-width-does-not-divide": (
+        lambda: check_axioms(MIN_AB, trials=0, family=[(1, 0, 0, 1)]),
+        InvariantViolation, r"^family: .* 3 values",
+    ),
     "functional-json-metric-space": (
         lambda: functional_to_json(SupportFunctional(line_metric({"a": 0, "b": 1}), "min", 1)),
         ParseError, "has no file form",
@@ -166,6 +191,9 @@ def test_malformed_calls_raise_one_line_idemx_errors(case):
 
 
 def test_the_boundary_keeps_the_valid_calls():
+    # a well-formed family shows that min over {a, b} does not preserve max
+    assert not check_axiom(MIN_AB, "preserves_max", trials=0, family=[(1, 0, 0), (0, 1, 0)]).passed
+    assert check_axiom(MIN_AB, "preserves_min", trials=0, family=np.eye(3)).passed
     assert infsup_reconstruct(MU, F, family=SubsetFamily(X, (0b01, 0b10))) == MU(F) == 1.0
     assert density(X, {"a": 0, "b": None}).lam == (0.0, float("-inf"))
     assert functional_topology(X, "max", "below") == functional_topology(X, "min", "above")

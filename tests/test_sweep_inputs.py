@@ -1,11 +1,14 @@
-"""The axiom sweep's shared inputs against a per-call build, and the
-parameter boundary of the public entry points of ``functionals``.
+"""The axiom sweep's inputs against a per-call build, and the parameter
+boundary of the public entry points of ``functionals``.
 
-Without a family, ``_axiom_sweep`` reads its input blocks from
-``_shared_inputs``, built once per point count, seed and draw size.  The
-per-call construction it replaced is kept below as the reference: every
-array the sweep evaluates, and every block it reads, must equal the
-reference's byte for byte, so the sign of a zero is compared too.
+Without a family, ``_axiom_sweep`` evaluates each input group once: its
+distinct structured rows (``_structured``, built once per point count),
+then its random rows (``_random_tail``, drawn once per point count, seed
+and draw size).  The per-call construction it replaced is kept below as the
+reference.  The reports, witnesses included, must equal the reference's;
+every row the sweep evaluates must be a row of the reference inputs, bit
+for bit, so the sign of a zero is compared too; and an ``ev`` that raises
+must raise on the same input as the reference.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from idemx.functionals import (
     TWO_VALUED_CAP,
     LambdaFunctional,
     MeanFunctional,
+    TableFunctional,
     _axiom_sweep,
     _fold,
     _first_violations,
     _mirrored,
     _pair_grid,
-    _shared_inputs,
+    _random_tail,
+    _structured,
+    _structured_ids,
     _weak_family,
     check_axiom,
     check_axioms,
@@ -107,6 +113,66 @@ def _functionals(n):
     ]
 
 
+def _reference_inputs(n, trials, seed):
+    """Every input the reference evaluates, by group, each group's sides in
+    the order the reference first evaluates them."""
+    (F, G), (W, C) = _reference_blocks(n, trials, seed)
+    c = C[:, None]
+    return {
+        "normed": {"normed": np.ones((1, n))},
+        "weak": {
+            "weakly_additive": W + c,
+            "F": W,
+            "weakly_preserves_max": _fold("max", (W, c)),
+            "weakly_preserves_min": _fold("min", (W, c)),
+        },
+        "pairs": {
+            "preserves_max": _fold("max", (F, G)),
+            "F": F,
+            "G": G,
+            "preserves_min": _fold("min", (F, G)),
+        },
+    }
+
+
+def _group(axiom):
+    return "normed" if axiom == "normed" else "pairs" if axiom.startswith("pre") else "weak"
+
+
+def _raised(call):
+    """The text of the InvariantViolation ``call`` raises, or None."""
+    try:
+        call()
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def _reference_raise(ev, n, axioms, trials, seed):
+    """What the reference raises on ``axioms``: in ``AXIOMS`` order it
+    evaluates each identity's left-hand input, and the values of F (and G)
+    on its group's first identity."""
+    inputs = _reference_inputs(n, trials, seed)
+
+    def run():
+        valued = {"normed"}  # the groups whose F (and G) have been evaluated
+        for a in AXIOMS:
+            if a in axioms:
+                group = _group(a)
+                ev(inputs[group][a])
+                if group not in valued:
+                    valued.add(group)
+                    for side in ("F", "G"):
+                        if side in inputs[group]:
+                            ev(inputs[group][side])
+
+    return _raised(run)
+
+
+def _row_bits(A):
+    return [row.tobytes() for row in A]
+
+
 @pytest.mark.parametrize("n", NS)
 def test_shared_inputs_match_the_per_call_build(n):
     mus = _functionals(n)
@@ -115,19 +181,126 @@ def test_shared_inputs_match_the_per_call_build(n):
             seen, want = [], []
             got = _axiom_sweep(_recording(mus, seen), n, AXIOMS, trials, 1e-9, seed, None)
             assert got == _reference_sweep(_recording(mus, want), n, trials, 1e-9, seed)
-            assert [a.tobytes() for a in seen] == [a.tobytes() for a in want]
-            assert [a.shape for a in seen] == [a.shape for a in want]
 
-            entry = _shared_inputs(n, seed, max(trials, SHARED_TRIALS))
-            blocks = [(entry["pairs"]["F"], entry["pairs"]["G"]), (entry["weak", None]["F"], entry["weak", None]["C"])]
-            for shared, ref in zip(blocks, _reference_blocks(n, trials, seed)):
-                for a, b in zip(shared, ref):
-                    assert a[: len(b)].tobytes() == b.tobytes()
-                    assert len(a) - len(b) == 2 * (max(trials, SHARED_TRIALS) - trials)
-            for value in entry.values():
-                for a in value.values():
+            # one evaluation per group: the constant 1, the rows (f, c), the pairs
+            inputs = _reference_inputs(n, trials, seed)
+            assert len(seen) == len(inputs) == 3
+            for A, (group, sides) in zip(seen, inputs.items()):
+                rows = _row_bits(A)
+                # the rows are those of the reference inputs, bit for bit, each
+                # of them there, -0.0 and 0.0 apart
+                assert set(rows) == {r for a in sides.values() for r in _row_bits(a)}
+                random = 0 if group == "normed" else 2 * trials
+                # the structured rows are pairwise distinct by bits; then come
+                # each side's random rows as drawn
+                head = rows[: len(rows) - len(sides) * random]
+                assert len(set(head)) == len(head)
+                tail = [r for a in sides.values() for r in _row_bits(a[len(a) - random :])]
+                assert rows[len(head) :] == tail
+            if not trials:
+                assert not any(A.flags.writeable for A in seen[1:])
+
+            entry = _random_tail(n, seed, max(trials, SHARED_TRIALS))
+            for group, (sides, C) in entry.items():
+                for s, a in sides.items():
+                    ref = inputs[group][s]
+                    assert len(a) == 2 * max(trials, SHARED_TRIALS)
+                    assert a[: 2 * trials].tobytes() == ref[len(ref) - 2 * trials :].tobytes()
                     assert not a.flags.writeable
-            assert not any(a.flags.writeable for a in seen[1:])
+                if C is not None:
+                    ref = _reference_blocks(n, trials, seed)[1][1]
+                    assert C[: 2 * trials].tobytes() == ref[len(ref) - 2 * trials :].tobytes()
+                    assert not C.flags.writeable
+
+
+@pytest.mark.parametrize("n", NS)
+def test_each_identity_alone_matches_the_reference(n):
+    mus = _functionals(n)
+    subsets = [(a,) for a in AXIOMS] + [
+        ("weakly_preserves_min", "preserves_min"),
+        ("weakly_preserves_max", "weakly_preserves_min"),
+        ("normed", "weakly_additive"),
+    ]
+    for seed in SEEDS[:2]:
+        for trials in (0, 8, 65):
+            want = _reference_sweep(_recording(mus, []), n, trials, 1e-9, seed)
+            for axioms in subsets:
+                got = _axiom_sweep(_recording(mus, []), n, axioms, trials, 1e-9, seed, None)
+                assert got == {a: want[a] for a in axioms}, axioms
+
+
+def test_zero_signs_stay_apart():
+    """The weak rows hold rows that differ only in the sign of a zero; both
+    are evaluated, each as its own row."""
+    rows, _, _ = _structured(2, "weak", ("weakly_additive", "F", "weakly_preserves_max"))
+    as_floats = {tuple(r) for r in rows.tolist()}
+    assert len(as_floats) < len(rows) == len(set(_row_bits(rows)))
+    assert {(0.0, -1.0), (-0.0, -1.0)} <= {tuple(r) for r in rows.tolist()}
+    assert any(str(v) == "-0.0" for r in rows.tolist() for v in r)
+
+
+@pytest.mark.parametrize("n", range(2, TWO_VALUED_CAP + 1))
+def test_a_raising_ev_raises_on_the_reference_input(n):
+    """A table raises on its first input outside {lo, hi}: the same input as
+    the reference, for each identity alone and for all of them."""
+    space = discrete([f"p{i}" for i in range(n)])
+    raised = 0
+    for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (0.0, 2.0), (0.5, 1.0)):
+        mu = TableFunctional(space, lo, hi, tuple(float(m % 3 == 0) for m in range(1 << n)))
+
+        def ev(A):
+            return mu.eval_batch(A)[:, None]
+
+        for axioms in [AXIOMS, *((a,) for a in AXIOMS)]:
+            for trials in (0, 8):
+                want = _reference_raise(ev, n, axioms, trials, 0)
+                assert _raised(lambda: _axiom_sweep(ev, n, axioms, trials, 1e-9, 0, None)) == want
+                raised += want is not None
+    assert raised >= 5 * 6 * 2
+
+
+# -- the work of a sweep: deterministic counters -----------------------------
+
+#: The distinct structured rows of the pairs and of the rows (f, c), n = 1 to 6.
+PAIR_ROWS = (3, 9, 27, 81, 213, 45)
+WEAK_ROWS = (26, 210, 578, 1314, 2786, 276)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_full_sweep_makes_three_evaluations(n):
+    mu = MeanFunctional(discrete([f"p{i}" for i in range(n)]))
+    for trials in (0, 1, 8, 24, 64):
+        sizes = []
+
+        def ev(A):
+            sizes.append(len(A))
+            return mu.eval_batch(A)[:, None]
+
+        _axiom_sweep(ev, n, AXIOMS, trials, 1e-9, 0, None)
+        # 2 rows per trial (a random row and its mirror) for each of 4 sides
+        assert sizes == [1, WEAK_ROWS[n - 1] + 8 * trials, PAIR_ROWS[n - 1] + 8 * trials]
+
+
+def test_a_family_sweep_evaluates_what_its_identities_read():
+    """On a family of k rows, each pair identity reads its k^2 left-hand
+    inputs and the k rows; the weak rows are the rows and their negations
+    with 4 constants for additivity and 6 for the lattice identities."""
+    n, k = 3, 5
+    fam = np.random.default_rng(0).uniform(-1.0, 1.0, (k, n))
+    mu = MeanFunctional(discrete(["a", "b", "c"]))
+    for axioms, want in [
+        (("preserves_max",), [k * k + k]),
+        (("preserves_min", "preserves_max"), [2 * k * k + k]),
+        (AXIOMS, [1, 2 * k * 4 + 2 * k, 2 * k * k + k, 2 * 2 * k * 6 + 2 * k]),
+    ]:
+        sizes = []
+
+        def ev(A):
+            sizes.append(len(A))
+            return mu.eval_batch(A)[:, None]
+
+        _axiom_sweep(ev, n, axioms, 0, 1e-9, 0, fam)
+        assert sizes == want, axioms
 
 
 def test_reports_do_not_depend_on_what_the_cache_holds():
@@ -138,14 +311,16 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
         space, lambda f: min(f["a"], f["b"]) + (0.5 if f["c"] + f["d"] > 3.5 else 0.0)
     )
     mus = [MeanFunctional(space), support_functional(space, "max", ["c"]), bent]
+    caches = (_random_tail, _structured, _structured_ids)
 
     def fresh(mu, trials):
-        _shared_inputs.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         return check_axioms(mu, trials=trials, seed=3)
 
     for mu in mus:
         want = {t: fresh(mu, t) for t in (8, 64, 200)}
-        _shared_inputs.cache_clear()
+        _random_tail.cache_clear()
         for t in (8, 64, 8, 200, 8):
             assert check_axioms(mu, trials=t, seed=3) == want[t]
     assert want[8]["preserves_min"].passed and not want[64]["preserves_min"].passed
