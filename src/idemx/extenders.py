@@ -168,8 +168,9 @@ def _classes(G: np.ndarray, space: FiniteTopSpace) -> np.ndarray:
     ``space`` (any leading shape), as an array of shape G.shape[:-1] of
     "continuous", "lsc", "usc" or "neither".
 
-    This is the pair rule that ``setmaps._rules`` applies to maps, over the
-    pairs (y, y') of ``setmaps._pairs``, y' in minN(y): a row is lsc iff
+    This is the pair rule of the ``setmaps`` module docstring read for
+    real functions, over the pairs (y, y') of ``setmaps._pairs``, y' in
+    minN(y), all pairs of a stack at once: a row is lsc iff
     every G[..., y'] >= G[..., y] (each upper set is then open), and usc
     iff every G[..., y'] <= G[..., y].
     """

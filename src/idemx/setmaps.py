@@ -4,8 +4,8 @@ A map r assigns to each point of the domain a nonempty subset of the
 codomain.  It is lower (upper) semicontinuous when the set of points whose
 image meets (is contained in) an open set is always open.
 
-On finite spaces both properties are tested one pair of domain points at a
-time, for every y and every y' in minN(y), the minimal neighborhood of y:
+On finite spaces both properties come down to one rule on the pairs of
+domain points y and y' in minN(y), the minimal neighborhood of y:
 
 * usc: r(y') lies inside hull(r(y)), the union of the minimal
   neighborhoods of r(y), which is the smallest open set containing r(y);
@@ -16,6 +16,14 @@ Every open set containing r(y) contains hull(r(y)), and every open set
 meeting r(y) at x contains minN(x), so these rules are the open-set
 definitions with the open sets left out: no open set is enumerated.
 
+The rule has two readings.  Grouped by y, it is one test per domain point,
+which is how ``is_usc``, ``is_lsc`` and ``is_continuous`` decide a whole
+map: usc at y when the union of r(y') over minN(y) lies inside
+hull(r(y)), lsc at y when r(y) lies inside cl(r(y')) for every other y' in
+minN(y), with each closure computed once per call.  Pair by pair, it is
+the list of ``_rules``, which the retraction routines below apply to maps
+that change one image at a time.
+
 A retraction fixes an embedded subspace pointwise.  Hull and closure
 preserve unions, so when a retraction of a kind exists a pointwise greatest
 one exists: ``greatest_retraction`` computes it as a greatest fixed point of
@@ -23,9 +31,9 @@ the pairwise rules, which decides existence in polynomial time.
 ``search_retraction`` finds the least retraction (fewest points, then
 lexicographically first) by an exact ordered branch-and-bound search run
 only below that fixed point.  It applies the same rules to partial
-assignments and gives up with TooLarge past ``SEARCH_NODES`` nodes.  All
-of them read hull and closure from tables filled on demand, one entry per
-subset met, so no table over every subset is built.
+assignments and gives up with TooLarge past ``SEARCH_NODES`` nodes.  Both
+read hull and closure from tables filled on demand, one entry per subset
+met, so no table over every subset is built.
 """
 
 from __future__ import annotations
@@ -131,15 +139,45 @@ def _rules(
 
 
 def _satisfies(r: SetValuedMap, semicontinuity: str) -> bool:
-    im = r.images
-    rules = _rules(r.domain, r.codomain, semicontinuity)
-    return not any(im[a] & ~table[im[b]] for a, b, table in rules)
+    """The rule of the module docstring grouped by y: one pass over the
+    domain points, reading the minimal neighborhoods of both spaces.
+
+    A point y with minN(y) = {y} passes both tests, so it is skipped.  The
+    closure of r(y') is computed on the first pair that needs it, and at
+    most once a call.  Bits are taken lowest first with ``m & -m``, not by
+    ``_bits``: these are the innermost loops of a call, and a generator
+    costs more than the test.
+    """
+    im, cod = r.images, r.codomain
+    if semicontinuity != "lsc":
+        for y, m in enumerate(r.domain.min_nbhd):
+            if m != 1 << y:
+                below = 0  # the union of r(y') over minN(y)
+                while m:
+                    low = m & -m
+                    below |= im[low.bit_length() - 1]
+                    m ^= low
+                if below & ~cod.hull_mask(im[y]):
+                    return False
+    if semicontinuity != "usc":
+        closure = [-1] * len(im)  # -1: not computed yet
+        for y, m in enumerate(r.domain.min_nbhd):
+            m &= ~(1 << y)
+            while m:
+                low = m & -m
+                y2 = low.bit_length() - 1
+                m ^= low
+                if closure[y2] < 0:
+                    closure[y2] = cod.closure_mask(im[y2])
+                if im[y] & ~closure[y2]:
+                    return False
+    return True
 
 
 def is_lsc(r: SetValuedMap) -> bool:
     """Lower semicontinuity: {y : r(y) meets U} open for every open U.
 
-    Tested pairwise: r(y') meets minN(x) for every x in r(y), y' in minN(y).
+    Tested point by point: r(y) inside cl(r(y')) for every y' in minN(y).
     """
     return _satisfies(r, "lsc")
 
@@ -147,7 +185,7 @@ def is_lsc(r: SetValuedMap) -> bool:
 def is_usc(r: SetValuedMap) -> bool:
     """Upper semicontinuity: {y : r(y) inside U} open for every open U.
 
-    Tested pairwise: r(y') inside hull(r(y)) for every y' in minN(y).
+    Tested point by point: the union of r(y') over minN(y) inside hull(r(y)).
     """
     return _satisfies(r, "usc")
 

@@ -160,15 +160,17 @@ class FiniteTopSpace(_PointSet):
     def hull_mask(self, mask: int) -> int:
         """Smallest open superset: the union of the members' minimal neighborhoods."""
         out = 0
-        for i in _bits(mask):
-            out |= self.min_nbhd[i]
+        while mask:  # lowest member first; a hot loop, so no _bits generator
+            low = mask & -mask
+            out |= self.min_nbhd[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def closure_mask(self, mask: int) -> int:
         # x is adherent to A iff its smallest neighborhood meets A
         out = 0
-        for i in range(self.n):
-            if self.min_nbhd[i] & mask:
+        for i, m in enumerate(self.min_nbhd):
+            if m & mask:
                 out |= 1 << i
         return out
 
@@ -298,8 +300,12 @@ class MetricSpace(_PointSet):
         off = d + np.eye(n)  # mask the diagonal before testing identity
         if n > 1 and (off == 0).any():
             raise InvariantViolation("dist.identity", "d(x,y)=0 for distinct points")
-        # triangle inequality over all triples, vectorized
-        if (d[:, :, None] > d[:, None, :] + d.T[None, :, :] + 1e-12).any():
+        # triangle inequality d(x,z) <= d(x,y) + d(y,z) over all triples,
+        # vectorized; the slack scales with the distances, since rounding
+        # does: points on the line at 1e9 are off by far more than 1e-12
+        via = d[:, None, :] + d.T[None, :, :]
+        via *= 1 + 1e-12  # in place: via is the one n^3 array of floats
+        if (d[:, :, None] > via).any():
             raise InvariantViolation("dist.triangle", "triangle inequality fails")
         d = d.copy()
         d.flags.writeable = False
@@ -353,18 +359,18 @@ class SubspaceEmbedding:
 
     @cached_property
     def subspace(self) -> FiniteTopSpace:
-        """The induced topology: intersect each minimal neighborhood with X."""
+        """The induced topology: intersect each minimal neighborhood with X.
+
+        Points of X keep their ambient order; ambient index ``at[k]`` is
+        subspace index k.
+        """
         amb = self.ambient
-        order = [p for p in amb.points if p in set(self.subset)]
-        sub_index = {p: i for i, p in enumerate(order)}
-        masks = []
-        for p in order:
-            m = amb.min_nbhd[amb.index(p)] & self.subset_mask
-            sm = 0
-            for q in amb.ids(m):
-                sm |= 1 << sub_index[q]
-            masks.append(sm)
-        return FiniteTopSpace(tuple(order), tuple(masks))
+        at = list(_bits(self.subset_mask))
+        masks = tuple(
+            sum(1 << k for k, j in enumerate(at) if (amb.min_nbhd[i] >> j) & 1)
+            for i in at
+        )
+        return FiniteTopSpace(tuple(amb.points[i] for i in at), masks)
 
     @cached_property
     def subset_discrete(self) -> bool:

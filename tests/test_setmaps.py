@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from idemx import setmaps
+from idemx.campaign import _embedding_corpus
 from idemx.cli import main
 from idemx.errors import EmptySet, InvariantViolation, SpaceMismatch, TooLarge
-from idemx.instances import embedding_to_json
+from idemx.instances import embedding_to_json, load_embedding
 from idemx.setmaps import (
     SetValuedMap,
     greatest_retraction,
@@ -354,6 +355,49 @@ def test_pairwise_predicates_match_the_open_set_definitions():
         verdicts["lsc"].append(is_lsc(r))
     for got in verdicts.values():  # both verdicts occur often
         assert 200 < sum(got) < 800
+
+
+def reference_satisfies(r, prop):
+    """The predicates pair by pair: every rule of ``setmaps._rules``."""
+    im = r.images
+    rules = setmaps._rules(r.domain, r.codomain, prop)
+    return not any(im[a] & ~table[im[b]] for a, b, table in rules)
+
+
+def assert_predicates_match_the_pair_rules(r):
+    got = {"usc": is_usc(r), "lsc": is_lsc(r), "continuous": is_continuous(r)}
+    want = {prop: reference_satisfies(r, prop) for prop in got}
+    assert got == want, (r.domain.min_nbhd, r.codomain.min_nbhd, r.images)
+    return got
+
+
+def test_point_by_point_predicates_match_the_pair_rules_on_random_maps():
+    # drawn as the benchmark's semicontinuity calls are: 1-8 domain points,
+    # 1-12 codomain points, images a minimal neighborhood, a closure or any
+    rng = np.random.default_rng(1812)
+    counts = {"usc": 0, "lsc": 0, "continuous": 0}
+    for i in range(2400):
+        dom = random_space(rng, int(rng.integers(1, 9)))
+        cod = random_space(rng, 1 + i % 12)
+        r = SetValuedMap(dom, cod, tuple(_random_image(rng, cod) for _ in range(dom.n)))
+        for prop, holds in assert_predicates_match_the_pair_rules(r).items():
+            counts[prop] += holds
+    assert all(300 < c < 2100 for c in counts.values()), counts
+
+
+def test_point_by_point_predicates_match_the_pair_rules_on_every_fixing_map():
+    counts = {"usc": 0, "lsc": 0, "continuous": 0, "maps": 0}
+    for seed in (0, 1):
+        for case in _embedding_corpus(500, seed, max_y=6):
+            e = load_embedding(case["embedding"])
+            for images in fixing_images(e):
+                r = SetValuedMap(e.ambient, e.subspace, images)
+                for prop, holds in assert_predicates_match_the_pair_rules(r).items():
+                    counts[prop] += holds
+                counts["maps"] += 1
+    # 2,152 maps; each verdict is true and false on hundreds of them
+    n = counts.pop("maps")
+    assert all(500 < c < n - 500 for c in counts.values()), (n, counts)
 
 
 def test_predicates_decide_beyond_the_open_set_enumeration_cap():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from idemx.campaign import _embedding_corpus
 from idemx.errors import (
     EmptySet,
     InvariantViolation,
     MembershipViolation,
     PreorderViolation,
 )
+from idemx.instances import load_embedding
 from idemx.spaces import (
+    FiniteTopSpace,
     MetricSpace,
     closure,
     discrete,
@@ -202,6 +205,27 @@ def test_induced_opens_match_ambient_trace(spaces):
             assert traced == induced
 
 
+def _subspace_by_names(e):
+    """The induced space built point by point through identifiers."""
+    amb = e.ambient
+    order = [p for p in amb.points if p in set(e.subset)]
+    sub_index = {p: i for i, p in enumerate(order)}
+    masks = []
+    for p in order:
+        m = amb.min_nbhd[amb.index(p)] & e.subset_mask
+        masks.append(sum(1 << sub_index[q] for q in amb.ids(m)))
+    return FiniteTopSpace(tuple(order), tuple(masks))
+
+
+def test_induced_subspace_matches_the_construction_by_names():
+    for seed in (0, 1):
+        for case in _embedding_corpus(500, seed):
+            e = load_embedding(case["embedding"])
+            for subset in (e.subset, e.subset[::-1]):  # any order of X
+                f = embed(e.ambient, subset)
+                assert f.subspace == _subspace_by_names(f), (e.ambient.min_nbhd, subset)
+
+
 def test_embedding_validation():
     with pytest.raises(EmptySet):
         embed(sierpinski(), [])
@@ -224,6 +248,17 @@ def test_line_metric_and_validation():
         )
     with pytest.raises(InvariantViolation, match="dist.identity"):
         MetricSpace(("a", "b"), np.zeros((2, 2)))
+
+
+def test_line_metric_accepts_points_near_1e9():
+    # d(a,c) rounds above d(a,b) + d(b,c) by far more than an absolute 1e-12
+    m = line_metric({"a": 0.3, "b": 0.7, "c": 1e9 + 0.1})
+    assert m.dist[0, 2] > m.dist[0, 1] + m.dist[1, 2]
+    rng = np.random.default_rng(1009)
+    for _ in range(200):
+        xs = rng.uniform(0.0, 1e9, size=6)
+        m = line_metric({f"p{i}": float(x) for i, x in enumerate(xs)})
+        assert m.dist.max() == xs.max() - xs.min()
 
 
 NAN = float("nan")
