@@ -679,7 +679,16 @@ def run_suite(name: str, cfg: CampaignConfig) -> SuiteResult:
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
-    """Execute the requested suites deterministically and write the report."""
+    """Execute the requested suites deterministically and write the report.
+
+    An ``output`` that names a directory, or a file in a directory that does
+    not exist, is a ParseError raised before the first suite runs.
+    """
+    if cfg.output:
+        out = Path(cfg.output)
+        if out.is_dir() or not out.parent.is_dir():
+            what = "is a directory" if out.is_dir() else f"no directory {out.parent}"
+            raise ParseError(f"cannot write {cfg.output}: {what}")
     suites = {name: run_suite(name, cfg) for name in cfg.suites}
     report = CampaignReport(
         config={
@@ -698,14 +707,18 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
 
 def write_report(report: CampaignReport, path: str, fmt: str = "json") -> None:
-    p = Path(path)
+    """Write the report as JSON or CSV; a failed write is a ParseError."""
     if fmt == "json":
-        p.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-        return
-    lines = ["suite,cases_run,passed,failed,wall_time"]
-    for name, res in report.suites.items():
-        lines.append(f"{name},{res.cases_run},{res.passed},{res.failed},{res.wall_time:.4f}")
-    p.write_text("\n".join(lines) + "\n")
+        text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    else:
+        lines = ["suite,cases_run,passed,failed,wall_time"]
+        for name, res in report.suites.items():
+            lines.append(f"{name},{res.cases_run},{res.passed},{res.failed},{res.wall_time:.4f}")
+        text = "\n".join(lines)
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,10 @@ from .functionals import (
     RealFunction,
     _array,
     _axiom_sweep,
-    _base,
-    _blocks,
     _check_count,
     _check_tol,
     _class_supports,
-    _distinct,
+    _continuous_family,
     _fold,
     _pair_family,
     _verify_family,
@@ -508,18 +506,6 @@ def check_open_extension_algebra(
 
 
 # -- connectivity of recovered values ------------------------------------------
-
-
-def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
-    """Structured continuous functions: constant on each component.
-
-    Row j takes, on the c-th component, the c-th value of the j-th distinct
-    row of the constants and the {0,1}, {-1,1} and {0,5} blocks over the
-    components.
-    """
-    k = len(space.components)
-    of = [next(c for c, m in enumerate(space.components) if m >> i & 1) for i in range(space.n)]
-    return _distinct(_base(k)[:3], *_blocks(k, (0.0, 1.0), (-1.0, 1.0), (0.0, 5.0)))[:, of]
 
 
 @dataclass(frozen=True)

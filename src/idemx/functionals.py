@@ -377,17 +377,35 @@ def _blocks(n: int, *patterns: tuple[float, float]) -> list[np.ndarray]:
     return [_two_valued(n, lo, hi) for lo, hi in patterns]
 
 
+def _bit_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a k x n array, compared by exact bits so that
+    -0.0 and 0.0 differ, and the id of each row among them: the one
+    distinct-rows kernel, behind every family and every sweep layout."""
+    bits = np.ascontiguousarray(rows.view(np.uint64).T)
+    order = np.lexsort(bits)
+    bits = bits.take(order, axis=1)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    count = np.cumsum(new)
+    ids = np.empty(len(rows), dtype=np.min_scalar_type(count[-1]))
+    ids[order] = count - 1
+    return rows[order[new]], ids
+
+
+def _first_seen(ids: np.ndarray) -> np.ndarray:
+    """Where each id first occurs, in ascending order."""
+    return np.sort(np.unique(ids, return_index=True)[1])
+
+
 def _distinct(*blocks: np.ndarray) -> np.ndarray:
     """The rows of the blocks, in order, each kept where it first occurs.
 
-    Rows are compared as tuples: -0.0 equals 0.0, and the first of two such
+    Rows are compared by value through ``_bit_ids`` of the rows plus 0.0,
+    which turns -0.0 into 0.0: -0.0 equals 0.0, and the first of two such
     rows keeps its own sign of zero.
     """
     rows = np.concatenate(blocks)
-    first = {}
-    for i, row in enumerate(map(tuple, rows.tolist())):
-        first.setdefault(row, i)
-    return _array(rows[list(first.values())], rows.shape[1])
+    return _array(rows[_first_seen(_bit_ids(rows + 0.0)[1])], rows.shape[1])
 
 
 def _base(n: int) -> np.ndarray:
@@ -430,24 +448,37 @@ def _verify_family(n: int) -> np.ndarray:
     return _distinct(_pair_family(n), *_blocks(n, (0.0, 5.0)))
 
 
-@lru_cache(maxsize=64)
 def _weak_family(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(f, c) rows for the weak (constant-argument) identities: each row f
-    of ``_verify_family`` with its constants c, then the negated rows.
+    of ``_verify_family`` with its constants c in ascending order, each
+    distinct (f, c) once, then the negated rows.
 
     The scaled {0,5} rows are included so that clipping constants fall
     strictly between the two values; that is where densities with finite
     negative weights break the weak-min identity.
     """
-    rows = []
-    for f in _verify_family(n).tolist():
-        lo, hi = min(f), max(f)
-        cs = {-1.0, -0.5, 0.0, 0.5, 1.0, 2.0} | {lo + t * (hi - lo) for t in (0.25, 0.5, 0.8)}
-        rows += [f + [c] for c in sorted(cs)]
-    rows = np.array(rows)
+    fam = _verify_family(n)
+    lo, hi = fam.min(axis=1, keepdims=True), fam.max(axis=1, keepdims=True)
+    fixed = np.broadcast_to([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], (len(fam), 6))
+    cuts = lo + np.array([0.25, 0.5, 0.8]) * (hi - lo)
+    # stable, so of two equal constants the one a set built in this order keeps comes first
+    cs = np.sort(np.hstack([fixed, cuts]), axis=1, kind="stable")
+    rows = np.hstack([np.repeat(fam, cs.shape[1], axis=0), cs.reshape(-1, 1)])
     # negation closure, for exact verdict exchange under duality
     rows = _distinct(rows, -rows)
     return rows[:, :n], rows[:, n]
+
+
+def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
+    """Structured continuous functions: constant on each component.
+
+    Row j takes, on the c-th component, the c-th value of the j-th distinct
+    row of the constants and the {0,1}, {-1,1} and {0,5} blocks over the
+    components.
+    """
+    k = len(space.components)
+    of = [next(c for c, m in enumerate(space.components) if m >> i & 1) for i in range(space.n)]
+    return _distinct(_base(k)[:3], *_blocks(k, (0.0, 1.0), (-1.0, 1.0), (0.0, 5.0)))[:, of]
 
 
 def _verification_rows(n: int, budget: int, rng) -> np.ndarray:
@@ -555,20 +586,6 @@ def _group_sides(group: str, F, other) -> dict:
     return sides | {a: _combine(a, F, other) for a in _GROUPS[group]}
 
 
-def _bit_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a k x n array, compared by exact bits so that
-    -0.0 and 0.0 differ, and the id of each row among them."""
-    bits = np.ascontiguousarray(rows.view(np.uint64).T)
-    order = np.lexsort(bits)
-    bits = bits.take(order, axis=1)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-    count = np.cumsum(new)
-    ids = np.empty(len(rows), dtype=np.min_scalar_type(count[-1]))
-    ids[order] = count - 1
-    return rows[order[new]], ids
-
-
 @lru_cache(maxsize=64)
 def _structured_ids(n: int) -> dict:
     """The structured rows of each group of a sweep without a family: the
@@ -598,14 +615,12 @@ def _structured_ids(n: int) -> dict:
 def _structured(n: int, group: str, sides: tuple[str, ...]):
     """The structured rows a sweep without a family evaluates for ``sides``
     of a group: each distinct row once, in the order a sweep reading the
-    sides one after another meets it first, and each side as indices into
-    them.  Returns the rows, the indices by side and the constants (None for
-    the pairs), all read-only."""
+    sides one after another meets it first (``_first_seen`` of the sides'
+    ids), and each side as indices into them.  Returns the rows, the
+    indices by side and the constants (None for the pairs), all read-only."""
     distinct, ids, C = _structured_ids(n)[group]
     met = np.concatenate([ids[s] for s in sides])
-    first = np.full(len(distinct), len(met))
-    np.minimum.at(first, met, np.arange(len(met)))
-    order = np.argsort(first)[: np.count_nonzero(first < len(met))]
+    order = met[_first_seen(met)]
     rank = np.zeros(len(distinct), dtype=np.min_scalar_type(len(order)))
     rank[order] = np.arange(len(order))
     rows, idx = distinct[order], {s: rank[ids[s]] for s in sides}
@@ -964,7 +979,10 @@ class SubsetFamily:
 
 @lru_cache(maxsize=8192)
 def _essential_precheck_failures(mu, tol) -> tuple[str, ...]:
-    reports = check_axioms(mu, ("normed", "weakly_additive"), trials=16, tol=tol)
+    """The failed axioms of every essential-set precheck, from one sweep:
+    those of weakly_preserves_max and _min matter to the reconstruction only."""
+    axioms = ("normed", "weakly_additive", "weakly_preserves_max", "weakly_preserves_min")
+    reports = check_axioms(mu, axioms, trials=16, tol=tol)
     failures = [a for a, rep in reports.items() if not rep.passed]
     if not _is_monotone_sampled(mu, tol, seed=0):
         failures.append("monotone")
@@ -978,17 +996,12 @@ def _essential_precheck(mu, tol) -> None:
     if not isinstance(mu.space, FiniteTopSpace):
         raise SpaceMismatch("essential-set tests need a topological space")
     failures = _essential_precheck_failures(mu, tol)
+    failures = [a for a in failures if not a.startswith("weakly_preserves")]
     if failures:
         raise AxiomPrecheckFailed(
             "essential-set test needs normed, weakly additive, monotone; "
             f"failing: {', '.join(failures)}"
         )
-
-
-@lru_cache(maxsize=8192)
-def _weakly_preserving_failures(mu, tol) -> tuple[str, ...]:
-    reports = check_axioms(mu, ("weakly_preserves_max", "weakly_preserves_min"), trials=16, tol=tol)
-    return tuple(a for a, rep in reports.items() if not rep.passed)
 
 
 def _essential_masks(mu, tol) -> np.ndarray:
@@ -1069,7 +1082,8 @@ def infsup_reconstruct(
     if family is not None and family.space != mu.space:
         raise SpaceMismatch("the family must live on the functional's space")
     _essential_precheck(mu, tol)
-    weak_failures = _weakly_preserving_failures(mu, tol)
+    failures = _essential_precheck_failures(mu, tol)
+    weak_failures = [a for a in failures if a.startswith("weakly_preserves")]
     if weak_failures:
         raise AxiomPrecheckFailed(f"reconstruction needs {', '.join(weak_failures)}")
     if family is None:

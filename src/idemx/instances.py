@@ -50,12 +50,12 @@ Instance = (
 def read_json(path: str | Path) -> dict:
     """Read a file holding one JSON object."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")

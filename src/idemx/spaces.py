@@ -59,6 +59,14 @@ class _PointSet:
     def n(self) -> int:
         return len(self.points)
 
+    def _check_points(self) -> int:
+        """The point count, after refusing a space with no points or a repeated one."""
+        if not self.points:
+            raise EmptySet("a space needs at least one point")
+        if len(set(self.points)) != len(self.points):
+            raise InvariantViolation("points", "duplicate point identifiers")
+        return len(self.points)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -114,9 +122,7 @@ class FiniteTopSpace(_PointSet):
     min_nbhd: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.points)
-        if len(set(self.points)) != n:
-            raise InvariantViolation("points", "duplicate point identifiers")
+        n = self._check_points()
         if len(self.min_nbhd) != n:
             raise InvariantViolation("min_nbhd", "one entry per point required")
         full = (1 << n) - 1
@@ -283,9 +289,7 @@ class MetricSpace(_PointSet):
     def __post_init__(self):
         import numpy as np  # here, so the bitmask layers load without numpy
 
-        n = len(self.points)
-        if len(set(self.points)) != n:
-            raise InvariantViolation("points", "duplicate point identifiers")
+        n = self._check_points()
         d = np.asarray(self.dist, dtype=float)
         if d.shape != (n, n):
             raise InvariantViolation("dist.shape", f"expected {(n, n)}, got {d.shape}")

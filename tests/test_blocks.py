@@ -1,8 +1,9 @@
 """The structured input blocks, and the extender prechecks built on the sweep.
 
 Each reference below is the earlier tuple-based builder or check, kept here
-in substance: the two-valued tuple builder, the per-point continuous family
-and the extenders' own normalization and lattice-preservation checks.  The
+in substance: the two-valued tuple builder, the tuple-dict row dedupe, the
+per-row weak family, the per-point continuous family and the extenders' own
+normalization and lattice-preservation checks.  The
 library builds every family from one block builder and checks every
 identity of an extender through the axiom sweep; it must give the same rows
 bit for bit and raise the same errors with the same messages.
@@ -29,10 +30,13 @@ from idemx.functionals import (
     LambdaFunctional,
     RealFunction,
     _axiom_sweep,
+    _base,
     _blocks,
     _distinct,
     _pair_family,
     _two_valued,
+    _verify_family,
+    _weak_family,
     support,
     two_valued_tuples,
 )
@@ -98,6 +102,36 @@ def test_distinct_keeps_each_row_where_it_first_occurs(rng):
         got = _distinct(a, b)
         assert bits(got) == bits(want)
         assert not got.flags.writeable
+
+
+def ref_distinct(*blocks):
+    rows = np.concatenate(blocks)
+    first = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        first.setdefault(row, i)
+    return rows[list(first.values())]
+
+
+def ref_weak_family(n):
+    rows = []
+    for f in _verify_family(n).tolist():
+        lo, hi = min(f), max(f)
+        cs = {-1.0, -0.5, 0.0, 0.5, 1.0, 2.0} | {lo + t * (hi - lo) for t in (0.25, 0.5, 0.8)}
+        rows += [f + [c] for c in sorted(cs)]
+    rows = np.array(rows)
+    rows = ref_distinct(rows, -rows)
+    return rows[:, :n], rows[:, n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_families_match_the_tuple_dict_builders(n):
+    pair = ref_distinct(_base(n), *_blocks(n, (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)))
+    assert bits(_pair_family(n)) == bits(pair)
+    assert bits(_verify_family(n)) == bits(ref_distinct(pair, *_blocks(n, (0.0, 5.0))))
+    (W, C), (ref_W, ref_C) = _weak_family(n), ref_weak_family(n)
+    assert bits(W) == bits(ref_W)
+    assert bits(C[:, None]) == bits(ref_C[:, None])
+    assert not (W.flags.writeable or C.flags.writeable)
 
 
 def sparse_space(rng, n, links):

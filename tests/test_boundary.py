@@ -39,7 +39,7 @@ from idemx.functionals import (
 from idemx.hyperspace import functional_topology, lipschitz_constant, subset_max, subset_min
 from idemx.instances import functional_to_json
 from idemx.setmaps import setmap
-from idemx.spaces import discrete, embed, from_minimal_basis, line_metric
+from idemx.spaces import FiniteTopSpace, discrete, embed, from_minimal_basis, line_metric
 
 X = discrete(["a", "b"])
 MU = support_functional(X, "min", ["a", "b"])
@@ -174,6 +174,10 @@ CASES = {
         lambda: check_axioms(MIN_AB, trials=0, family=[(1, 0, 0, 1)]),
         InvariantViolation, r"^family: .* 3 values",
     ),
+    # a space needs at least one point
+    "discrete-no-points": (lambda: discrete([]), EmptySet, "at least one point"),
+    "finite-space-no-points": (lambda: FiniteTopSpace((), ()), EmptySet, "at least one point"),
+    "line-metric-no-points": (lambda: line_metric({}), EmptySet, "at least one point"),
     "functional-json-metric-space": (
         lambda: functional_to_json(SupportFunctional(line_metric({"a": 0, "b": 1}), "min", 1)),
         ParseError, "has no file form",

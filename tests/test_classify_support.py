@@ -2,6 +2,7 @@
 
 import pytest
 
+from idemx import functionals
 from idemx.errors import AxiomPrecheckFailed, SpaceMismatch, TooLarge
 from idemx.functionals import (
     NEG_INF,
@@ -9,6 +10,7 @@ from idemx.functionals import (
     RealFunction,
     SubsetFamily,
     SupportFunctional,
+    _axiom_sweep,
     classify,
     density,
     dirac,
@@ -113,6 +115,25 @@ def test_essential_precheck_rejects_non_monotone():
     swing = LambdaFunctional(D3, lambda f: f.values[0] - f.values[1] + 1.0, "swing")
     with pytest.raises(AxiomPrecheckFailed):
         is_essential(swing, {"a"})
+
+
+def test_reconstruction_reads_its_precheck_from_one_sweep(monkeypatch):
+    """The essential-set precheck and the reconstruction's weak max/min
+    check share one cached sweep of the functional."""
+    sweeps = []
+
+    def recorded(ev, n, axioms, *args):
+        sweeps.append(axioms)
+        return _axiom_sweep(ev, n, axioms, *args)
+
+    monkeypatch.setattr(functionals, "_axiom_sweep", recorded)
+    functionals._essential_precheck_failures.cache_clear()  # a fresh functional
+    mu = MeanFunctional(D3)
+    f = from_mapping(D3, {"a": 0.0, "b": 1.0, "c": 2.0})
+    message = "^reconstruction needs weakly_preserves_max, weakly_preserves_min$"
+    with pytest.raises(AxiomPrecheckFailed, match=message):
+        infsup_reconstruct(mu, f)
+    assert len(sweeps) == 1
 
 
 def test_essential_sets_need_a_topological_space():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idemx import campaign
 from idemx.cli import main
 from idemx.errors import InvariantViolation, MembershipViolation, ParseError
 from idemx.functionals import (
@@ -291,6 +292,8 @@ def test_cli_campaign_csv(files):
         ("replay", {"suites": ["a"]}),
         ("replay", {"suites": {"support_roundtrip": {"witnesses": ["x"]}}}),
         ("replay", {"suites": {"support_roundtrip": {"witnesses": [{"case": {}}]}}}),
+        ("classify", b'\xff{"points": ["a"]}'),  # raw bytes, written as they are
+        ("classify", b"[" * 200_000),
     ],
     ids=[
         "space-not-object", "density-weight", "subset-entry", "replay-list", "F-string",
@@ -298,11 +301,15 @@ def test_cli_campaign_csv(files):
         "points-null", "nbhd-for-unknown-point", "empty-space",
         "table-pattern-repeated", "table-point-repeated",
         "replay-suites-list", "replay-witness-string", "replay-empty-case",
+        "not-utf8", "nested-too-deep",
     ],
 )
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     args = [command, "--embedding", str(path)] if command == "search" else [command, str(path)]
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -356,6 +363,20 @@ def test_cli_rejects_flags_that_would_be_ignored(files, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_cli_campaign_refuses_an_unwritable_out_before_any_suite(files, capsys, monkeypatch, where):
+    ran = []
+    monkeypatch.setattr(campaign, "run_suite", lambda name, cfg: ran.append(name))
+    out = files["tmp"] / where
+    assert main(["campaign", "--suite", "hyperspace_monotone", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: cannot write {out}: ") and err.count("\n") == 1
+    assert ran == []
+    # a write that fails after the run is a ParseError too
+    with pytest.raises(ParseError, match="^cannot write "):
+        campaign.write_report(campaign.CampaignReport({}, {}), str(out))
 
 
 def test_cli_usage_errors(files, capsys):
