@@ -108,6 +108,8 @@ def build_extender(
     r: SetValuedMap, embedding: SubspaceEmbedding, kind: Kind
 ) -> Extender:
     """Extender u(f)(y) = min/max of f over r(y), for r fixing the subspace."""
+    if kind not in ("min", "max"):
+        raise InvariantViolation("kind", "must be 'min' or 'max'")
     if not is_retraction(r, embedding):
         raise NotARetraction("the map must send each embedded point to itself")
 

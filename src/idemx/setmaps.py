@@ -16,38 +16,37 @@ Every open set containing r(y) contains hull(r(y)), and every open set
 meeting r(y) at x contains minN(x), so these rules are the open-set
 definitions with the open sets left out: no open set is enumerated.
 
-The rule has two readings.  Grouped by y, it is one test per domain point,
-which is how ``is_usc``, ``is_lsc`` and ``is_continuous`` decide a whole
-map: usc at y when the union of r(y') over minN(y) lies inside
-hull(r(y)), lsc at y when r(y) lies inside cl(r(y')) for every other y' in
-minN(y), with each closure computed once per call.  Pair by pair, it is
-the list of ``_rules``, which the retraction routines below apply to maps
-that change one image at a time.
+The rule has one reading, as a shrinking step: usc cuts r(y') down to
+hull(r(y)), lsc cuts r(y) down to the closure of r(y').  Hull and closure
+are monotone, so a step keeps every map of the kind that lies pointwise
+below r, and r is of the kind exactly when no step shrinks it.
+``_narrow`` runs the steps to the greatest fixed point below r, and it is
+the only code that applies the rule.  The images of the points it is told
+to freeze may not shrink:
 
-A retraction fixes an embedded subspace pointwise.  Hull and closure
-preserve unions, so when a retraction of a kind exists a pointwise greatest
-one exists: ``greatest_retraction`` computes it as a greatest fixed point of
-the pairwise rules, which decides existence in polynomial time.
-``search_retraction`` finds the least retraction (fewest points, then
-lexicographically first) by an exact ordered branch-and-bound search run
-only below that fixed point.  It applies the same rules to partial
-assignments and gives up with TooLarge past ``SEARCH_NODES`` nodes.  Both
-read hull and closure from tables filled on demand, one entry per subset
-met, so no table over every subset is built.
+* ``is_usc``, ``is_lsc`` and ``is_continuous`` freeze every point, so it
+  checks r and stops at the first broken rule;
+* ``greatest_retraction`` freezes the embedded subspace, which decides
+  existence in polynomial time;
+* ``search_retraction`` re-runs it after each assignment with the assigned
+  points frozen, and takes the next point's images from what is left.
+
+No table over every subset is built: ``search_retraction`` reads hull and
+closure from tables filled on demand, one entry per subset met.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvariantViolation, SpaceMismatch, TooLarge
 from .spaces import FiniteTopSpace, SubspaceEmbedding, _at_points, _bits
 
 #: Node budget of a retraction search, which raises TooLarge past it.  The
 #: largest search of the benchmark's retractions workload (seeds 1-40)
-#: takes 816 nodes.
+#: takes 188 nodes.
 SEARCH_NODES = 10**6
 
 
@@ -97,8 +96,9 @@ def _pairs(space: FiniteTopSpace) -> list[tuple[int, int]]:
 class _Table(dict):
     """mask -> f(mask), each value computed on its first lookup."""
 
+    __slots__ = ("f",)
+
     def __init__(self, f):
-        super().__init__()
         self.f = f
 
     def __missing__(self, mask: int) -> int:
@@ -106,71 +106,69 @@ class _Table(dict):
         return value
 
 
-def _rules(
-    domain: FiniteTopSpace,
-    codomain: FiniteTopSpace,
-    semicontinuity: str,
-    fixed: int = 0,
-) -> list:
-    """The pairwise rules of ``semicontinuity`` as triples (a, b, table):
-    r(a) must lie inside table[r(b)].
+def _narrow(
+    images: Sequence[int], domain_nbhd: Sequence[int], semicontinuity: str, frozen: int,
+    changed: int, hull: Callable[[int], int] | None, closure: Callable[[int], int] | None,
+) -> bool:
+    """Shrink ``images`` in place to the greatest fixed point of the rule
+    below them; False when there is none.  ``hull`` and ``closure`` map a
+    codomain mask to its hull and closure; the unused one may be None.
 
-    usc gives (y', y, hull) and lsc gives (y, y', closure) for each pair
-    (y, y') of ``_pairs``; a pair with both points in the domain mask
-    ``fixed`` is left out (for a retraction, the embedded subspace: such a
-    pair holds for every map fixing it).  hull and closure are ``_Table``s
-    over codomain masks, shared by all the rules, so a mask's hull or
-    closure is computed once, and only for the masks the rules meet.
+    ``frozen`` and ``changed`` are domain masks, -1 for every point.  A
+    rule can only break when the image it reads shrinks, r(y) for usc and
+    r(y') for lsc, so ``changed`` holds the points whose images shrank since
+    the rule last held, and each round applies the rule only where it reads
+    one of them, point by point.  The points a round shrinks are the next
+    round's ``changed``, until a round shrinks none.
+
+    It fails as soon as an image empties or the image of a ``frozen`` point
+    would have to shrink.  With every point frozen it writes nothing
+    (``images`` may be a tuple), so it is a check that stops at the first
+    broken rule, and usc costs one union per point.  Bits are taken lowest
+    first with ``m & -m``, not by ``_bits``: these are the innermost loops
+    of every caller.
     """
-    if semicontinuity not in ("usc", "lsc", "continuous"):
-        raise InvariantViolation("semicontinuity", "must be usc, lsc, or continuous")
-    hull = _Table(codomain.hull_mask)
-    # r(y') meets minN(x) exactly when x lies in the closure of r(y')
-    closure = _Table(codomain.closure_mask)
-    rules = []
-    for y, y2 in _pairs(domain):
-        if (fixed >> y) & 1 and (fixed >> y2) & 1:
-            continue
+    while changed:
+        read, changed = changed, 0
         if semicontinuity != "lsc":
-            rules.append((y2, y, hull))
+            for y, nbhd in enumerate(domain_nbhd):
+                if nbhd != 1 << y and (read >> y) & 1:
+                    h = hull(images[y])
+                    below, m = 0, nbhd  # the union of r(y') over minN(y)
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        below |= images[low.bit_length() - 1]
+                    if below & ~h:
+                        while nbhd:  # cut each r(y') down to hull(r(y))
+                            low = nbhd & -nbhd
+                            nbhd ^= low
+                            y2 = low.bit_length() - 1
+                            im = images[y2]
+                            if im & ~h:
+                                if frozen & low or not im & h:
+                                    return False
+                                images[y2] = im & h
+                                changed |= low
         if semicontinuity != "usc":
-            rules.append((y, y2, closure))
-    return rules
-
-
-def _satisfies(r: SetValuedMap, semicontinuity: str) -> bool:
-    """The rule of the module docstring grouped by y: one pass over the
-    domain points, reading the minimal neighborhoods of both spaces.
-
-    A point y with minN(y) = {y} passes both tests, so it is skipped.  The
-    closure of r(y') is computed on the first pair that needs it, and at
-    most once a call.  Bits are taken lowest first with ``m & -m``, not by
-    ``_bits``: these are the innermost loops of a call, and a generator
-    costs more than the test.
-    """
-    im, cod = r.images, r.codomain
-    if semicontinuity != "lsc":
-        for y, m in enumerate(r.domain.min_nbhd):
-            if m != 1 << y:
-                below = 0  # the union of r(y') over minN(y)
-                while m:
+            # closures by point, each computed once a round: a later cut in
+            # the round makes one stale, but that point is read again next round
+            cl = [-1] * len(images)
+            for y, nbhd in enumerate(domain_nbhd):
+                m = nbhd & read & ~(1 << y)
+                im = images[y]
+                while m:  # cut r(y) down to the closure of each r(y')
                     low = m & -m
-                    below |= im[low.bit_length() - 1]
                     m ^= low
-                if below & ~cod.hull_mask(im[y]):
-                    return False
-    if semicontinuity != "usc":
-        closure = [-1] * len(im)  # -1: not computed yet
-        for y, m in enumerate(r.domain.min_nbhd):
-            m &= ~(1 << y)
-            while m:
-                low = m & -m
-                y2 = low.bit_length() - 1
-                m ^= low
-                if closure[y2] < 0:
-                    closure[y2] = cod.closure_mask(im[y2])
-                if im[y] & ~closure[y2]:
-                    return False
+                    y2 = low.bit_length() - 1
+                    c = cl[y2]
+                    if c < 0:
+                        c = cl[y2] = closure(images[y2])
+                    if im & ~c:
+                        if (frozen >> y) & 1 or not im & c:
+                            return False
+                        im = images[y] = im & c
+                        changed |= 1 << y
     return True
 
 
@@ -179,7 +177,7 @@ def is_lsc(r: SetValuedMap) -> bool:
 
     Tested point by point: r(y) inside cl(r(y')) for every y' in minN(y).
     """
-    return _satisfies(r, "lsc")
+    return _narrow(r.images, r.domain.min_nbhd, "lsc", -1, -1, None, r.codomain.closure_mask)
 
 
 def is_usc(r: SetValuedMap) -> bool:
@@ -187,11 +185,12 @@ def is_usc(r: SetValuedMap) -> bool:
 
     Tested point by point: the union of r(y') over minN(y) inside hull(r(y)).
     """
-    return _satisfies(r, "usc")
+    return _narrow(r.images, r.domain.min_nbhd, "usc", -1, -1, r.codomain.hull_mask, None)
 
 
 def is_continuous(r: SetValuedMap) -> bool:
-    return is_lsc(r) and is_usc(r)
+    cod = r.codomain
+    return _narrow(r.images, r.domain.min_nbhd, "continuous", -1, -1, cod.hull_mask, cod.closure_mask)
 
 
 def is_retraction(r: SetValuedMap, embedding: SubspaceEmbedding) -> bool:
@@ -225,26 +224,6 @@ def fixing_images(embedding: SubspaceEmbedding) -> Iterator[tuple[int, ...]]:
     ))
 
 
-def _greatest_images(embedding: SubspaceEmbedding, rules: list) -> tuple[int, ...] | None:
-    """Image masks of ``greatest_retraction`` under ``rules``, or None."""
-    amb, sub = embedding.ambient, embedding.subspace
-    images = [
-        1 << sub.index(p) if (embedding.subset_mask >> i) & 1 else sub.full_mask
-        for i, p in enumerate(amb.points)
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for a, b, table in rules:
-            m = images[a] & table[images[b]]
-            if m != images[a]:
-                if not m:  # an emptied image, or an embedded point moved
-                    return None
-                images[a] = m
-                changed = True
-    return tuple(images)
-
-
 def greatest_retraction(
     embedding: SubspaceEmbedding, semicontinuity: str = "usc"
 ) -> SetValuedMap | None:
@@ -253,28 +232,27 @@ def greatest_retraction(
     Hull and closure preserve unions, so the pointwise union of two usc (or
     lsc) retractions is again one: when a retraction of a kind exists, a
     greatest one exists, and every other lies pointwise below it.  It is
-    found as a greatest fixed point.  Start from r(x) = {x} on the subspace
-    and r(y) = the whole subspace elsewhere, then apply the pairwise rules
-    of the module docstring as shrinking steps until nothing changes:
-
-    * usc: r(y') becomes r(y') & hull(r(y));
-    * lsc: r(y) becomes r(y) & closure(r(y'));
-    * continuous: both.
-
-    Each step keeps every retraction of the kind below r, and at the fixed
-    point r satisfies every rule.  So when no image empties (an embedded
-    point's singleton can only shrink to empty), r is the greatest
-    retraction; otherwise none exists and the answer is None.  The loop
-    shrinks some image on every round but the last, so it ends after at
-    most |Y| * |X| rounds over the pairs.
+    what ``_narrow`` leaves of r(x) = {x} on the subspace and r(y) = the
+    whole subspace elsewhere, with the embedded points frozen: every step
+    keeps each retraction of the kind below r, so when the fixed point
+    exists it is the greatest retraction, and otherwise none exists.  Every
+    round but the last shrinks some image, so there are at most |Y| * |X|
+    rounds.  ``search_retraction`` starts from this fixed point and re-runs
+    ``_narrow`` after each assignment.
     """
-    rules = _rules(
-        embedding.ambient, embedding.subspace, semicontinuity, embedding.subset_mask
-    )
-    images = _greatest_images(embedding, rules)
-    if images is None:
+    if semicontinuity not in ("usc", "lsc", "continuous"):
+        raise InvariantViolation("semicontinuity", "must be usc, lsc, or continuous")
+    amb, sub = embedding.ambient, embedding.subspace
+    images = [
+        1 << sub.index(p) if (embedding.subset_mask >> i) & 1 else sub.full_mask
+        for i, p in enumerate(amb.points)
+    ]
+    if not _narrow(
+        images, amb.min_nbhd, semicontinuity, embedding.subset_mask, -1,
+        sub.hull_mask, sub.closure_mask,
+    ):
         return None
-    return SetValuedMap(embedding.ambient, embedding.subspace, images)
+    return SetValuedMap(amb, sub, tuple(images))
 
 
 def _over_budget(nodes: int) -> TooLarge:
@@ -303,68 +281,65 @@ def search_retraction(
 
     Existence is decided first by ``greatest_retraction``: when it returns
     None, so does the search, without visiting a node.  Otherwise every
-    retraction lies pointwise below the greatest one g, so each ambient
-    point ranges over the nonempty submasks of g(y), in ascending mask
-    order (an embedded point keeps its singleton).  This drops only
-    branches that hold no retraction and keeps the order of the rest.
+    retraction lies pointwise below the greatest one g, and the search
+    starts from g's images.
 
     The search is exact and builds no candidate list.  It is depth first:
-    ambient points are assigned in index order, each trying its values in
-    ascending mask order, which visits full assignments in lexicographic
-    order.  Every rule of a pair (y, y') is tested by table lookup as soon
-    as both points are assigned, and a partial assignment that breaks one
-    is dropped with all its completions.  On top of that it is a branch
-    and bound on total cardinality, starting from g itself: a branch whose
-    cardinality so far plus one per unassigned point reaches the best
+    ambient points are assigned in index order, each trying the nonempty
+    submasks of its current image in ascending mask order, which visits
+    full assignments in lexicographic order.  After each assignment it
+    re-runs ``_narrow`` with the assigned points frozen (forward checking):
+    an assignment it fails on has no completion and is dropped, and
+    otherwise the narrowed images give the later points their choices.
+    Assigning a point its whole current image keeps the parent's fixed
+    point, which is reused.  Narrowing drops only branches that hold no
+    retraction and keeps the order of the rest.  On top of that it is a
+    branch and bound on total cardinality, starting from g itself: a branch
+    whose cardinality so far plus one per unassigned point reaches the best
     cardinality found is dropped.  Only retractions strictly smaller than
     the best are kept, so the first one found at the least cardinality,
     the lexicographically smallest, is returned; g is returned when none
     is smaller, since a retraction below g of g's cardinality is g.
 
-    The size guard is a budget of ``SEARCH_NODES`` nodes.  Listing the
-    images of the points costs one node per image listed, and is paid
-    before any list is built; the search then pays one node for each image
-    of a point it runs through, tested or cut by the bound.  A search that
-    needs more raises TooLarge, naming the nodes reached.
+    The size guard is a budget of ``SEARCH_NODES`` nodes.  The search
+    first pays one node for each nonempty submask of each image of g,
+    before it lists any; it then pays one node for each image of a point
+    it runs through, tested or cut by the bound.  A search that needs more
+    raises TooLarge, naming the nodes reached.
     """
-    rules = _rules(
-        embedding.ambient, embedding.subspace, semicontinuity, embedding.subset_mask
-    )
-    top = _greatest_images(embedding, rules)
-    if top is None:
+    g = greatest_retraction(embedding, semicontinuity)
+    if g is None:
         return None
-    amb = embedding.ambient
-    n = amb.n
-    nodes = sum((1 << m.bit_count()) - 1 for m in top)
+    amb, sub = embedding.ambient, embedding.subspace
+    n, nbhd = amb.n, amb.min_nbhd
+    nodes = sum((1 << m.bit_count()) - 1 for m in g.images)
     if nodes > SEARCH_NODES:
         raise _over_budget(nodes)
-    choices = [_submasks(m) for m in top]
-    # the rules decided by assigning point i: both points at index <= i
-    closing = [[] for _ in range(n)]
-    for a, b, table in rules:
-        closing[max(a, b)].append((a, b, table))
-    images = [0] * n
-    best = [sum(m.bit_count() for m in top), top]  # cardinality to beat, its images
+    hull, closure = _Table(sub.hull_mask).__getitem__, _Table(sub.closure_mask).__getitem__
+    best = [sum(m.bit_count() for m in g.images), g.images]  # cardinality to beat, its images
 
-    def extend(i: int, card: int) -> None:
+    def extend(i: int, card: int, images: list[int]) -> None:
         nonlocal nodes
         if i == n:
             best[:] = [card, tuple(images)]
             return
-        nodes += len(choices[i])  # each image is tried or cut by the bound
+        choices = _submasks(images[i])
+        nodes += len(choices)  # each image is tried or cut by the bound
         if nodes > SEARCH_NODES:
             raise _over_budget(nodes)
         unassigned = n - 1 - i  # each adds at least one point
-        for m in choices[i]:
+        assigned = (2 << i) - 1
+        for m in choices:
             c = card + m.bit_count()
             if c + unassigned >= best[0]:
                 continue
-            images[i] = m
-            for a, b, table in closing[i]:
-                if images[a] & ~table[images[b]]:
-                    break
-            else:
-                extend(i + 1, c)
+            if m == images[i]:  # the last choice: the parent's fixed point
+                extend(i + 1, c, images)
+                continue
+            narrowed = images.copy()
+            narrowed[i] = m
+            if _narrow(narrowed, nbhd, semicontinuity, assigned, 1 << i, hull, closure):
+                extend(i + 1, c, narrowed)
 
-    extend(0, 0)
-    return SetValuedMap(amb, embedding.subspace, best[1])
+    extend(0, 0, list(g.images))
+    return SetValuedMap(amb, sub, best[1])

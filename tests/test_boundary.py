@@ -119,6 +119,12 @@ CASES = {
         lambda: functional_topology(X, "mean", "above"), InvariantViolation, "^kind: ",
     ),
     # the extender layer's parameters
+    "build-extender-unknown-kind": (
+        lambda: build_extender(R, E, "avg"), InvariantViolation, "^kind: must be 'min' or 'max'$",
+    ),
+    "theorem-unknown-kind": (
+        lambda: verify_semicontinuity_theorem(R, E, "avg"), InvariantViolation, "^kind: ",
+    ),
     "supports-negative-budget": (
         lambda: supports_retraction(U, budget=-1), InvariantViolation, "^budget: ",
     ),

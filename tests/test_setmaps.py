@@ -319,6 +319,66 @@ def reference_branch_and_bound(e, prop, cap=SEARCH_CAP):
     return None if best[1] is None else SetValuedMap(amb, sub, best[1])
 
 
+def _reference_rules(domain, codomain, prop, fixed=0):
+    """The rule of the ``setmaps`` module docstring pair by pair, as triples
+    (a, b, f): r(a) must lie inside f(r(b)).  usc gives (y', y, hull) and
+    lsc gives (y, y', closure) for each y and each other y' in minN(y); a
+    pair with both points in the domain mask ``fixed`` is left out."""
+    rules = []
+    for y, m in enumerate(domain.min_nbhd):
+        for y2 in range(domain.n):
+            if y2 == y or not (m >> y2) & 1 or (fixed >> y) & (fixed >> y2) & 1:
+                continue
+            if prop != "lsc":
+                rules.append((y2, y, codomain.hull_mask))
+            if prop != "usc":
+                rules.append((y, y2, codomain.closure_mask))
+    return rules
+
+
+def reference_pairwise_search(e, prop):
+    """The search before forward checking, with the nodes it counts: the
+    same ordered branch and bound below the greatest fixed point of the
+    pair rules, testing each rule once both of its points are assigned.
+    Returns (images or None, nodes), with no node budget."""
+    amb, sub = e.ambient, e.subspace
+    rules = _reference_rules(amb, sub, prop, e.subset_mask)
+    top = [1 << sub.index(p) if p in e.subset else sub.full_mask for p in amb.points]
+    changed = True
+    while changed:
+        changed = False
+        for a, b, f in rules:
+            m = top[a] & f(top[b])
+            if m != top[a]:
+                if not m:
+                    return None, 0
+                top[a], changed = m, True
+    choices = [[m for m in range(1, g + 1) if not m & ~g] for g in top]
+    nodes = sum(len(c) for c in choices)
+    closing = [[] for _ in range(amb.n)]
+    for a, b, f in rules:
+        closing[max(a, b)].append((a, b, f))
+    images = [0] * amb.n
+    best = [sum(bin(m).count("1") for m in top), tuple(top)]
+
+    def extend(i, card):
+        nonlocal nodes
+        if i == amb.n:
+            best[:] = [card, tuple(images)]
+            return
+        nodes += len(choices[i])
+        for m in choices[i]:
+            c = card + bin(m).count("1")
+            if c + amb.n - 1 - i >= best[0]:
+                continue
+            images[i] = m
+            if not any(images[a] & ~f(images[b]) for a, b, f in closing[i]):
+                extend(i + 1, c)
+
+    extend(0, 0)
+    return best[1], nodes
+
+
 PREDICATE = {"usc": is_usc, "lsc": is_lsc, "continuous": is_continuous}
 
 
@@ -358,10 +418,10 @@ def test_pairwise_predicates_match_the_open_set_definitions():
 
 
 def reference_satisfies(r, prop):
-    """The predicates pair by pair: every rule of ``setmaps._rules``."""
+    """The predicates pair by pair: every rule of ``_reference_rules``."""
     im = r.images
-    rules = setmaps._rules(r.domain, r.codomain, prop)
-    return not any(im[a] & ~table[im[b]] for a, b, table in rules)
+    rules = _reference_rules(r.domain, r.codomain, prop)
+    return not any(im[a] & ~f(im[b]) for a, b, f in rules)
 
 
 def assert_predicates_match_the_pair_rules(r):
@@ -492,6 +552,74 @@ def test_search_matches_the_uncapped_branch_and_bound_on_sparse_preorders():
                 assert_greatest_bounds(e, prop, r)
                 answers[None if r is None else "found"] += 1
     assert answers[None] >= 10 and answers["found"] >= 10
+
+
+def _sparse_embeddings(rng, k_in, k_out, count):
+    for _ in range(count):
+        y = _random_preorder(rng, k_in + k_out, 0.15)
+        yield embed(y, [y.points[i] for i in sorted(rng.choice(y.n, size=k_in, replace=False))])
+
+
+def test_forward_checking_keeps_every_answer_within_the_pairwise_node_count(monkeypatch):
+    # the campaign's embedding corpora and the sparse 4/5 and 4/6 corpora
+    # above: the same map as the pairwise search, and still decided with the
+    # budget cut to the nodes that search counts
+    rng = np.random.default_rng(906)
+    embeddings = [
+        load_embedding(case["embedding"])
+        for seed in (0, 1)
+        for case in _embedding_corpus(500, seed, max_y=6)
+    ]
+    embeddings += _sparse_embeddings(rng, 4, 5, 12)
+    embeddings += _sparse_embeddings(rng, 4, 6, 12)
+    found = 0
+    for e in embeddings:
+        for prop in ("usc", "lsc", "continuous"):
+            want, nodes = reference_pairwise_search(e, prop)
+            monkeypatch.setattr(setmaps, "SEARCH_NODES", 10**6)
+            r = search_retraction(e, prop)
+            assert (None if r is None else r.images) == want, (e.ambient.min_nbhd, e.subset, prop)
+            monkeypatch.setattr(setmaps, "SEARCH_NODES", nodes)
+            assert search_retraction(e, prop) == r, (e.ambient.min_nbhd, e.subset, prop)
+            found += r is not None
+    assert len(embeddings) == 1024 and found > 1000, found
+
+
+#: Sparse embeddings (5 in / 8 out and 6 in / 9 out, edge probability 0.15)
+#: on which the pairwise search runs out of its 10^6 nodes: (minimal
+#: neighborhoods, subset indices, property, the first retraction's images).
+#: Each answer was checked against ``reference_pairwise_search`` with no
+#: budget, which counted 28,017,705, 4,359,899 and 2,725,485 nodes.
+SPARSE_OVER_THE_PAIRWISE_BUDGET = [
+    (
+        [4105, 5446, 4, 4104, 16, 7526, 5444, 6084, 4352, 4608, 5444, 6144, 4096],
+        [2, 7, 8, 11, 12], "usc", [2, 2, 1, 2, 1, 10, 2, 2, 4, 2, 2, 8, 16],
+    ),
+    (
+        [1161, 6079, 6079, 8, 6079, 6079, 72, 1161, 6079, 6079, 1161, 8127, 6079],
+        [6, 8, 9, 10, 12], "lsc", [8, 2, 2, 9, 2, 2, 1, 8, 2, 4, 8, 2, 16],
+    ),
+    (
+        [6175, 6158, 4100, 6158, 6174, 14398, 15102, 6798, 32766, 6670, 31806, 6158,
+         4096, 14366, 30750],
+        [0, 1, 2, 6, 13, 14], "usc", [1, 2, 4, 2, 2, 16, 8, 2, 40, 2, 32, 2, 4, 16, 32],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "nbhd, subset, prop, want", SPARSE_OVER_THE_PAIRWISE_BUDGET,
+    ids=[f"{len(s)}in{len(n) - len(s)}out-{p}" for n, s, p, _ in SPARSE_OVER_THE_PAIRWISE_BUDGET],
+)
+def test_forward_checking_decides_sparse_searches_the_pairwise_search_could_not(
+    nbhd, subset, prop, want
+):
+    points = tuple(f"y{i}" for i in range(len(nbhd)))
+    e = SubspaceEmbedding(FiniteTopSpace(points, tuple(nbhd)), tuple(points[i] for i in subset))
+    r = search_retraction(e, prop)
+    assert list(r.images) == want
+    assert is_retraction(r, e) and PREDICATE[prop](r)
+    assert_greatest_bounds(e, prop, r)
 
 
 def test_greatest_retraction_is_the_union_of_every_retraction_of_its_kind():
