@@ -325,8 +325,8 @@ def supports_retraction(
     the inputs ``classify`` (seed 0) gives each: one axiom sweep, one spike
     batch per kind to propose the supports, and one verification batch, in
     which each column is compared with the min or max over its own support.
-    A column that is not verified is classified alone, so its error is the
-    one ``classify`` raises.
+    A column that is not verified raises ClassificationFailed, with the
+    error ``classify`` raises on it alone, or else the class it returns.
     """
     _check_count("budget", budget)
     _check_tol(tol)
@@ -340,9 +340,7 @@ def supports_retraction(
                 cls = classify(mu_at(u, p), budget=budget, tol=tol)
             except BudgetExhaustedInconclusive as exc:
                 raise ClassificationFailed(p, str(exc)) from exc
-            if cls.kind not in ("R_min", "R_max"):
-                raise ClassificationFailed(p, f"classified as {cls.kind}")
-            mask = x_space.mask(cls.support)
+            raise ClassificationFailed(p, f"classified as {cls.kind}")
         images.append(mask)
     return SetValuedMap(y_space, x_space, tuple(images))
 

@@ -199,7 +199,7 @@ class IdempotentDensity(Functional):
         finite = [v for v in self.lam if v != NEG_INF]
         if not finite:
             raise InvariantViolation("lambda", "all values are -inf")
-        if any(v > 0 for v in finite):
+        if not all(v <= 0 for v in finite):  # NaN is refused here too
             raise InvariantViolation("lambda", "values must lie in [-inf, 0]")
         if max(finite) != 0.0:
             raise InvariantViolation("lambda", "maximum must be exactly 0")
@@ -243,8 +243,9 @@ class MeanFunctional(Functional):
 class TableFunctional(Functional):
     """Extension point: values tabulated on enumerated two-valued inputs.
 
-    An input ``f`` must take values in {lo, hi} only; it is looked up by the
-    bitmask of its hi-entries.  Anything else raises InvariantViolation.
+    ``lo`` and ``hi`` are two distinct finite numbers.  An input ``f`` must
+    take values in {lo, hi} only; it is looked up by the bitmask of its
+    hi-entries.  Anything else raises InvariantViolation.
     The structured sweeps of ``classify``, ``support`` and most axioms
     evaluate other inputs, so check a table through ``check_axiom`` with
     ``trials=0`` and ``family=two_valued_tuples(n, lo, hi)``; only
@@ -259,6 +260,8 @@ class TableFunctional(Functional):
     def __post_init__(self):
         if len(self.table) != 1 << len(self.space.points):
             raise InvariantViolation("table", "need one value per two-valued pattern")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo != self.hi):
+            raise InvariantViolation("table.range", "lo and hi must be two distinct finite numbers")
 
     @property
     def label(self) -> str:
@@ -560,10 +563,8 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
     ]
 
 
-#: Entries kept by the cache of random sweep rows, one per (n, seed, drawn) key.
+#: Entries kept by the cache of random sweep rows, one per (n, seed, trials) key.
 SWEEP_CACHE = 4
-#: Random trials drawn for the random rows of a sweep at up to this many trials.
-SHARED_TRIALS = 64
 
 #: The identities checked on each input group: the pairs (F, G) and the rows (f, c).
 _GROUPS = {
@@ -580,8 +581,9 @@ def _combine(axiom: str, x, y):
 
 
 def _group_sides(group: str, F, other) -> dict:
-    """Every side of a group as rows: F (and G) and each identity's
-    left-hand input, for the inputs F and G, or F and the constants ``other``."""
+    """Every side of a group as rows: F (and G), then each identity's
+    left-hand input in ``AXIOMS`` order, for the inputs F and G, or F and
+    the constants ``other``."""
     sides = {"F": F, "G": other} if group == "pairs" else {"F": F}
     return sides | {a: _combine(a, F, other) for a in _GROUPS[group]}
 
@@ -590,9 +592,10 @@ def _group_sides(group: str, F, other) -> dict:
 def _structured_ids(n: int) -> dict:
     """The structured rows of each group of a sweep without a family: the
     pairs of ``_pair_grid`` and the rows (f, c) of ``_weak_family``, with the
-    left-hand inputs built from them.  Per group: its distinct rows, each
-    side as ids into them, and the weak rows' constants (None for the pairs),
-    all read-only."""
+    left-hand inputs built from them.  Per group: its distinct rows, compared
+    by exact bits, in the order a reading of its sides (``_group_sides``)
+    first meets them; each side as ids into them; and the weak rows'
+    constants (None for the pairs), all read-only."""
     F, G = _pair_grid(n)
     W, C = _weak_family(n)
     groups = {}
@@ -602,46 +605,33 @@ def _structured_ids(n: int) -> dict:
     ):
         # each side's distinct rows first, which keeps the temporaries small
         local = [_bit_ids(a) for a in sides.values()]
-        rows, ids = _bit_ids(np.concatenate([r for r, _ in local]))
+        distinct, ids = _bit_ids(np.concatenate([r for r, _ in local]))
         starts = np.cumsum([0] + [len(r) for r, _ in local])
-        side_ids = {s: ids[start + i.astype(np.intp)] for s, start, (_, i) in zip(sides, starts, local)}
+        met = [ids[start + i.astype(np.intp)] for start, (_, i) in zip(starts, local)]
+        order = np.concatenate(met)
+        order = order[_first_seen(order)]  # the distinct ids, as first met
+        rank = np.empty(len(order), dtype=ids.dtype)
+        rank[order] = np.arange(len(order))
+        rows, side_ids = distinct[order], {s: rank[m] for s, m in zip(sides, met)}
         for a in (rows, *side_ids.values()):
             a.flags.writeable = False
         groups[group] = rows, side_ids, c
     return groups
 
 
-@lru_cache(maxsize=64)
-def _structured(n: int, group: str, sides: tuple[str, ...]):
-    """The structured rows a sweep without a family evaluates for ``sides``
-    of a group: each distinct row once, in the order a sweep reading the
-    sides one after another meets it first (``_first_seen`` of the sides'
-    ids), and each side as indices into them.  Returns the rows, the
-    indices by side and the constants (None for the pairs), all read-only."""
-    distinct, ids, C = _structured_ids(n)[group]
-    met = np.concatenate([ids[s] for s in sides])
-    order = met[_first_seen(met)]
-    rank = np.zeros(len(distinct), dtype=np.min_scalar_type(len(order)))
-    rank[order] = np.arange(len(order))
-    rows, idx = distinct[order], {s: rank[ids[s]] for s in sides}
-    for a in (rows, *idx.values()):
-        a.flags.writeable = False
-    return rows, idx, C
-
-
 @lru_cache(maxsize=SWEEP_CACHE)
-def _random_tail(n: int, seed: int, drawn: int) -> dict:
-    """The random rows of every sweep at n points and ``seed`` whose random
-    rows are the first of ``drawn`` trials: per group, each side's rows and
-    the weak rows' constants, drawn from a fresh ``default_rng(seed)``, each
-    row followed by its mirror (for verdict exchange under duality).  A draw
-    fills its rows one trial after another, so the rows of t trials are the
-    first 2t of each side.  All arrays are read-only."""
-    R = np.random.default_rng(seed).uniform(-2.0, 2.0, (drawn, 2, n))
+def _random_tail(n: int, seed: int, trials: int) -> dict:
+    """The random rows of every sweep at n points, ``seed`` and ``trials``:
+    per group, each side's rows and the weak rows' constants, drawn from a
+    fresh ``default_rng(seed)``, each row followed by its mirror (for
+    verdict exchange under duality).  A draw fills its rows one trial after
+    another, so the rows of t trials are the first 2t of each side of any
+    larger draw.  All arrays are read-only."""
+    R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
     pairs = _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1]))
     high = np.full(n + 1, 2.0)
     high[n] = 5.0  # the constant's range
-    R = np.random.default_rng(seed).uniform(-high, high, (drawn, n + 1))
+    R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
     C = _mirrored(R[:, n])
     weak = _group_sides("weak", _mirrored(R[:, :n]), C[:, None])
     for a in (*pairs.values(), *weak.values(), C):
@@ -671,29 +661,26 @@ def _family_rows(family, n: int) -> np.ndarray:
 
 def _family_group(fam: np.ndarray, group: str, asked, cs):
     """The rows a sweep on a family evaluates for the identities ``asked``
-    of a group, laid out as ``_structured`` lays out its rows but without
-    removing repeats: the first left-hand input, the values that F (and G)
-    gather from, the other left-hand inputs.  The pairs are the family's
-    products; the weak rows are each row f with each constant c of ``cs``,
-    then the negated rows."""
+    of a group, laid out as a group's structured rows are but without
+    removing repeats: the values that F (and G) gather from, then the
+    left-hand inputs of ``asked``.  The pairs are the family's products;
+    the weak rows are each row f with each constant c of ``cs``, then the
+    negated rows."""
     k = len(fam)
     if group == "pairs":
         values, C, f = fam, None, np.repeat(np.arange(k), k)
         # row i * k + j of a left-hand input combines rows i and j
         lhs = [_combine(a, fam[:, None], fam[None]).reshape(k * k, -1) for a in asked]
+        idx = {"F": f, "G": np.tile(np.arange(k), k)}
     else:
         values, f = np.concatenate([fam, -fam]), np.repeat(np.arange(2 * k), len(cs))
         C = np.tile(cs, k)
         C = np.concatenate([C, -C])
-        W = values[f]
-        lhs = [_combine(a, W, C[:, None]) for a in asked]
-    layout = {asked[0]: lhs[0], "F": values} | dict(zip(asked[1:], lhs[1:]))
-    start = dict(zip(layout, np.cumsum([0, *map(len, layout.values())])))
-    idx = {s: start[s] + np.arange(len(block)) for s, block in layout.items()}
-    idx["F"] = start["F"] + f
-    if group == "pairs":
-        idx["G"] = start["F"] + np.tile(np.arange(k), k)
-    return np.concatenate(list(layout.values())), idx, C
+        lhs = [_combine(a, values[f], C[:, None]) for a in asked]
+        idx = {"F": f}
+    starts = np.cumsum([len(values), *map(len, lhs)])
+    idx |= {a: start + np.arange(len(block)) for a, start, block in zip(asked, starts, lhs)}
+    return np.concatenate([values, *lhs]), idx, C
 
 
 def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[AxiomReport]]:
@@ -707,20 +694,21 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     are its structured rows, then its random rows; each side of each
     identity (its left-hand input, F and G) is an index array into them, so
     the values of both sides are gathers from that one evaluation, and a
-    witness is the identity's first violating input, in the sweep order of
-    its own sides.  With ``normed`` a full sweep without a family makes
-    three ``ev`` calls.
+    witness is the identity's first violating input, in the order of its
+    own side.  With ``normed`` a full sweep without a family makes three
+    ``ev`` calls.
 
-    Without a family the structured rows depend only on n: each distinct
-    row once, compared by exact bits, in the order in which a sweep reading
-    the identity's sides one after another first meets it, built once per n
-    and set of identities asked (``_structured``).  The random rows depend
-    on n, the seed and the draw size only: ``_random_tail(n, seed,
-    max(trials, SHARED_TRIALS))``, a cache of ``SWEEP_CACHE`` entries with
-    the least recently used going first.  They are appended side by side
-    without removing repeats, 2 x ``trials`` rows per side, read from the
-    head of the shared draw, each row followed by its mirror.  A family
-    lays out its own rows on each call, the same way.
+    Without a family a group's rows depend on n, the seed and ``trials``
+    only, never on the identities asked, so a sweep of one identity
+    evaluates its whole group.  The structured rows are each distinct row
+    once, compared by exact bits, as F, G and the left-hand inputs in
+    ``AXIOMS`` order first meet it, built once per n (``_structured_ids``).
+    The random rows are ``_random_tail(n, seed, trials)``, a cache of
+    ``SWEEP_CACHE`` entries with the least recently used going first:
+    2 x ``trials`` rows per side, each row followed by its mirror, appended
+    side by side in the same order without removing repeats.  A family
+    lays out its own rows on each call, for the identities asked only, and
+    appends the random rows of those sides.
     """
     fam = None if family is None else _family_rows(family, n)
     reports = {}
@@ -736,23 +724,17 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
                 cs = (-1.0, 0.5, 1.0, 2.0) if a == "weakly_additive" else (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)
             batches.setdefault((group, cs), []).append(a)
     for (group, cs), asked in batches.items():
-        # in the order the sweep reads them: the first left-hand input, the
-        # values of F (and G), then the other left-hand inputs
-        sides = (asked[0], "F", "G", *asked[1:]) if group == "pairs" else (asked[0], "F", *asked[1:])
         if fam is None:
-            rows, idx, C = _structured(n, group, sides)
+            rows, idx, C = _structured_ids(n)[group]
         else:
             rows, idx, C = _family_group(fam, group, asked, cs)
         if trials:
-            random, random_C = _random_tail(n, seed, max(trials, SHARED_TRIALS))[group]
-            blocks, idx, offset = [rows], dict(idx), len(rows)
-            for s in sides:
-                blocks.append(random[s][: 2 * trials])
-                idx[s] = np.concatenate([idx[s], np.arange(offset, offset + 2 * trials)])
-                offset += 2 * trials
-            rows = np.concatenate(blocks)
+            random, random_C = _random_tail(n, seed, trials)[group]
+            tail = len(rows) + np.arange(2 * trials)  # the first side's random rows
+            idx = {s: np.concatenate([i, tail + k * 2 * trials]) for k, (s, i) in enumerate(idx.items())}
+            rows = np.concatenate([rows, *(random[s] for s in idx)])
             if C is not None:
-                C = np.concatenate([C, random_C[: 2 * trials]])
+                C = np.concatenate([C, random_C])
         V = ev(rows)
         values = V.take(idx["F"], axis=0)
         other = V.take(idx["G"], axis=0) if C is None else C[:, None]
@@ -790,16 +772,16 @@ def check_axioms(
     violation in its own sweep order, the same as when it is checked alone.
 
     Without a ``family`` the inputs are shared across calls, whatever the
-    functional.  The structured rows are built once per point count, each
-    distinct row once (compared by exact bits, so -0.0 and 0.0 stay apart).
-    The random rows are drawn once per point count, seed and
-    ``max(trials, 64)``, in a cache of ``SWEEP_CACHE`` = 4 entries, and
-    appended as drawn; those of ``trials`` trials are the first ``trials``
-    of the draw, so witnesses and reports are those of a fresh build.  All
-    six identities cost three evaluations of the functional: the constant
-    1, the rows (f, c) and the pairs.  A ``family`` lays out its own rows on
-    each call.  A bad ``family``, ``trials`` or ``seed`` (integers >= 0) or
-    ``tol`` (a finite number >= 0) is an InvariantViolation.
+    functional and whichever identities are asked.  The structured rows are
+    built once per point count, each distinct row once (compared by exact
+    bits, so -0.0 and 0.0 stay apart).  The random rows are drawn once per
+    point count, seed and ``trials``, in a cache of ``SWEEP_CACHE`` = 4
+    entries.  Each group is evaluated whole: asking one identity costs as
+    much as asking every identity of its group, and all six cost three
+    evaluations of the functional: the constant 1, the rows (f, c) and the
+    pairs.  A ``family`` lays out its own rows on each call, for the
+    identities asked.  A bad ``family``, ``trials`` or ``seed`` (integers
+    >= 0) or ``tol`` (a finite number >= 0) is an InvariantViolation.
     """
     unknown = [a for a in axioms if a not in AXIOMS]
     if unknown:
@@ -820,7 +802,7 @@ def check_axiom(
     family: Sequence[tuple[float, ...]] | None = None,
 ) -> AxiomReport:
     """Check one identity: the one-axiom case of ``check_axioms``, which
-    evaluates only the rows that identity reads."""
+    without a ``family`` evaluates the identity's whole input group."""
     return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 

@@ -132,6 +132,8 @@ def subset_roundtrip_failure(
     Singleton supports satisfy both the min and the max formula, so either
     class label is accepted for them.  Returns a failure message, or None.
     """
+    if kind not in ("min", "max"):
+        raise InvariantViolation("kind", "must be 'min' or 'max'")
     want = mu.space.subset(member)
     got = support(mu, tol=tol)
     if got != want:

@@ -290,7 +290,10 @@ class MetricSpace(_PointSet):
         import numpy as np  # here, so the bitmask layers load without numpy
 
         n = self._check_points()
-        d = np.asarray(self.dist, dtype=float)
+        try:
+            d = np.asarray(self.dist, dtype=float)
+        except (TypeError, ValueError):
+            raise InvariantViolation("dist", "must be a square matrix of numbers") from None
         if d.shape != (n, n):
             raise InvariantViolation("dist.shape", f"expected {(n, n)}, got {d.shape}")
         # ndarray methods, not np.any/np.diag/np.array_equal: the campaign
@@ -304,6 +307,8 @@ class MetricSpace(_PointSet):
         off = d + np.eye(n)  # mask the diagonal before testing identity
         if n > 1 and (off == 0).any():
             raise InvariantViolation("dist.identity", "d(x,y)=0 for distinct points")
+        if not np.isfinite(d).all():  # NaN failed symmetry above, so this refuses inf
+            raise InvariantViolation("dist.finite", "distances must be finite")
         # triangle inequality d(x,z) <= d(x,y) + d(y,z) over all triples,
         # vectorized; the slack scales with the distances, since rounding
         # does: points on the line at 1e9 are off by far more than 1e-12
@@ -334,6 +339,8 @@ def line_metric(coords: Mapping[str, float]) -> MetricSpace:
 
     pts = tuple(coords.keys())
     xs = np.array([coords[p] for p in pts], dtype=float)
+    if not np.isfinite(xs).all():
+        raise InvariantViolation("coords", "coordinates must be finite")
     return MetricSpace(pts, np.abs(xs[:, None] - xs[None, :]))
 
 

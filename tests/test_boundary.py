@@ -3,6 +3,9 @@ one-line message, never a bare exception or a silently wrong answer."""
 
 from __future__ import annotations
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from idemx.functionals import (
     RealFunction,
     SubsetFamily,
     SupportFunctional,
+    TableFunctional,
     check_axiom,
     check_axioms,
     density,
@@ -36,10 +40,23 @@ from idemx.functionals import (
     infsup_reconstruct,
     support_functional,
 )
-from idemx.hyperspace import functional_topology, lipschitz_constant, subset_max, subset_min
-from idemx.instances import functional_to_json
+from idemx.hyperspace import (
+    functional_topology,
+    lipschitz_constant,
+    subset_max,
+    subset_min,
+    subset_roundtrip_failure,
+)
+from idemx.instances import functional_to_json, load_instance
 from idemx.setmaps import setmap
-from idemx.spaces import FiniteTopSpace, discrete, embed, from_minimal_basis, line_metric
+from idemx.spaces import (
+    FiniteTopSpace,
+    MetricSpace,
+    discrete,
+    embed,
+    from_minimal_basis,
+    line_metric,
+)
 
 X = discrete(["a", "b"])
 MU = support_functional(X, "min", ["a", "b"])
@@ -184,6 +201,51 @@ CASES = {
     "discrete-no-points": (lambda: discrete([]), EmptySet, "at least one point"),
     "finite-space-no-points": (lambda: FiniteTopSpace((), ()), EmptySet, "at least one point"),
     "line-metric-no-points": (lambda: line_metric({}), EmptySet, "at least one point"),
+    # weights, tables and metrics: every number finite (NaN included), the
+    # two values of a table distinct, also when read from an instance file
+    "density-nan-weight": (
+        lambda: density(X, {"a": 0, "b": NAN}), InvariantViolation, r"^lambda: .*\[-inf, 0\]",
+    ),
+    "density-leading-nan-weight": (
+        lambda: density(X, {"a": NAN, "b": 0}), InvariantViolation, r"^lambda: .*\[-inf, 0\]",
+    ),
+    "table-lo-equals-hi": (
+        lambda: TableFunctional(X, 1.0, 1.0, (0.0, 1.0, 1.0, 1.0)), InvariantViolation, "^table.range: ",
+    ),
+    "table-lo-equals-hi-from-file": (
+        lambda: load_instance({
+            "space": {"min_nbhd": {"a": ["a"]}}, "kind": "table", "lo": 2, "hi": 2,
+            "table": {"": 0, "a": 1},
+        }),
+        InvariantViolation, "^table.range: ",
+    ),
+    "table-infinite-hi": (
+        lambda: TableFunctional(X, 0.0, float("inf"), (0.0, 1.0, 1.0, 1.0)),
+        InvariantViolation, "^table.range: ",
+    ),
+    "table-nan-lo": (
+        lambda: TableFunctional(X, NAN, 1.0, (0.0, 1.0, 1.0, 1.0)), InvariantViolation, "^table.range: ",
+    ),
+    "subset-roundtrip-unknown-kind": (
+        lambda: subset_roundtrip_failure(MU, "avg", 0b11), InvariantViolation, "^kind: ",
+    ),
+    "metric-infinite-distance": (
+        lambda: MetricSpace(("a", "b"), [[0, float("inf")], [float("inf"), 0]]),
+        InvariantViolation, "^dist.finite: ",
+    ),
+    "metric-infinite-distance-from-file": (
+        lambda: load_instance(json.loads('{"points": ["a", "b"], "dist": [[0, Infinity], [Infinity, 0]]}')),
+        InvariantViolation, "^dist.finite: ",
+    ),
+    "metric-ragged-dist": (
+        lambda: MetricSpace(("a", "b"), [[0, 1], [1]]), InvariantViolation, "^dist: ",
+    ),
+    "line-metric-infinite-coordinate": (
+        lambda: line_metric({"a": 0, "b": float("inf")}), InvariantViolation, "^coords: ",
+    ),
+    "line-metric-nan-coordinate": (
+        lambda: line_metric({"a": NAN, "b": 0}), InvariantViolation, "^coords: ",
+    ),
     "functional-json-metric-space": (
         lambda: functional_to_json(SupportFunctional(line_metric({"a": 0, "b": 1}), "min", 1)),
         ParseError, "has no file form",
@@ -194,8 +256,10 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_malformed_calls_raise_one_line_idemx_errors(case):
     call, error, message = CASES[case]
-    with pytest.raises(error, match=message) as info:
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning is no answer either
+        with pytest.raises(error, match=message) as info:
+            call()
     assert isinstance(info.value, IdemxError)
     assert "\n" not in str(info.value)
 

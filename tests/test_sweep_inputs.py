@@ -1,14 +1,15 @@
 """The axiom sweep's inputs against a per-call build, and the parameter
 boundary of the public entry points of ``functionals``.
 
-Without a family, ``_axiom_sweep`` evaluates each input group once: its
-distinct structured rows (``_structured``, built once per point count),
-then its random rows (``_random_tail``, drawn once per point count, seed
-and draw size).  The per-call construction it replaced is kept below as the
-reference.  The reports, witnesses included, must equal the reference's;
-every row the sweep evaluates must be a row of the reference inputs, bit
-for bit, so the sign of a zero is compared too; and an ``ev`` that raises
-must raise on the same input as the reference.
+Without a family, ``_axiom_sweep`` evaluates each input group once and
+whole, whichever of its identities are asked: its distinct structured rows
+(``_structured_ids``, built once per point count), then its random rows
+(``_random_tail``, drawn once per point count, seed and trial count).  The
+per-call construction it replaced is kept below as the reference.  The
+reports, witnesses included, must equal the reference's; every row the
+sweep evaluates must be a row of the reference inputs, bit for bit, so the
+sign of a zero is compared too; and an ``ev`` that raises must raise on the
+first input of the group's layout that the reference raises on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from idemx.errors import InvariantViolation
 from idemx.functionals import (
     AXIOMS,
-    SHARED_TRIALS,
     TWO_VALUED_CAP,
     LambdaFunctional,
     MeanFunctional,
@@ -30,7 +30,6 @@ from idemx.functionals import (
     _mirrored,
     _pair_grid,
     _random_tail,
-    _structured,
     _structured_ids,
     _weak_family,
     check_axiom,
@@ -115,21 +114,22 @@ def _functionals(n):
 
 def _reference_inputs(n, trials, seed):
     """Every input the reference evaluates, by group, each group's sides in
-    the order the reference first evaluates them."""
+    the order of the sweep's layout: F (and G), then the left-hand inputs in
+    ``AXIOMS`` order."""
     (F, G), (W, C) = _reference_blocks(n, trials, seed)
     c = C[:, None]
     return {
         "normed": {"normed": np.ones((1, n))},
         "weak": {
-            "weakly_additive": W + c,
             "F": W,
+            "weakly_additive": W + c,
             "weakly_preserves_max": _fold("max", (W, c)),
             "weakly_preserves_min": _fold("min", (W, c)),
         },
         "pairs": {
-            "preserves_max": _fold("max", (F, G)),
             "F": F,
             "G": G,
+            "preserves_max": _fold("max", (F, G)),
             "preserves_min": _fold("min", (F, G)),
         },
     }
@@ -149,22 +149,19 @@ def _raised(call):
 
 
 def _reference_raise(ev, n, axioms, trials, seed):
-    """What the reference raises on ``axioms``: in ``AXIOMS`` order it
-    evaluates each identity's left-hand input, and the values of F (and G)
-    on its group's first identity."""
+    """What the reference inputs raise on ``axioms`` in the sweep's layout:
+    each group with an identity asked, in the order of its first identity
+    in ``AXIOMS``, is evaluated whole, the structured rows of every side in
+    ``_reference_inputs`` order, then the random rows of every side in the
+    same order.  A row met again raises again, so repeats can stay."""
     inputs = _reference_inputs(n, trials, seed)
 
     def run():
-        valued = {"normed"}  # the groups whose F (and G) have been evaluated
-        for a in AXIOMS:
-            if a in axioms:
-                group = _group(a)
-                ev(inputs[group][a])
-                if group not in valued:
-                    valued.add(group)
-                    for side in ("F", "G"):
-                        if side in inputs[group]:
-                            ev(inputs[group][side])
+        for group in dict.fromkeys(_group(a) for a in AXIOMS if a in axioms):
+            sides = list(inputs[group].values())
+            cut = [len(a) - (0 if group == "normed" else 2 * trials) for a in sides]
+            head = [a[:k] for a, k in zip(sides, cut)]
+            ev(np.concatenate(head + [a[k:] for a, k in zip(sides, cut)]))
 
     return _raised(run)
 
@@ -200,16 +197,15 @@ def test_shared_inputs_match_the_per_call_build(n):
             if not trials:
                 assert not any(A.flags.writeable for A in seen[1:])
 
-            entry = _random_tail(n, seed, max(trials, SHARED_TRIALS))
+            entry = _random_tail(n, seed, trials)
             for group, (sides, C) in entry.items():
                 for s, a in sides.items():
                     ref = inputs[group][s]
-                    assert len(a) == 2 * max(trials, SHARED_TRIALS)
-                    assert a[: 2 * trials].tobytes() == ref[len(ref) - 2 * trials :].tobytes()
+                    assert a.tobytes() == ref[len(ref) - 2 * trials :].tobytes()
                     assert not a.flags.writeable
                 if C is not None:
                     ref = _reference_blocks(n, trials, seed)[1][1]
-                    assert C[: 2 * trials].tobytes() == ref[len(ref) - 2 * trials :].tobytes()
+                    assert C.tobytes() == ref[len(ref) - 2 * trials :].tobytes()
                     assert not C.flags.writeable
 
 
@@ -232,7 +228,7 @@ def test_each_identity_alone_matches_the_reference(n):
 def test_zero_signs_stay_apart():
     """The weak rows hold rows that differ only in the sign of a zero; both
     are evaluated, each as its own row."""
-    rows, _, _ = _structured(2, "weak", ("weakly_additive", "F", "weakly_preserves_max"))
+    rows, _, _ = _structured_ids(2)["weak"]
     as_floats = {tuple(r) for r in rows.tolist()}
     assert len(as_floats) < len(rows) == len(set(_row_bits(rows)))
     assert {(0.0, -1.0), (-0.0, -1.0)} <= {tuple(r) for r in rows.tolist()}
@@ -241,8 +237,9 @@ def test_zero_signs_stay_apart():
 
 @pytest.mark.parametrize("n", range(2, TWO_VALUED_CAP + 1))
 def test_a_raising_ev_raises_on_the_reference_input(n):
-    """A table raises on its first input outside {lo, hi}: the same input as
-    the reference, for each identity alone and for all of them."""
+    """A table raises on its first input outside {lo, hi}: the first such
+    input of the group's layout, which does not depend on the identities
+    asked, for each identity alone and for all of them."""
     space = discrete([f"p{i}" for i in range(n)])
     raised = 0
     for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (0.0, 2.0), (0.5, 1.0)):
@@ -281,6 +278,53 @@ def test_a_full_sweep_makes_three_evaluations(n):
         assert sizes == [1, WEAK_ROWS[n - 1] + 8 * trials, PAIR_ROWS[n - 1] + 8 * trials]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_partial_sweep_evaluates_its_whole_group(n):
+    """The rows of a group do not depend on the identities asked: 1 row for
+    ``normed``, then each group asked with all its structured rows and
+    2 x trials random rows for each of its 4 sides."""
+    mu = MeanFunctional(discrete([f"p{i}" for i in range(n)]))
+    for axioms in [(a,) for a in AXIOMS] + [
+        ("normed", "preserves_min"),
+        ("weakly_preserves_min", "preserves_max"),
+        ("weakly_additive", "weakly_preserves_max"),
+    ]:
+        for trials in (0, 1, 24):
+            sizes = []
+
+            def ev(A):
+                sizes.append(len(A))
+                return mu.eval_batch(A)[:, None]
+
+            _axiom_sweep(ev, n, axioms, trials, 1e-9, 0, None)
+            rows = {
+                "normed": 1,
+                "weak": WEAK_ROWS[n - 1] + 8 * trials,
+                "pairs": PAIR_ROWS[n - 1] + 8 * trials,
+            }
+            groups = dict.fromkeys(_group(a) for a in AXIOMS if a in axioms)
+            assert sizes == [rows[g] for g in groups], (axioms, trials)
+
+
+@pytest.mark.parametrize("n", (1, 3, 6))
+def test_random_rows_drawn_to_size_are_the_head_of_a_larger_draw(n):
+    """A draw of t trials is the first t trials of a 64-trial draw (and a
+    64-trial draw the first 64 of a larger one), bit for bit, side by side."""
+    for seed in SEEDS:
+        big = _random_tail(n, seed, 64)
+        for trials in (1, 8, 24, 64, 200):
+            drawn = _random_tail(n, seed, trials)
+            head = 2 * min(trials, 64)
+            for group, (sides, C) in drawn.items():
+                big_sides, big_C = big[group]
+                assert list(sides) == list(big_sides)
+                for s, a in sides.items():
+                    assert len(a) == 2 * trials
+                    assert a[:head].tobytes() == big_sides[s][:head].tobytes()
+                if C is not None:
+                    assert C[:head].tobytes() == big_C[:head].tobytes()
+
+
 def test_a_family_sweep_evaluates_what_its_identities_read():
     """On a family of k rows, each pair identity reads its k^2 left-hand
     inputs and the k rows; the weak rows are the rows and their negations
@@ -311,7 +355,7 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
         space, lambda f: min(f["a"], f["b"]) + (0.5 if f["c"] + f["d"] > 3.5 else 0.0)
     )
     mus = [MeanFunctional(space), support_functional(space, "max", ["c"]), bent]
-    caches = (_random_tail, _structured, _structured_ids)
+    caches = (_random_tail, _structured_ids)
 
     def fresh(mu, trials):
         for cache in caches:
