@@ -33,12 +33,12 @@ from .functionals import (
     MIN_CLASS_AXIOMS,
     Functional,
     RealFunction,
-    _array,
     _axiom_sweep,
     _check_count,
     _check_tol,
     _class_supports,
     _continuous_family,
+    _family_rows,
     _fold,
     _pair_family,
     _verify_family,
@@ -239,9 +239,13 @@ def forward_implications(
     ``r_usc`` and ``r_lsc``.  Upper semicontinuous maps must give lsc outputs
     through the min extender and usc outputs through the max extender; lower
     semicontinuous maps dually; continuous maps give continuous outputs.
-    All inputs of ``family`` are extended in one ``apply_batch`` and
-    classified in one ``_classes``.  A non-finite output, and an extender
-    that is not retraction-derived (it has no kind), are InvariantViolations.
+    ``family`` is read as ``check_axioms`` reads its family: at least one
+    row, each of one finite real per subspace point.  Its rows are extended
+    in one ``apply_batch`` and classified in one ``_classes``, and ``cases``
+    counts them.  Any other family is an InvariantViolation, at ``values``
+    for a non-finite value as in ``RealFunction``; so is an extender that
+    is not retraction-derived (it has no kind).  A min or max over finite
+    values is finite, so every output is.
     """
     if not isinstance(u.provenance, FromRetraction):
         raise InvariantViolation("provenance", "the extender must be built from a retraction")
@@ -256,13 +260,11 @@ def forward_implications(
         want = ("usc", "continuous") if kind == "min" else ("lsc", "continuous")
         expectations.append((f"lsc map gives {want[0]} outputs ({kind} extender)", want))
 
-    F = _array(family, u.domain_space.n)
+    F = _family_rows(family, u.domain_space.n, "values")
     G = u.apply_batch(F)
-    if not np.isfinite(G).all():
-        raise InvariantViolation("values", "values must be finite")
     classes = _classes(G, u.ambient_space).tolist()
     return tuple(
-        ImplicationResult(name, len(family), tuple(
+        ImplicationResult(name, len(F), tuple(
             f"f={tuple(F[i].tolist())} -> u(f)={tuple(G[i].tolist())} is {c}"
             for i, c in enumerate(classes)
             if c not in allowed

@@ -639,9 +639,10 @@ def _random_tail(n: int, seed: int, trials: int) -> dict:
     return {"pairs": (pairs, None), "weak": (weak, C)}
 
 
-def _family_rows(family, n: int) -> np.ndarray:
+def _family_rows(family, n: int, finite: str = "family") -> np.ndarray:
     """A ``family`` as a read-only k x n array, k >= 1, of finite reals; any
-    other family is an InvariantViolation, raised before any evaluation."""
+    other family is an InvariantViolation, raised before any evaluation,
+    at ``finite`` for a value that is not finite."""
     try:
         fam = np.array(family)
     except (TypeError, ValueError):
@@ -653,7 +654,7 @@ def _family_rows(family, n: int) -> np.ndarray:
     if fam.ndim != 2 or fam.shape[1] != n:
         raise InvariantViolation("family", f"each input must be a row of {n} values, one per point")
     if not np.isfinite(fam).all():
-        raise InvariantViolation("family", "values must be finite")
+        raise InvariantViolation(finite, "values must be finite")
     fam = fam.astype(float, copy=False)
     fam.flags.writeable = False
     return fam

@@ -9,20 +9,26 @@ domain points y and y' in minN(y), the minimal neighborhood of y:
 
 * usc: r(y') lies inside hull(r(y)), the union of the minimal
   neighborhoods of r(y), which is the smallest open set containing r(y);
-* lsc: r(y') meets minN(x) for every x in r(y); equivalently, r(y) lies
-  inside the closure of r(y').
+* lsc: r(y) lies inside cl(r(y')), the union of the point closures of
+  r(y'); equivalently, r(y') meets minN(x) for every x in r(y).
 
 Every open set containing r(y) contains hull(r(y)), and every open set
 meeting r(y) at x contains minN(x), so these rules are the open-set
 definitions with the open sets left out: no open set is enumerated.
 
-The rule has one reading, as a shrinking step: usc cuts r(y') down to
-hull(r(y)), lsc cuts r(y) down to the closure of r(y').  Hull and closure
-are monotone, so a step keeps every map of the kind that lies pointwise
-below r, and r is of the kind exactly when no step shrinks it.
-``_narrow`` runs the steps to the greatest fixed point below r, and it is
-the only code that applies the rule.  The images of the points it is told
-to freeze may not shrink:
+Both are one cut with two tables, a spread table on the domain and a
+grow table on the codomain: for a point y, every other point of
+spread[y] has its image cut down to the union of grow over r(y).  usc
+reads the ``min_nbhd`` tables of both spaces, lsc their
+``point_closures`` (y' lies in minN(y) iff y lies in cl{y'}), and
+continuity both pairs.  The point closures are the minimal neighborhoods
+of the reversed specialization order, so lsc is usc with both orders
+reversed, the min/max duality the paper runs on.
+Hull and closure are monotone, so a cut keeps every map of the kind that
+lies pointwise below r, and r is of the kind exactly when no cut shrinks
+it.  ``_narrow`` runs the cuts to the greatest fixed point below r, and
+it is the only code that applies the rule.  The images of the points it
+is told to freeze may not shrink:
 
 * ``is_usc``, ``is_lsc`` and ``is_continuous`` freeze every point, so it
   checks r and stops at the first broken rule;
@@ -31,15 +37,14 @@ to freeze may not shrink:
 * ``search_retraction`` re-runs it after each assignment with the assigned
   points frozen, and takes the next point's images from what is left.
 
-No table over every subset is built: ``search_retraction`` reads hull and
-closure from tables filled on demand, one entry per subset met.
+No table over every subset is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvariantViolation, SpaceMismatch, TooLarge
 from .spaces import FiniteTopSpace, SubspaceEmbedding, _at_points, _bits
@@ -93,82 +98,62 @@ def _pairs(space: FiniteTopSpace) -> list[tuple[int, int]]:
     ]
 
 
-class _Table(dict):
-    """mask -> f(mask), each value computed on its first lookup."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = self.f(mask)
-        return value
+def _rules(domain: FiniteTopSpace, codomain: FiniteTopSpace, semicontinuity: str) -> list:
+    """The (spread, grow) table pairs a kind cuts by: usc the minimal
+    neighborhoods of both spaces, lsc their point closures, continuity both."""
+    rules = []
+    if semicontinuity != "lsc":
+        rules.append((domain.min_nbhd, codomain.min_nbhd))
+    if semicontinuity != "usc":
+        rules.append((domain.point_closures, codomain.point_closures))
+    return rules
 
 
-def _narrow(
-    images: Sequence[int], domain_nbhd: Sequence[int], semicontinuity: str, frozen: int,
-    changed: int, hull: Callable[[int], int] | None, closure: Callable[[int], int] | None,
-) -> bool:
-    """Shrink ``images`` in place to the greatest fixed point of the rule
-    below them; False when there is none.  ``hull`` and ``closure`` map a
-    codomain mask to its hull and closure; the unused one may be None.
+def _narrow(images: list[int] | tuple[int, ...], rules: list, frozen: int, changed: int) -> bool:
+    """Shrink ``images`` in place to the greatest fixed point of the
+    ``rules`` below them; False when there is none.  Each rule (spread,
+    grow) cuts the image of every other point of spread[y] down to the
+    union of grow over r(y).
 
     ``frozen`` and ``changed`` are domain masks, -1 for every point.  A
-    rule can only break when the image it reads shrinks, r(y) for usc and
-    r(y') for lsc, so ``changed`` holds the points whose images shrank since
-    the rule last held, and each round applies the rule only where it reads
-    one of them, point by point.  The points a round shrinks are the next
-    round's ``changed``, until a round shrinks none.
+    cut can only shrink anything when the image r(y) it reads shrinks, so
+    ``changed`` holds the points whose images shrank since their cuts last
+    held, and each round cuts only from those.  The points a round shrinks
+    are the next round's ``changed``, until a round shrinks none.
 
     It fails as soon as an image empties or the image of a ``frozen`` point
     would have to shrink.  With every point frozen it writes nothing
     (``images`` may be a tuple), so it is a check that stops at the first
-    broken rule, and usc costs one union per point.  Bits are taken lowest
-    first with ``m & -m``, not by ``_bits``: these are the innermost loops
-    of every caller.
+    broken rule.  Bits are taken lowest first with ``m & -m``, not by
+    ``_bits``: these are the innermost loops of every caller.
     """
+    full = (1 << len(images)) - 1
     while changed:
-        read, changed = changed, 0
-        if semicontinuity != "lsc":
-            for y, nbhd in enumerate(domain_nbhd):
-                if nbhd != 1 << y and (read >> y) & 1:
-                    h = hull(images[y])
-                    below, m = 0, nbhd  # the union of r(y') over minN(y)
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        below |= images[low.bit_length() - 1]
-                    if below & ~h:
-                        while nbhd:  # cut each r(y') down to hull(r(y))
-                            low = nbhd & -nbhd
-                            nbhd ^= low
-                            y2 = low.bit_length() - 1
-                            im = images[y2]
-                            if im & ~h:
-                                if frozen & low or not im & h:
-                                    return False
-                                images[y2] = im & h
-                                changed |= low
-        if semicontinuity != "usc":
-            # closures by point, each computed once a round: a later cut in
-            # the round makes one stale, but that point is read again next round
-            cl = [-1] * len(images)
-            for y, nbhd in enumerate(domain_nbhd):
-                m = nbhd & read & ~(1 << y)
-                im = images[y]
-                while m:  # cut r(y) down to the closure of each r(y')
+        read, changed = changed & full, 0
+        for spread, grow in rules:
+            points = read
+            while points:
+                one = points & -points
+                points ^= one
+                y = one.bit_length() - 1
+                targets = spread[y] & ~one
+                if not targets:
+                    continue
+                bound, m = 0, images[y]  # the union of grow over r(y)
+                while m:
                     low = m & -m
                     m ^= low
+                    bound |= grow[low.bit_length() - 1]
+                while targets:
+                    low = targets & -targets
+                    targets ^= low
                     y2 = low.bit_length() - 1
-                    c = cl[y2]
-                    if c < 0:
-                        c = cl[y2] = closure(images[y2])
-                    if im & ~c:
-                        if (frozen >> y) & 1 or not im & c:
+                    im = images[y2]
+                    if im & ~bound:
+                        if frozen & low or not im & bound:
                             return False
-                        im = images[y] = im & c
-                        changed |= 1 << y
+                        images[y2] = im & bound
+                        changed |= low
     return True
 
 
@@ -177,20 +162,19 @@ def is_lsc(r: SetValuedMap) -> bool:
 
     Tested point by point: r(y) inside cl(r(y')) for every y' in minN(y).
     """
-    return _narrow(r.images, r.domain.min_nbhd, "lsc", -1, -1, None, r.codomain.closure_mask)
+    return _narrow(r.images, _rules(r.domain, r.codomain, "lsc"), -1, -1)
 
 
 def is_usc(r: SetValuedMap) -> bool:
     """Upper semicontinuity: {y : r(y) inside U} open for every open U.
 
-    Tested point by point: the union of r(y') over minN(y) inside hull(r(y)).
+    Tested point by point: r(y') inside hull(r(y)) for every y' in minN(y).
     """
-    return _narrow(r.images, r.domain.min_nbhd, "usc", -1, -1, r.codomain.hull_mask, None)
+    return _narrow(r.images, _rules(r.domain, r.codomain, "usc"), -1, -1)
 
 
 def is_continuous(r: SetValuedMap) -> bool:
-    cod = r.codomain
-    return _narrow(r.images, r.domain.min_nbhd, "continuous", -1, -1, cod.hull_mask, cod.closure_mask)
+    return _narrow(r.images, _rules(r.domain, r.codomain, "continuous"), -1, -1)
 
 
 def is_retraction(r: SetValuedMap, embedding: SubspaceEmbedding) -> bool:
@@ -233,7 +217,7 @@ def greatest_retraction(
     lsc) retractions is again one: when a retraction of a kind exists, a
     greatest one exists, and every other lies pointwise below it.  It is
     what ``_narrow`` leaves of r(x) = {x} on the subspace and r(y) = the
-    whole subspace elsewhere, with the embedded points frozen: every step
+    whole subspace elsewhere, with the embedded points frozen: every cut
     keeps each retraction of the kind below r, so when the fixed point
     exists it is the greatest retraction, and otherwise none exists.  Every
     round but the last shrinks some image, so there are at most |Y| * |X|
@@ -247,10 +231,7 @@ def greatest_retraction(
         1 << sub.index(p) if (embedding.subset_mask >> i) & 1 else sub.full_mask
         for i, p in enumerate(amb.points)
     ]
-    if not _narrow(
-        images, amb.min_nbhd, semicontinuity, embedding.subset_mask, -1,
-        sub.hull_mask, sub.closure_mask,
-    ):
+    if not _narrow(images, _rules(amb, sub, semicontinuity), embedding.subset_mask, -1):
         return None
     return SetValuedMap(amb, sub, tuple(images))
 
@@ -311,11 +292,10 @@ def search_retraction(
     if g is None:
         return None
     amb, sub = embedding.ambient, embedding.subspace
-    n, nbhd = amb.n, amb.min_nbhd
+    n, rules = amb.n, _rules(amb, sub, semicontinuity)
     nodes = sum((1 << m.bit_count()) - 1 for m in g.images)
     if nodes > SEARCH_NODES:
         raise _over_budget(nodes)
-    hull, closure = _Table(sub.hull_mask).__getitem__, _Table(sub.closure_mask).__getitem__
     best = [sum(m.bit_count() for m in g.images), g.images]  # cardinality to beat, its images
 
     def extend(i: int, card: int, images: list[int]) -> None:
@@ -338,7 +318,7 @@ def search_retraction(
                 continue
             narrowed = images.copy()
             narrowed[i] = m
-            if _narrow(narrowed, nbhd, semicontinuity, assigned, 1 << i, hull, closure):
+            if _narrow(narrowed, rules, assigned, 1 << i):
                 extend(i + 1, c, narrowed)
 
     extend(0, 0, list(g.images))

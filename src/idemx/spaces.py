@@ -8,7 +8,7 @@ positional point indices; point identifiers are strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
@@ -48,6 +48,16 @@ def _at_points(points: Sequence[str], mapping: Mapping, name: str) -> list:
         unknown = next(k for k in mapping if k not in points)
         raise InvariantViolation(f"{name}[{unknown}]", "not a point of the space")
     return [mapping[p] for p in points]
+
+
+def _union(table: Sequence[int], mask: int) -> int:
+    """The union of ``table[i]`` over the members i of ``mask``."""
+    out = 0
+    while mask:  # lowest member first; a hot loop, so no _bits generator
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class _PointSet:
@@ -116,10 +126,16 @@ class FiniteTopSpace(_PointSet):
     ``min_nbhd[i]`` is the bitmask of the smallest open set containing
     point ``i``.  Valid tables satisfy ``i in min_nbhd[i]`` and the nesting
     condition: ``j in min_nbhd[i]`` implies ``min_nbhd[j] <= min_nbhd[i]``.
+
+    ``point_closures[j]`` is the bitmask of cl{j}, the points whose minimal
+    neighborhood holds j: the transpose of ``min_nbhd``, and the minimal
+    neighborhoods of the reversed specialization order.  It is built with
+    the table and takes no part in equality or hashing.
     """
 
     points: tuple[str, ...]
     min_nbhd: tuple[int, ...]
+    point_closures: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self._check_points()
@@ -135,6 +151,7 @@ class FiniteTopSpace(_PointSet):
                 raise MembershipViolation(
                     f"point {self.points[i]!r} is not in its own minimal neighborhood"
                 )
+        closures = [0] * n
         for i, m in enumerate(self.min_nbhd):
             for j in _bits(m):
                 if self.min_nbhd[j] & ~m:
@@ -142,6 +159,8 @@ class FiniteTopSpace(_PointSet):
                         f"min_nbhd({self.points[j]!r}) is not contained in "
                         f"min_nbhd({self.points[i]!r})"
                     )
+                closures[j] |= 1 << i
+        object.__setattr__(self, "point_closures", tuple(closures))
 
     # -- topology ------------------------------------------------------
 
@@ -165,20 +184,11 @@ class FiniteTopSpace(_PointSet):
 
     def hull_mask(self, mask: int) -> int:
         """Smallest open superset: the union of the members' minimal neighborhoods."""
-        out = 0
-        while mask:  # lowest member first; a hot loop, so no _bits generator
-            low = mask & -mask
-            out |= self.min_nbhd[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return _union(self.min_nbhd, mask)
 
     def closure_mask(self, mask: int) -> int:
-        # x is adherent to A iff its smallest neighborhood meets A
-        out = 0
-        for i, m in enumerate(self.min_nbhd):
-            if m & mask:
-                out |= 1 << i
-        return out
+        """Smallest closed superset: the union of the members' point closures."""
+        return _union(self.point_closures, mask)
 
     def is_connected_mask(self, mask: int) -> bool:
         """Connectivity of a subspace via the symmetrized specialization preorder.
@@ -194,15 +204,14 @@ class FiniteTopSpace(_PointSet):
     def _first_component(self, mask: int) -> int:
         """Points of ``mask`` linked to its lowest point by a chain of
         specializations inside ``mask``."""
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        frontier = [start]
+        seen = frontier = mask & -mask
         while frontier:
-            i = frontier.pop()
-            for j in _bits(mask & ~seen):
-                if (self.min_nbhd[i] >> j) & 1 or (self.min_nbhd[j] >> i) & 1:
-                    seen |= 1 << j
-                    frontier.append(j)
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            linked = (self.min_nbhd[i] | self.point_closures[i]) & mask & ~seen
+            seen |= linked
+            frontier |= linked
         return seen
 
     def is_discrete(self) -> bool:

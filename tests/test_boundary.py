@@ -83,6 +83,18 @@ CASES = {
         lambda: forward_implications(Extender(E, lambda f: f, "user"), True, True, [(0.0, 1.0)]),
         InvariantViolation, "^provenance: ",
     ),
+    # U lives on a 2-point subspace, so each input is a row of 2 values
+    "forward-family-row-too-long": (
+        lambda: forward_implications(U, True, False, [(0.0, 1.0, 2.0, 3.0)]),
+        InvariantViolation, "^family: ",
+    ),
+    "forward-family-row-too-short": (
+        lambda: forward_implications(U, True, False, [(0.0, 1.0, 2.0)]),
+        InvariantViolation, "^family: ",
+    ),
+    "forward-family-empty": (
+        lambda: forward_implications(U, True, False, []), InvariantViolation, "^family: ",
+    ),
     "infsup-family-same-size": (
         lambda: infsup_reconstruct(MU, F, family=SubsetFamily(discrete(["x", "y"]), (0b10,))),
         SpaceMismatch, "family",

@@ -644,3 +644,181 @@ def test_greatest_retraction_is_the_union_of_every_retraction_of_its_kind():
 def test_greatest_retraction_rejects_an_unknown_property():
     with pytest.raises(InvariantViolation, match="semicontinuity"):
         greatest_retraction(embed(WEDGE, ["p", "q"]), "open")
+
+
+# -- the narrowing kernel before the one cut, as reference --------------------
+
+
+def _scanned_closure(space):
+    """mask -> its closure, read off ``min_nbhd`` alone: x is adherent to A
+    iff minN(x) meets A."""
+    return lambda mask: sum(1 << i for i, m in enumerate(space.min_nbhd) if m & mask)
+
+
+def reference_narrow(images, domain_nbhd, semicontinuity, frozen, changed, hull, closure):
+    """The narrowing kernel as it was before the one cut: y-major, usc
+    cutting each r(y') of minN(y) into hull(r(y)) after a union pre-pass,
+    lsc cutting r(y) into the closure of each r(y') through a per-round
+    closure cache.  Same contract as ``setmaps._narrow``."""
+    while changed:
+        read, changed = changed, 0
+        if semicontinuity != "lsc":
+            for y, nbhd in enumerate(domain_nbhd):
+                if nbhd != 1 << y and (read >> y) & 1:
+                    h = hull(images[y])
+                    below, m = 0, nbhd  # the union of r(y') over minN(y)
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        below |= images[low.bit_length() - 1]
+                    if below & ~h:
+                        while nbhd:  # cut each r(y') down to hull(r(y))
+                            low = nbhd & -nbhd
+                            nbhd ^= low
+                            y2 = low.bit_length() - 1
+                            im = images[y2]
+                            if im & ~h:
+                                if frozen & low or not im & h:
+                                    return False
+                                images[y2] = im & h
+                                changed |= low
+        if semicontinuity != "usc":
+            cl = [-1] * len(images)
+            for y, nbhd in enumerate(domain_nbhd):
+                m = nbhd & read & ~(1 << y)
+                im = images[y]
+                while m:  # cut r(y) down to the closure of each r(y')
+                    low = m & -m
+                    m ^= low
+                    y2 = low.bit_length() - 1
+                    c = cl[y2]
+                    if c < 0:
+                        c = cl[y2] = closure(images[y2])
+                    if im & ~c:
+                        if (frozen >> y) & 1 or not im & c:
+                            return False
+                        im = images[y] = im & c
+                        changed |= 1 << y
+    return True
+
+
+def reference_narrow_satisfies(r, prop):
+    cod = r.codomain
+    return reference_narrow(
+        r.images, r.domain.min_nbhd, prop, -1, -1, cod.hull_mask, _scanned_closure(cod)
+    )
+
+
+def reference_greatest(e, prop):
+    """The images of the greatest retraction through ``reference_narrow``, or None."""
+    amb, sub = e.ambient, e.subspace
+    images = [1 << sub.index(p) if p in e.subset else sub.full_mask for p in amb.points]
+    ok = reference_narrow(
+        images, amb.min_nbhd, prop, e.subset_mask, -1, sub.hull_mask, _scanned_closure(sub)
+    )
+    return tuple(images) if ok else None
+
+
+def reference_narrowing_search(e, prop):
+    """The forward-checking search through ``reference_narrow``, with the
+    nodes it counts: (images or None, nodes), with no node budget."""
+    top = reference_greatest(e, prop)
+    if top is None:
+        return None, 0
+    amb, sub = e.ambient, e.subspace
+    n, hull, closure = amb.n, sub.hull_mask, _scanned_closure(sub)
+    nodes = sum((1 << m.bit_count()) - 1 for m in top)
+    best = [sum(m.bit_count() for m in top), top]
+
+    def extend(i, card, images):
+        nonlocal nodes
+        if i == n:
+            best[:] = [card, tuple(images)]
+            return
+        choices = [m for m in range(1, images[i] + 1) if not m & ~images[i]]
+        nodes += len(choices)
+        for m in choices:
+            c = card + m.bit_count()
+            if c + n - 1 - i >= best[0]:
+                continue
+            if m == images[i]:
+                extend(i + 1, c, images)
+                continue
+            narrowed = images.copy()
+            narrowed[i] = m
+            if reference_narrow(narrowed, amb.min_nbhd, prop, (2 << i) - 1, 1 << i, hull, closure):
+                extend(i + 1, c, narrowed)
+
+    extend(0, 0, list(top))
+    return best[1], nodes
+
+
+def _corpus_embeddings():
+    return [
+        load_embedding(case["embedding"])
+        for seed in (0, 1)
+        for case in _embedding_corpus(500, seed, max_y=6)
+    ]
+
+
+def test_one_cut_matches_the_reference_kernel(monkeypatch):
+    # predicates on every fixing map of the campaign's embedding corpora;
+    # greatest retraction, search answer and search nodes on those and on
+    # the sparse 4/5 and 4/6 corpora
+    rng = np.random.default_rng(906)
+    corpora = _corpus_embeddings()
+    maps = 0
+    for e in corpora:
+        for images in fixing_images(e):
+            r = SetValuedMap(e.ambient, e.subspace, images)
+            for prop, holds in PREDICATE.items():
+                assert holds(r) == reference_narrow_satisfies(r, prop), (r.as_dict(), prop)
+            maps += 1
+    assert maps == 2152
+    embeddings = corpora + list(_sparse_embeddings(rng, 4, 5, 12))
+    embeddings += _sparse_embeddings(rng, 4, 6, 12)
+    for e in embeddings:
+        for prop in PREDICATE:
+            where = (e.ambient.min_nbhd, e.subset, prop)
+            g = greatest_retraction(e, prop)
+            assert (None if g is None else g.images) == reference_greatest(e, prop), where
+            want, nodes = reference_narrowing_search(e, prop)
+            monkeypatch.setattr(setmaps, "SEARCH_NODES", 10**6)
+            r = search_retraction(e, prop)
+            assert (None if r is None else r.images) == want, where
+            if want is not None:  # exactly ``nodes``: decided at that budget, not one below
+                monkeypatch.setattr(setmaps, "SEARCH_NODES", nodes)
+                assert search_retraction(e, prop) == r, where
+                monkeypatch.setattr(setmaps, "SEARCH_NODES", nodes - 1)
+                with pytest.raises(TooLarge):
+                    search_retraction(e, prop)
+
+
+def _reversed(space):
+    """The space of the reversed specialization order: each minimal
+    neighborhood becomes the set of points whose neighborhoods hold it."""
+    nbhd = tuple(
+        sum(1 << i for i, m in enumerate(space.min_nbhd) if (m >> j) & 1) for j in range(space.n)
+    )
+    return FiniteTopSpace(space.points, nbhd)
+
+
+def test_lsc_is_usc_of_the_reversed_order():
+    dual = {"usc": "lsc", "lsc": "usc", "continuous": "continuous"}
+    for e in _corpus_embeddings():
+        amb_op = _reversed(e.ambient)
+        e_op = embed(amb_op, e.subset)
+        sub_op = _reversed(e.subspace)
+        assert e_op.subspace == sub_op
+        for images in fixing_images(e):
+            r = SetValuedMap(e.ambient, e.subspace, images)
+            r_op = SetValuedMap(amb_op, sub_op, images)
+            for prop, holds in PREDICATE.items():
+                assert holds(r) == PREDICATE[dual[prop]](r_op), (r.as_dict(), prop)
+        for prop in PREDICATE:
+            where = (e.ambient.min_nbhd, e.subset, prop)
+            for f in (greatest_retraction, search_retraction):
+                got, want = f(e, prop), f(e_op, dual[prop])
+                assert (None if got is None else got.images) == (
+                    None if want is None else want.images
+                ), (f.__name__, where)
