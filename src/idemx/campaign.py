@@ -587,6 +587,8 @@ class CampaignConfig:
         for name, cap in self.size_caps.items():
             if name not in CATALOGUE:
                 raise UnknownSuite(name)
+            if name not in self.suites:
+                raise InvariantViolation(f"size_caps[{name}]", "caps a suite that is not selected")
             hard = CATALOGUE[name].cap_hard
             if not (1 <= cap <= hard):
                 raise InvariantViolation(

@@ -29,6 +29,7 @@ from .errors import (
     TooLarge,
 )
 from .functionals import (
+    AXIOMS,
     MAX_CLASS_AXIOMS,
     MIN_CLASS_AXIOMS,
     Functional,
@@ -334,7 +335,8 @@ def supports_retraction(
     _check_tol(tol)
     x_space = u.domain_space
     y_space = u.ambient_space
-    _, _, masks, _ = _class_supports(u.apply_batch, x_space.n, min(budget, 32), budget, tol, 0)
+    reports = _axiom_sweep(u.apply_batch, x_space.n, AXIOMS, min(budget, 32), tol, 0, None)
+    _, masks, _ = _class_supports(u.apply_batch, x_space.n, reports, budget, tol, 0)
     images = []
     for p, mask in zip(y_space.points, masks):
         if not mask:

@@ -132,7 +132,12 @@ class Functional:
 
     Each class evaluates a whole k x n array of inputs, one per row, in
     ``eval_batch``; calling the functional on one RealFunction evaluates a
-    one-row array.
+    one-row array.  Functionals must be hashable, and equal functionals
+    must give equal values: the axiom verdicts of ``check_axioms``,
+    ``classify``, ``support`` and the essential-set precheck are memoized
+    per (functional, tol, seed), and a smaller trial count reads its
+    verdicts from a sweep at a larger one.  A ``LambdaFunctional`` is keyed
+    by identity.
     """
 
     space: FiniteTopSpace | MetricSpace
@@ -514,13 +519,19 @@ def _passes_sampled(rng, low, high, trials: int, failing) -> bool:
 
 @dataclass(frozen=True)
 class AxiomWitness:
-    """A concrete violation: inputs plus both sides of the failed identity."""
+    """A concrete violation: inputs plus both sides of the failed identity.
+
+    A sweep also records ``index``, the place of the input in its
+    identity's sweep order (structured inputs first, then random ones as
+    drawn); it takes no part in comparison or repr.
+    """
 
     f: tuple[float, ...]
     g: tuple[float, ...] | None
     c: float | None
     lhs: float
     rhs: float
+    index: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -558,6 +569,7 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
             None if C is None else float(C[i]),
             lv,
             rv,
+            i,
         )) if failing else AxiomReport(axiom, True)
         for i, failing, lv, rv in sides
     ]
@@ -566,11 +578,14 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
 #: Entries kept by the cache of random sweep rows, one per (n, seed, trials) key.
 SWEEP_CACHE = 4
 
-#: The identities checked on each input group: the pairs (F, G) and the rows (f, c).
+#: The identities checked on each input group: the constant 1, the pairs
+#: (F, G) and the rows (f, c).
 _GROUPS = {
+    "normed": ("normed",),
     "pairs": ("preserves_max", "preserves_min"),
     "weak": ("weakly_additive", "weakly_preserves_max", "weakly_preserves_min"),
 }
+_GROUP_OF = {a: group for group, axioms in _GROUPS.items() for a in axioms}
 
 
 def _combine(axiom: str, x, y):
@@ -719,7 +734,7 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     batches = {}  # the identities asked of each group, groups and identities in AXIOMS order
     for a in AXIOMS[1:]:
         if a in axioms:
-            group = "pairs" if a.startswith("preserves") else "weak"
+            group = _GROUP_OF[a]
             cs = None  # a weak identity's constants on a family
             if fam is not None and group == "weak":
                 cs = (-1.0, 0.5, 1.0, 2.0) if a == "weakly_additive" else (-1.0, 0.25, 0.5, 0.8, 1.0, 4.0)
@@ -748,6 +763,47 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
 
 def _columns(mu: Functional):  # mu's values as a k x 1 array, for the sweeps
     return lambda A: mu.eval_batch(A)[:, None]
+
+
+@lru_cache(maxsize=8192)
+def _swept(mu, tol, seed) -> dict:
+    """The memo of mu's sweeps without a family at ``tol`` and ``seed``,
+    filled by ``_memo_reports``: per input group, the largest trial count
+    swept and the report of each identity of the group at that count."""
+    return {}
+
+
+def _memo_reports(mu, axioms, trials: int, tol: float, seed: int) -> dict[str, AxiomReport]:
+    """The reports of a sweep of mu without a family, read from its memo.
+
+    The random rows of t trials are the head of the random rows of any
+    larger count, and a witness is its identity's first violation in side
+    order, structured inputs first.  So the report at t <= T is the report
+    at T when its witness is among the first S + 2t inputs of its side (S of
+    them structured), and a pass otherwise: what a sweep at t gives, bit for
+    bit.  The groups asked that were never swept, or only at fewer trials,
+    are swept at ``trials`` in one call, every identity of each in
+    ``AXIOMS`` order; a sweep that raises stores nothing.
+    """
+    memo = _swept(mu, tol, seed)
+    n = len(mu.space.points)
+    stale = {g for a in axioms if (g := _GROUP_OF[a]) not in memo or memo[g][0] < trials}
+    if stale:
+        asked = [a for a in AXIOMS if _GROUP_OF[a] in stale]
+        sweep = _axiom_sweep(_columns(mu), n, asked, trials, tol, seed, None)
+        for g in stale:
+            memo[g] = trials, {a: sweep[a][0] for a in _GROUPS[g]}
+    out = {}
+    for a in axioms:
+        g = _GROUP_OF[a]
+        swept, reports = memo[g]
+        rep = reports[a]
+        if trials < swept and not rep.passed:
+            structured = 1 if g == "normed" else len(_structured_ids(n)[g][1]["F"])
+            if rep.witness.index >= structured + 2 * trials:
+                rep = AxiomReport(a, True)
+        out[a] = rep
+    return out
 
 
 def check_axioms(
@@ -781,15 +837,29 @@ def check_axioms(
     much as asking every identity of its group, and all six cost three
     evaluations of the functional: the constant 1, the rows (f, c) and the
     pairs.  A ``family`` lays out its own rows on each call, for the
-    identities asked.  A bad ``family``, ``trials`` or ``seed`` (integers
-    >= 0) or ``tol`` (a finite number >= 0) is an InvariantViolation.
+    identities asked.
+
+    Without a ``family`` the verdicts are memoized per (functional, tol,
+    seed), for the last 8192 such keys: each input group is swept once, at
+    the largest ``trials`` asked so far, and a smaller trial count reads its
+    reports from that sweep, the same reports, witnesses included, as a
+    sweep of its own.  ``classify``, ``support`` and the essential-set
+    precheck read the same memo.  This relies on mu being a deterministic
+    evaluator (see ``Functional``); a ``LambdaFunctional`` is keyed by
+    identity.  A bad ``family``, ``trials`` or ``seed`` (integers >= 0),
+    ``tol`` (a finite number >= 0) or a bare string of ``axioms`` is an
+    InvariantViolation.
     """
+    if isinstance(axioms, str):
+        raise InvariantViolation("axioms", f"must be a sequence of axiom names, not the string {axioms!r}")
     unknown = [a for a in axioms if a not in AXIOMS]
     if unknown:
         raise UnknownAxiom(unknown[0])
     _check_count("trials", trials)
     _check_count("seed", seed)
     _check_tol(tol)
+    if family is None:
+        return _memo_reports(mu, axioms, trials, tol, seed)
     sweep = _axiom_sweep(_columns(mu), len(mu.space.points), axioms, trials, tol, seed, family)
     return {a: reps[0] for a, reps in sweep.items()}
 
@@ -803,7 +873,8 @@ def check_axiom(
     family: Sequence[tuple[float, ...]] | None = None,
 ) -> AxiomReport:
     """Check one identity: the one-axiom case of ``check_axioms``, which
-    without a ``family`` evaluates the identity's whole input group."""
+    without a ``family`` sweeps the identity's whole input group, once per
+    memo key."""
     return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 
@@ -843,19 +914,18 @@ def _misses(values, rows, kind: Kind, mask: int, tol: float) -> np.ndarray:
     return np.abs(values - _fold(kind, (rows[:, i] for i in _bits(mask)))) > tol
 
 
-def _class_supports(ev, n: int, trials: int, budget: int, tol: float, seed: int):
+def _class_supports(ev, n: int, reports, budget: int, tol: float, seed: int):
     """The one min/max support route, for each column of ``ev``'s k x m values.
 
-    An axiom sweep at ``trials`` random trials (``min(budget, 32)`` for
-    ``classify`` and ``supports_retraction``, 8 for ``support``) gives each
-    column's kind; spike probes propose its support; and the min or max
-    over that support is compared with the column on one batch of
+    The caller's axiom ``reports`` (a list per axiom, one report per column,
+    from a sweep at ``min(budget, 32)`` random trials for ``classify`` and
+    ``supports_retraction``, 8 for ``support``) give each column's kind;
+    spike probes propose its support; and the min or max over that support
+    is compared with the column on one batch of
     ``_verification_rows(n, budget, default_rng(seed))``.  Returns the
-    reports (a list per axiom), the kinds, the masks (0 unless verified)
-    and, per column, the rows compared up to and including the first that
-    fails (0 when none was compared).
+    kinds, the masks (0 unless verified) and, per column, the rows compared
+    up to and including the first that fails (0 when none was compared).
     """
-    reports = _axiom_sweep(ev, n, AXIOMS, trials, tol, seed, None)
     classes = (("min", MIN_CLASS_AXIOMS), ("max", MAX_CLASS_AXIOMS))
     kinds = [  # "min" where the min-type identities hold, else "max" where those do
         next((k for k, axioms in classes if all(reports[a][j].passed for a in axioms)), None)
@@ -872,7 +942,16 @@ def _class_supports(ev, n: int, trials: int, budget: int, tol: float, seed: int)
                 bad = _misses(values[:, j], rows, kind, m, tol)
                 compared[j] = int(bad.argmax()) + 1 if bad.any() else len(rows)
                 masks[j] = 0 if bad.any() else m
-    return reports, kinds, masks, compared
+    return kinds, masks, compared
+
+
+def _own_supports(mu: Functional, trials: int, budget: int, tol: float, seed: int):
+    """``_class_supports`` for mu alone, on its memoized reports at
+    ``trials``: the reports, then mu's kind, mask and rows compared."""
+    reports = _memo_reports(mu, AXIOMS, trials, tol, seed)
+    columns = {a: [rep] for a, rep in reports.items()}
+    (kind,), (mask,), (compared,) = _class_supports(_columns(mu), mu.space.n, columns, budget, tol, seed)
+    return reports, kind, mask, compared
 
 
 def support(
@@ -890,6 +969,11 @@ def support(
     mu whose formula over the swept support fails the verification rows
     drawn after those raises BudgetExhaustedInconclusive, as absences would
     be unfounded.
+
+    The axiom reports are those of ``check_axioms`` at 8 trials, read from
+    its memo per (functional, tol, seed): a functional already swept at 8 or
+    more trials is not swept again.  This relies on mu being a deterministic
+    evaluator (see ``Functional``).
     """
     _check_count("budget", budget)
     _check_count("seed", seed)
@@ -898,7 +982,7 @@ def support(
     n = len(space.points)
     ev = mu.eval_batch
     cols = _columns(mu)
-    _, (kind,), (mask,), (compared,) = _class_supports(cols, n, 8, min(budget, 64), tol, seed)
+    _, kind, mask, compared = _own_supports(mu, 8, min(budget, 64), tol, seed)
     if mask:
         return space.subset(mask)
     # the route certified no support; the sweep draws on from where it stopped
@@ -1136,15 +1220,18 @@ def classify(
     only the max-preservation identities hold, a density from spike probes
     is checked on the same rows.  A sampled class that fails its check
     raises BudgetExhaustedInconclusive rather than being guessed.
+
+    The axiom reports, which ``axiom_reports`` returns, are those of
+    ``check_axioms`` at ``min(budget, 32)`` trials, read from its memo per
+    (functional, tol, seed): a functional already swept at that many trials
+    or more is not swept again.  This relies on mu being a deterministic
+    evaluator (see ``Functional``).
     """
     _check_count("budget", budget)
     _check_count("seed", seed)
     _check_tol(tol)
     space = mu.space
-    reports, (kind,), (mask,), _ = _class_supports(
-        _columns(mu), space.n, min(budget, 32), budget, tol, seed
-    )
-    reports = {a: reps[0] for a, reps in reports.items()}
+    reports, kind, mask, _ = _own_supports(mu, min(budget, 32), budget, tol, seed)
     if kind is not None:
         label = f"R_{kind}"
         if mask:

@@ -671,7 +671,7 @@ def test_hidden_lambda_reaches_the_random_support_sweep(monkeypatch):
 
     def recorded_route(*args):
         out = _class_supports(*args)
-        routes.append(out[1:])
+        routes.append(out)
         return out
 
     def recorded(rng, low, high, trials, failing):

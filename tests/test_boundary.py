@@ -209,6 +209,10 @@ CASES = {
         lambda: check_axioms(MIN_AB, trials=0, family=[(1, 0, 0, 1)]),
         InvariantViolation, r"^family: .* 3 values",
     ),
+    # a bare string is a sequence of its characters, none of them an axiom
+    "axioms-bare-string": (
+        lambda: check_axioms(MIN_AB, "normed"), InvariantViolation, "^axioms: .*'normed'",
+    ),
     # a space needs at least one point
     "discrete-no-points": (lambda: discrete([]), EmptySet, "at least one point"),
     "finite-space-no-points": (lambda: FiniteTopSpace((), ()), EmptySet, "at least one point"),

@@ -41,6 +41,16 @@ def test_config_rejects_caps_beyond_hard_limit():
         CampaignConfig(size_caps={"usc_forward": 0})
 
 
+def test_config_rejects_a_cap_on_a_suite_not_selected(capsys):
+    # a cap on a suite that does not run would take no effect
+    with pytest.raises(InvariantViolation, match=r"^size_caps\[axioms_fuzz\]: "):
+        CampaignConfig(suites=("hyperspace_monotone",), size_caps={"axioms_fuzz": 5})
+    assert main(["campaign", "--suite", "hyperspace_monotone", "--cap", "axioms_fuzz=5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvariantViolation: size_caps[axioms_fuzz]: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-12}, {"seed": -1}],

@@ -14,6 +14,7 @@ from idemx.functionals import (
     _pair_family,
     _random_tail,
     _structured_ids,
+    _swept,
     check_axioms,
     support_functional,
 )
@@ -45,7 +46,8 @@ def _snapshot():
 
 
 def _clear():
-    for cache in (_random_tail, _structured_ids):
+    # the memo of verdicts too, or a functional swept before would not sweep
+    for cache in (_random_tail, _structured_ids, _swept):
         cache.cache_clear()
 
 

@@ -9,7 +9,9 @@ per-call construction it replaced is kept below as the reference.  The
 reports, witnesses included, must equal the reference's; every row the
 sweep evaluates must be a row of the reference inputs, bit for bit, so the
 sign of a zero is compared too; and an ``ev`` that raises must raise on the
-first input of the group's layout that the reference raises on.
+first input of the group's layout that the reference raises on.  A
+functional's memo of sweeps must answer every smaller trial count as a
+sweep at that count would, and spare every repeated sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from idemx import functionals
 from idemx.errors import InvariantViolation
 from idemx.functionals import (
     AXIOMS,
@@ -25,12 +28,14 @@ from idemx.functionals import (
     MeanFunctional,
     TableFunctional,
     _axiom_sweep,
+    _columns,
     _fold,
     _first_violations,
     _mirrored,
     _pair_grid,
     _random_tail,
     _structured_ids,
+    _swept,
     _weak_family,
     check_axiom,
     check_axioms,
@@ -368,6 +373,84 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
         for t in (8, 64, 8, 200, 8):
             assert check_axioms(mu, trials=t, seed=3) == want[t]
     assert want[8]["preserves_min"].passed and not want[64]["preserves_min"].passed
+
+
+# -- the memo of each functional's sweeps ------------------------------------
+
+MEMO_TRIALS = (0, 1, 8, 16, 24, 32, 64)
+
+
+def _memo_functionals(n):
+    """Functionals whose first violations lie in the structured rows, or
+    for some identities in the random rows only."""
+    space = discrete([f"p{i}" for i in range(n)])
+    head = space.points[: max(1, n // 2)]
+    # f(p0), lowered by 0.5 where f at the last point exceeds 1.9: no pair of
+    # structured inputs reaches that (their values lie in [-1, 1]), about one
+    # random pair in 25 does, and many structured rows (f, c) do
+    bent = LambdaFunctional(space, lambda f: f.values[0] - (0.5 if f.values[-1] > 1.9 else 0.0))
+    return [
+        MeanFunctional(space),
+        density(space, {p: 0.0 if p in head else -0.5 for p in space.points}),
+        bent,
+    ]
+
+
+def test_the_memo_reads_a_smaller_trial_count_as_a_sweep_of_its_own():
+    """After a sweep at 64 trials, the reports at each smaller count, read
+    from the memo in ascending or descending order, are those of a fresh
+    sweep at that count, bit for bit, with the witness in the same place;
+    so are those of a memo that starts empty and grows with each count."""
+    structured = late = 0
+    for n in range(1, 9):
+        for mu in _memo_functionals(n):
+            for seed in (0, 5):
+                want = {}
+                for t in MEMO_TRIALS:
+                    sweep = _axiom_sweep(_columns(mu), n, AXIOMS, t, 1e-9, seed, None)
+                    want[t] = {a: reps[0] for a, reps in sweep.items()}
+                for warm, order in ((True, MEMO_TRIALS), (True, MEMO_TRIALS[::-1]), (False, MEMO_TRIALS)):
+                    _swept.cache_clear()
+                    if warm:
+                        check_axioms(mu, trials=64, seed=seed)
+                    for t in order:
+                        got = check_axioms(mu, trials=t, seed=seed)
+                        for a in AXIOMS:
+                            rep, ref = got[a], want[t][a]
+                            assert repr(rep) == repr(ref), (n, mu.label, seed, t, a)
+                            assert (rep.witness and rep.witness.index) == (ref.witness and ref.witness.index)
+                for a in AXIOMS:
+                    structured += not want[0][a].passed
+                    late += want[0][a].passed and not want[64][a].passed
+    # both kinds of first violation were met
+    assert structured and late
+
+
+def test_the_verdicts_sequence_sweeps_a_fresh_functional_three_times(monkeypatch):
+    """Every axiom, then classify, support and essential_family, on one
+    functional: one sweep per input group, at 64 trials, and every later
+    check, at 32, 8 or 16 trials, reads it."""
+    sweeps = []
+
+    def recorded(ev, n, axioms, *args):
+        sweeps.append((tuple(axioms), args[0]))
+        return _axiom_sweep(ev, n, axioms, *args)
+
+    monkeypatch.setattr(functionals, "_axiom_sweep", recorded)
+    for cache in (_swept, functionals._essential_precheck_failures):
+        cache.cache_clear()  # a fresh functional
+    space = discrete(["a", "b", "c", "d"])
+    mu = support_functional(space, "min", ["a", "c"])
+    for a in AXIOMS:
+        check_axiom(mu, a)
+    assert classify(mu).kind == "R_min"
+    assert support(mu) == {"a", "c"}
+    assert essential_family(mu).members == tuple(m for m in range(16) if m & 0b101)
+    assert sweeps == [
+        (("normed",), 64),
+        (("weakly_additive", "weakly_preserves_max", "weakly_preserves_min"), 64),
+        (("preserves_max", "preserves_min"), 64),
+    ]
 
 
 # -- the parameter boundary ------------------------------------------------
