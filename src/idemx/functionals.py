@@ -132,16 +132,22 @@ class Functional:
 
     Each class evaluates a whole k x n array of inputs, one per row, in
     ``eval_batch``; calling the functional on one RealFunction evaluates a
-    one-row array.  Functionals must be hashable, and equal functionals
-    must give equal values: the axiom verdicts of ``check_axioms``,
-    ``classify``, ``support`` and the essential-set precheck are memoized
-    per (functional, tol, seed), and a smaller trial count reads its
-    verdicts from a sweep at a larger one.  A ``LambdaFunctional`` is keyed
-    by identity.
+    one-row array.  The axiom verdicts of ``check_axioms``, ``classify``,
+    ``support`` and the essential-set precheck are memoized on the
+    functional object itself, per (tol, seed), and a smaller trial count
+    reads its verdicts from a sweep at a larger one; this relies on the
+    functional being a deterministic evaluator.
     """
 
     space: FiniteTopSpace | MetricSpace
     label: str = ""
+
+    @cached_property
+    def _sweeps(self) -> dict:
+        """The memo of ``_memo_reports``, per (tol, seed): for each identity,
+        the largest trial count its input group was swept at and its report
+        there.  Kept on the object, so equal functionals never share it."""
+        return {}
 
     def __call__(self, f: RealFunction) -> float:
         _check_space(self, f)
@@ -586,6 +592,7 @@ _GROUPS = {
     "weak": ("weakly_additive", "weakly_preserves_max", "weakly_preserves_min"),
 }
 _GROUP_OF = {a: group for group, axioms in _GROUPS.items() for a in axioms}
+_UNSWEPT = (-1, None)  # the memo's entry for an identity never swept
 
 
 def _combine(axiom: str, x, y):
@@ -765,14 +772,6 @@ def _columns(mu: Functional):  # mu's values as a k x 1 array, for the sweeps
     return lambda A: mu.eval_batch(A)[:, None]
 
 
-@lru_cache(maxsize=8192)
-def _swept(mu, tol, seed) -> dict:
-    """The memo of mu's sweeps without a family at ``tol`` and ``seed``,
-    filled by ``_memo_reports``: per input group, the largest trial count
-    swept and the report of each identity of the group at that count."""
-    return {}
-
-
 def _memo_reports(mu, axioms, trials: int, tol: float, seed: int) -> dict[str, AxiomReport]:
     """The reports of a sweep of mu without a family, read from its memo.
 
@@ -785,20 +784,18 @@ def _memo_reports(mu, axioms, trials: int, tol: float, seed: int) -> dict[str, A
     are swept at ``trials`` in one call, every identity of each in
     ``AXIOMS`` order; a sweep that raises stores nothing.
     """
-    memo = _swept(mu, tol, seed)
+    memo = mu._sweeps.setdefault((tol, seed), {})
     n = len(mu.space.points)
-    stale = {g for a in axioms if (g := _GROUP_OF[a]) not in memo or memo[g][0] < trials}
+    stale = {_GROUP_OF[a] for a in axioms if memo.get(a, _UNSWEPT)[0] < trials}
     if stale:
         asked = [a for a in AXIOMS if _GROUP_OF[a] in stale]
         sweep = _axiom_sweep(_columns(mu), n, asked, trials, tol, seed, None)
-        for g in stale:
-            memo[g] = trials, {a: sweep[a][0] for a in _GROUPS[g]}
+        memo.update({a: (trials, reps[0]) for a, reps in sweep.items()})
     out = {}
     for a in axioms:
-        g = _GROUP_OF[a]
-        swept, reports = memo[g]
-        rep = reports[a]
+        swept, rep = memo[a]
         if trials < swept and not rep.passed:
+            g = _GROUP_OF[a]
             structured = 1 if g == "normed" else len(_structured_ids(n)[g][1]["F"])
             if rep.witness.index >= structured + 2 * trials:
                 rep = AxiomReport(a, True)
@@ -839,14 +836,14 @@ def check_axioms(
     pairs.  A ``family`` lays out its own rows on each call, for the
     identities asked.
 
-    Without a ``family`` the verdicts are memoized per (functional, tol,
-    seed), for the last 8192 such keys: each input group is swept once, at
-    the largest ``trials`` asked so far, and a smaller trial count reads its
-    reports from that sweep, the same reports, witnesses included, as a
-    sweep of its own.  ``classify``, ``support`` and the essential-set
-    precheck read the same memo.  This relies on mu being a deterministic
-    evaluator (see ``Functional``); a ``LambdaFunctional`` is keyed by
-    identity.  A bad ``family``, ``trials`` or ``seed`` (integers >= 0),
+    Without a ``family`` the verdicts are memoized on mu itself, per (tol,
+    seed): each input group is swept once, at the largest ``trials`` asked
+    so far, and a smaller trial count reads its reports from that sweep,
+    the same reports, witnesses included, as a sweep of its own.
+    ``classify``, ``support`` and the essential-set precheck read the same
+    memo.  This relies on mu being a deterministic evaluator (see
+    ``Functional``); an equal functional that is another object keeps a
+    memo of its own.  A bad ``family``, ``trials`` or ``seed`` (integers >= 0),
     ``tol`` (a finite number >= 0) or a bare string of ``axioms`` is an
     InvariantViolation.
     """
@@ -874,7 +871,7 @@ def check_axiom(
 ) -> AxiomReport:
     """Check one identity: the one-axiom case of ``check_axioms``, which
     without a ``family`` sweeps the identity's whole input group, once per
-    memo key."""
+    functional, tol and seed."""
     return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 
@@ -971,8 +968,8 @@ def support(
     be unfounded.
 
     The axiom reports are those of ``check_axioms`` at 8 trials, read from
-    its memo per (functional, tol, seed): a functional already swept at 8 or
-    more trials is not swept again.  This relies on mu being a deterministic
+    mu's own memo per (tol, seed): a functional already swept at 8 or more
+    trials is not swept again.  This relies on mu being a deterministic
     evaluator (see ``Functional``).
     """
     _check_count("budget", budget)
@@ -1222,9 +1219,9 @@ def classify(
     raises BudgetExhaustedInconclusive rather than being guessed.
 
     The axiom reports, which ``axiom_reports`` returns, are those of
-    ``check_axioms`` at ``min(budget, 32)`` trials, read from its memo per
-    (functional, tol, seed): a functional already swept at that many trials
-    or more is not swept again.  This relies on mu being a deterministic
+    ``check_axioms`` at ``min(budget, 32)`` trials, read from mu's own memo
+    per (tol, seed): a functional already swept at that many trials or more
+    is not swept again.  This relies on mu being a deterministic
     evaluator (see ``Functional``).
     """
     _check_count("budget", budget)

@@ -14,7 +14,6 @@ from idemx.functionals import (
     _pair_family,
     _random_tail,
     _structured_ids,
-    _swept,
     check_axioms,
     support_functional,
 )
@@ -46,8 +45,7 @@ def _snapshot():
 
 
 def _clear():
-    # the memo of verdicts too, or a functional swept before would not sweep
-    for cache in (_random_tail, _structured_ids, _swept):
+    for cache in (_random_tail, _structured_ids):
         cache.cache_clear()
 
 

@@ -16,6 +16,9 @@ sweep at that count would, and spare every repeated sweep.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from idemx.errors import InvariantViolation
 from idemx.functionals import (
     AXIOMS,
     TWO_VALUED_CAP,
+    Functional,
     LambdaFunctional,
     MeanFunctional,
     TableFunctional,
@@ -35,7 +39,6 @@ from idemx.functionals import (
     _pair_grid,
     _random_tail,
     _structured_ids,
-    _swept,
     _weak_family,
     check_axiom,
     check_axioms,
@@ -403,14 +406,14 @@ def test_the_memo_reads_a_smaller_trial_count_as_a_sweep_of_its_own():
     so are those of a memo that starts empty and grows with each count."""
     structured = late = 0
     for n in range(1, 9):
-        for mu in _memo_functionals(n):
+        for k, mu in enumerate(_memo_functionals(n)):
             for seed in (0, 5):
                 want = {}
                 for t in MEMO_TRIALS:
                     sweep = _axiom_sweep(_columns(mu), n, AXIOMS, t, 1e-9, seed, None)
                     want[t] = {a: reps[0] for a, reps in sweep.items()}
                 for warm, order in ((True, MEMO_TRIALS), (True, MEMO_TRIALS[::-1]), (False, MEMO_TRIALS)):
-                    _swept.cache_clear()
+                    mu = _memo_functionals(n)[k]  # a fresh object, its memo empty
                     if warm:
                         check_axioms(mu, trials=64, seed=seed)
                     for t in order:
@@ -437,8 +440,7 @@ def test_the_verdicts_sequence_sweeps_a_fresh_functional_three_times(monkeypatch
         return _axiom_sweep(ev, n, axioms, *args)
 
     monkeypatch.setattr(functionals, "_axiom_sweep", recorded)
-    for cache in (_swept, functionals._essential_precheck_failures):
-        cache.cache_clear()  # a fresh functional
+    functionals._essential_precheck_failures.cache_clear()  # a fresh functional
     space = discrete(["a", "b", "c", "d"])
     mu = support_functional(space, "min", ["a", "c"])
     for a in AXIOMS:
@@ -451,6 +453,40 @@ def test_the_verdicts_sequence_sweeps_a_fresh_functional_three_times(monkeypatch
         (("weakly_additive", "weakly_preserves_max", "weakly_preserves_min"), 64),
         (("preserves_max", "preserves_min"), 64),
     ]
+
+
+def test_equal_functionals_keep_memos_of_their_own():
+    """Two tables that compare equal but differ in the sign of a zero each
+    report their own values, whichever is checked first."""
+    space = discrete(["a"])
+    for signs in ((0.0, -0.0), (-0.0, 0.0)):
+        first, second = (TableFunctional(space, 0.0, 1.0, (0.0, z)) for z in signs)
+        assert first == second and hash(first) == hash(second)
+        for mu in (first, second, first):
+            fresh = _axiom_sweep(_columns(mu), 1, ("normed",), 64, 1e-9, 0, None)
+            got = check_axioms(mu, ("normed",))
+            assert repr(got["normed"]) == repr(fresh["normed"][0])
+            assert math.copysign(1.0, got["normed"].witness.lhs) == math.copysign(1.0, mu.table[1])
+
+
+@dataclass
+class _MutableMin(Functional):
+    """A user functional that is not hashable: a plain dataclass with eq."""
+
+    space: object
+
+    def eval_batch(self, A):
+        return A.min(axis=1)
+
+
+def test_an_unhashable_functional_is_checked_classified_and_supported():
+    space = discrete(["a", "b", "c"])
+    mu = _MutableMin(space)
+    assert mu.__hash__ is None
+    want = support_functional(space, "min", ["a", "b", "c"])
+    assert check_axioms(mu) == check_axioms(want)
+    assert classify(mu).kind == "R_min"
+    assert support(mu) == {"a", "b", "c"}
 
 
 # -- the parameter boundary ------------------------------------------------
