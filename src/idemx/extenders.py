@@ -42,7 +42,7 @@ from .functionals import (
     _family_rows,
     _fold,
     _pair_family,
-    _verify_family,
+    _verification_table,
     classify,
 )
 from .setmaps import SetValuedMap, _pairs, identity_map, is_lsc, is_retraction, is_usc
@@ -290,9 +290,7 @@ def verify_semicontinuity_theorem(
     _check_tol(tol)
     u = build_extender(r, embedding, kind)
     n = embedding.subspace.n
-    fam = np.concatenate([
-        _verify_family(n), np.random.default_rng(seed).uniform(-3.0, 3.0, (sample, n))
-    ])
+    fam = _verification_table(n, sample, seed, 3)
     r_usc = is_usc(r)
     r_lsc = is_lsc(r)
     implications = forward_implications(u, r_usc, r_lsc, fam)

@@ -132,11 +132,13 @@ class Functional:
 
     Each class evaluates a whole k x n array of inputs, one per row, in
     ``eval_batch``; calling the functional on one RealFunction evaluates a
-    one-row array.  The axiom verdicts of ``check_axioms``, ``classify``,
+    one-row array; the checks pass read-only arrays, since their inputs are
+    shared tables.  The axiom verdicts of ``check_axioms``, ``classify``,
     ``support`` and the essential-set precheck are memoized on the
     functional object itself, per (tol, seed), and a smaller trial count
     reads its verdicts from a sweep at a larger one; this relies on the
-    functional being a deterministic evaluator.
+    functional being a deterministic evaluator.  No cache is keyed by a
+    functional, so one need not be hashable.
     """
 
     space: FiniteTopSpace | MetricSpace
@@ -146,7 +148,8 @@ class Functional:
     def _sweeps(self) -> dict:
         """The memo of ``_memo_reports``, per (tol, seed): for each identity,
         the largest trial count its input group was swept at and its report
-        there.  Kept on the object, so equal functionals never share it."""
+        there; and per ("essential", tol) the essential-set precheck's
+        failures.  Kept on the object, so equal functionals never share it."""
         return {}
 
     def __call__(self, f: RealFunction) -> float:
@@ -495,10 +498,22 @@ def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
     return _distinct(_base(k)[:3], *_blocks(k, (0.0, 1.0), (-1.0, 1.0), (0.0, 5.0)))[:, of]
 
 
-def _verification_rows(n: int, budget: int, rng) -> np.ndarray:
-    """The rows every proposed formula for a functional is checked on:
-    ``_verify_family(n)``, then ``budget`` uniform(-5, 5) rows from ``rng``."""
-    return np.concatenate([_verify_family(n), rng.uniform(-5.0, 5.0, (budget, n))])
+#: Entries kept by each cache of seeded rows: the verification rows and the
+#: monotone sample, one per (n, row count, seed) key.
+TABLE_CACHE = 16
+
+
+def _verification_rows(n: int, budget: int, rng, bound: float = 5.0) -> np.ndarray:
+    """``_verify_family(n)``, then ``budget`` uniform(-bound, bound) rows
+    from ``rng``: with bound 5, the rows every proposed formula for a
+    functional is checked on."""
+    return np.concatenate([_verify_family(n), rng.uniform(-bound, bound, (budget, n))])
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _verification_table(n: int, budget: int, seed: int, bound: int = 5) -> np.ndarray:
+    """``_verification_rows`` from a fresh ``default_rng(seed)``, read-only."""
+    return _array(_verification_rows(n, budget, np.random.default_rng(seed), bound), n)
 
 
 def _passes_sampled(rng, low, high, trials: int, failing) -> bool:
@@ -581,7 +596,7 @@ def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomRepo
     ]
 
 
-#: Entries kept by the cache of random sweep rows, one per (n, seed, trials) key.
+#: Entries kept by the cache of sweep layouts, one per (n, seed, trials) key.
 SWEEP_CACHE = 4
 
 #: The identities checked on each input group: the constant 1, the pairs
@@ -597,9 +612,12 @@ _UNSWEPT = (-1, None)  # the memo's entry for an identity never swept
 
 def _combine(axiom: str, x, y):
     """An identity's operation: x + y for weak additivity, else the max or
-    min of x and y.  Applied to the inputs it gives the left-hand input, to
-    the values of F and to G (or c) the right-hand side."""
-    return x + y if axiom == "weakly_additive" else _fold(axiom[-3:], (x, y))
+    min of x and y, keeping x on ties as ``_fold`` does.  Applied to the
+    inputs it gives the left-hand input, to the values of F and to G (or c)
+    the right-hand side."""
+    if axiom == "weakly_additive":
+        return x + y
+    return np.where(y < x, y, x) if axiom.endswith("min") else np.where(y > x, y, x)
 
 
 def _group_sides(group: str, F, other) -> dict:
@@ -641,24 +659,49 @@ def _structured_ids(n: int) -> dict:
     return groups
 
 
-@lru_cache(maxsize=SWEEP_CACHE)
-def _random_tail(n: int, seed: int, trials: int) -> dict:
-    """The random rows of every sweep at n points, ``seed`` and ``trials``:
-    per group, each side's rows and the weak rows' constants, drawn from a
-    fresh ``default_rng(seed)``, each row followed by its mirror (for
-    verdict exchange under duality).  A draw fills its rows one trial after
-    another, so the rows of t trials are the first 2t of each side of any
-    larger draw.  All arrays are read-only."""
-    R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
-    pairs = _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1]))
+def _random_tail(n: int, seed: int, trials: int, group: str):
+    """The random rows of a group in every sweep at n points, ``seed`` and
+    ``trials``: each side's rows and the weak rows' constants (None for the
+    pairs), drawn from a fresh ``default_rng(seed)``, each row followed by
+    its mirror (for verdict exchange under duality).  A draw fills its rows
+    one trial after another, so the rows of t trials are the first 2t of
+    each side of any larger draw."""
+    rng = np.random.default_rng(seed)
+    if group == "pairs":
+        R = rng.uniform(-2.0, 2.0, (trials, 2, n))
+        return _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1])), None
     high = np.full(n + 1, 2.0)
     high[n] = 5.0  # the constant's range
-    R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
+    R = rng.uniform(-high, high, (trials, n + 1))
     C = _mirrored(R[:, n])
-    weak = _group_sides("weak", _mirrored(R[:, :n]), C[:, None])
-    for a in (*pairs.values(), *weak.values(), C):
-        a.flags.writeable = False
-    return {"pairs": (pairs, None), "weak": (weak, C)}
+    return _group_sides("weak", _mirrored(R[:, :n]), C[:, None]), C
+
+
+def _with_random(rows, idx, C, random, random_C, trials: int):
+    """A group's ``rows``, its sides ``idx`` as ids into them and its
+    constants ``C``, with the group's random rows and constants (as
+    ``_random_tail`` draws them) appended: the 2 x trials rows of each side
+    in ``idx`` in turn, and the random constants after ``C``."""
+    tail = len(rows) + np.arange(2 * trials)  # the first side's random rows
+    idx = {s: np.concatenate([i, tail + k * 2 * trials]) for k, (s, i) in enumerate(idx.items())}
+    rows = np.concatenate([rows, *(random[s] for s in idx)])
+    return rows, idx, None if C is None else np.concatenate([C, random_C])
+
+
+@lru_cache(maxsize=SWEEP_CACHE)
+def _sweep_layout(n: int, seed: int, trials: int) -> dict:
+    """What a sweep without a family evaluates at n points, ``seed`` and
+    ``trials`` > 0, per group: the structured rows of ``_structured_ids(n)``
+    with the random rows of ``_random_tail`` appended (``_with_random``),
+    as one read-only entry."""
+    layout = {
+        g: _with_random(*group, *_random_tail(n, seed, trials, g), trials)
+        for g, group in _structured_ids(n).items()
+    }
+    for rows, idx, C in layout.values():
+        for a in (rows, *idx.values(), *([] if C is None else [C])):
+            a.flags.writeable = False
+    return layout
 
 
 def _family_rows(family, n: int, finite: str = "family") -> np.ndarray:
@@ -723,15 +766,15 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
 
     Without a family a group's rows depend on n, the seed and ``trials``
     only, never on the identities asked, so a sweep of one identity
-    evaluates its whole group.  The structured rows are each distinct row
-    once, compared by exact bits, as F, G and the left-hand inputs in
-    ``AXIOMS`` order first meet it, built once per n (``_structured_ids``).
-    The random rows are ``_random_tail(n, seed, trials)``, a cache of
-    ``SWEEP_CACHE`` entries with the least recently used going first:
-    2 x ``trials`` rows per side, each row followed by its mirror, appended
-    side by side in the same order without removing repeats.  A family
-    lays out its own rows on each call, for the identities asked only, and
-    appends the random rows of those sides.
+    evaluates its whole group, and reads it whole from a per-n table: the
+    structured rows are each distinct row once, compared by exact bits, as
+    F, G and the left-hand inputs in ``AXIOMS`` order first meet it
+    (``_structured_ids``, per n); the random rows, 2 x ``trials`` per side,
+    each row followed by its mirror, follow side by side in the same order
+    without removing repeats (``_sweep_layout``, per (n, seed, trials), in
+    ``SWEEP_CACHE`` entries with the least recently used going first).
+    A family lays out its own rows on each call, for the identities asked
+    only, and appends the random rows of those sides as drawn.
     """
     fam = None if family is None else _family_rows(family, n)
     reports = {}
@@ -748,16 +791,11 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
             batches.setdefault((group, cs), []).append(a)
     for (group, cs), asked in batches.items():
         if fam is None:
-            rows, idx, C = _structured_ids(n)[group]
+            rows, idx, C = (_sweep_layout(n, seed, trials) if trials else _structured_ids(n))[group]
         else:
             rows, idx, C = _family_group(fam, group, asked, cs)
-        if trials:
-            random, random_C = _random_tail(n, seed, trials)[group]
-            tail = len(rows) + np.arange(2 * trials)  # the first side's random rows
-            idx = {s: np.concatenate([i, tail + k * 2 * trials]) for k, (s, i) in enumerate(idx.items())}
-            rows = np.concatenate([rows, *(random[s] for s in idx)])
-            if C is not None:
-                C = np.concatenate([C, random_C])
+            if trials:
+                rows, idx, C = _with_random(rows, idx, C, *_random_tail(n, seed, trials, group), trials)
         V = ev(rows)
         values = V.take(idx["F"], axis=0)
         other = V.take(idx["G"], axis=0) if C is None else C[:, None]
@@ -826,15 +864,17 @@ def check_axioms(
     violation in its own sweep order, the same as when it is checked alone.
 
     Without a ``family`` the inputs are shared across calls, whatever the
-    functional and whichever identities are asked.  The structured rows are
-    built once per point count, each distinct row once (compared by exact
-    bits, so -0.0 and 0.0 stay apart).  The random rows are drawn once per
-    point count, seed and ``trials``, in a cache of ``SWEEP_CACHE`` = 4
-    entries.  Each group is evaluated whole: asking one identity costs as
-    much as asking every identity of its group, and all six cost three
-    evaluations of the functional: the constant 1, the rows (f, c) and the
-    pairs.  A ``family`` lays out its own rows on each call, for the
-    identities asked.
+    functional and whichever identities are asked, under the one cache
+    policy of this module: a table of rows that depend only on numbers is
+    cached by those numbers, and no cache is keyed by a functional.  The
+    structured rows are built once per point count, each distinct row once
+    (compared by exact bits, so -0.0 and 0.0 stay apart), and laid out with
+    the random rows once per point count, seed and ``trials``, in
+    ``SWEEP_CACHE`` = 4 entries.  Each group is evaluated whole: asking one
+    identity costs as much as asking every identity of its group, and all
+    six cost three evaluations of the functional: the constant 1, the rows
+    (f, c) and the pairs.  A ``family`` lays out its own rows on each call,
+    for the identities asked.
 
     Without a ``family`` the verdicts are memoized on mu itself, per (tol,
     seed): each input group is swept once, at the largest ``trials`` asked
@@ -875,22 +915,33 @@ def check_axiom(
     return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 
-def _is_monotone_sampled(mu, tol, trials=32, seed=0) -> bool:
-    """Sampled monotonicity: f <= g pointwise implies mu(f) <= mu(g)."""
-    n = len(mu.space.points)
+@lru_cache(maxsize=TABLE_CACHE)
+def _monotone_sample(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows f <= g pointwise: each row of ``_pair_family(n)`` below
+    itself raised at one point, then ``trials`` random pairs from a fresh
+    ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    # each structured input below itself raised at one point
     F, bump = _product(_pair_family(n), _spikes(n, (0.5, 1.0)))
     R = rng.uniform(np.r_[np.full(n, -2.0), np.zeros(n)], 2.0, (trials, 2 * n))
-    f = np.concatenate([F, R[:, :n]])
-    g = np.concatenate([F + bump, R[:, :n] + R[:, n:]])
-    return not (mu.eval_batch(f) > mu.eval_batch(g) + tol).any()
+    f, g = np.concatenate([F, R[:, :n]]), np.concatenate([F + bump, R[:, :n] + R[:, n:]])
+    return _array(f, n), _array(g, n)
 
 
 # -- support ----------------------------------------------------------------
 
 
 _PROBE_SCALES = (1.0, 10.0, 100.0)
+_DENSITY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
+
+
+@lru_cache(maxsize=64)
+def _probe_rows(n: int) -> dict[str, np.ndarray]:
+    """The spike probes at n points, read-only: per use, the zero row, then
+    row 1 + i * k + j the j-th of k spikes at point i, and 0 elsewhere.  The
+    min (max) probes spike by -1, -10, -100 (1, 10, 100); the density
+    probes by each value of ``_DENSITY_SCHEDULE``."""
+    spikes = {"min": [-s for s in _PROBE_SCALES], "max": _PROBE_SCALES, "density": _DENSITY_SCHEDULE}
+    return {use: _array(np.concatenate([np.zeros((1, n)), _spikes(n, v)]), n) for use, v in spikes.items()}
 
 
 def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
@@ -900,9 +951,8 @@ def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
     For a genuine min-type (max-type) functional the probe with a negative
     (positive) spike at x fires exactly when x belongs to the support.
     """
-    spike = [-s if kind == "min" else s for s in _PROBE_SCALES]
-    vals = ev(np.concatenate([np.zeros((1, n)), _spikes(n, spike)]))
-    fired = (np.abs(vals[1:] - vals[0]) > tol).reshape(n, len(spike), -1).any(axis=1)
+    vals = ev(_probe_rows(n)[kind])
+    fired = (np.abs(vals[1:] - vals[0]) > tol).reshape(n, len(_PROBE_SCALES), -1).any(axis=1)
     return (fired.T.astype(np.int64) @ (1 << np.arange(n))).tolist()
 
 
@@ -919,7 +969,7 @@ def _class_supports(ev, n: int, reports, budget: int, tol: float, seed: int):
     ``supports_retraction``, 8 for ``support``) give each column's kind;
     spike probes propose its support; and the min or max over that support
     is compared with the column on one batch of
-    ``_verification_rows(n, budget, default_rng(seed))``.  Returns the
+    ``_verification_table(n, budget, seed)``.  Returns the
     kinds, the masks (0 unless verified) and, per column, the rows compared
     up to and including the first that fails (0 when none was compared).
     """
@@ -932,7 +982,7 @@ def _class_supports(ev, n: int, reports, budget: int, tol: float, seed: int):
     masks = [probed[k][j] if k else 0 for j, k in enumerate(kinds)]
     compared = [0] * len(masks)
     if any(masks):
-        rows = _verification_rows(n, budget, np.random.default_rng(seed))
+        rows = _verification_table(n, budget, seed)
         values = ev(rows)
         for j, (kind, m) in enumerate(zip(kinds, masks)):
             if m:
@@ -949,6 +999,21 @@ def _own_supports(mu: Functional, trials: int, budget: int, tol: float, seed: in
     columns = {a: [rep] for a, rep in reports.items()}
     (kind,), (mask,), (compared,) = _class_supports(_columns(mu), mu.space.n, columns, budget, tol, seed)
     return reports, kind, mask, compared
+
+
+_SHIFT_GRID = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
+
+
+@lru_cache(maxsize=64)
+def _shift_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``support``'s generic sweep at n points, read-only: the
+    base rows and the {0,1} block, each distinct row once; each of them
+    repeated once per step of ``_SHIFT_GRID``, to be moved by that step at
+    one point; and the steps, in the same order."""
+    fam = _distinct(_base(n), *_blocks(n, (0.0, 1.0)))
+    shift = np.tile(_SHIFT_GRID, len(fam))
+    shift.flags.writeable = False
+    return fam, _array(np.repeat(fam, len(_SHIFT_GRID), axis=0), n), shift
 
 
 def support(
@@ -986,12 +1051,8 @@ def support(
     rng = np.random.default_rng(seed)
     _verification_rows(n, max(0, compared - len(_verify_family(n))), rng)
     found = _probe_supports(cols, n, "min", tol)[0] | _probe_supports(cols, n, "max", tol)[0]
-    sweep_grid = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
-    fam = _distinct(_base(n), *_blocks(n, (0.0, 1.0)))
-    # each family input, to be moved along sweep_grid at one point
-    swept = np.repeat(fam, len(sweep_grid), axis=0)
-    shift = np.tile(sweep_grid, len(fam))
-    base = np.repeat(ev(fam), len(sweep_grid))
+    fam, swept, shift = _shift_rows(n)
+    base = np.repeat(ev(fam), len(_SHIFT_GRID))
     low, high = np.r_[np.full(n, -2.0), -10.0], np.r_[np.full(n, 2.0), 10.0]
 
     for i in range(n):
@@ -1041,16 +1102,21 @@ class SubsetFamily:
         return self.space.mask(subset) in set(self.members)
 
 
-@lru_cache(maxsize=8192)
 def _essential_precheck_failures(mu, tol) -> tuple[str, ...]:
     """The failed axioms of every essential-set precheck, from one sweep:
-    those of weakly_preserves_max and _min matter to the reconstruction only."""
-    axioms = ("normed", "weakly_additive", "weakly_preserves_max", "weakly_preserves_min")
-    reports = check_axioms(mu, axioms, trials=16, tol=tol)
-    failures = [a for a, rep in reports.items() if not rep.passed]
-    if not _is_monotone_sampled(mu, tol, seed=0):
-        failures.append("monotone")
-    return tuple(failures)
+    those of weakly_preserves_max and _min matter to the reconstruction only.
+    Kept in mu's memo per tol, with "monotone" when the sample f <= g of
+    ``_monotone_sample`` (32 trials, seed 0) has some mu(f) > mu(g)."""
+    key = ("essential", tol)
+    if key not in mu._sweeps:
+        axioms = ("normed", "weakly_additive", "weakly_preserves_max", "weakly_preserves_min")
+        reports = _memo_reports(mu, axioms, 16, tol, 0)
+        failures = [a for a, rep in reports.items() if not rep.passed]
+        f, g = _monotone_sample(mu.space.n, 32, 0)
+        if (mu.eval_batch(f) > mu.eval_batch(g) + tol).any():
+            failures.append("monotone")
+        mu._sweeps[key] = tuple(failures)
+    return mu._sweeps[key]
 
 
 def _essential_precheck(mu, tol) -> None:
@@ -1171,14 +1237,11 @@ class Classification:
     axiom_reports: dict[str, AxiomReport] = field(default_factory=dict, compare=False)
 
 
-_DENSITY_SCHEDULE = (1.0, 10.0, 100.0, 1000.0)
-
-
 def _extract_density(mu: Functional, tol: float) -> tuple[float, ...]:
     """Per-point weights from spike inputs; -inf when the spike never lands."""
     space = mu.space
     n = len(space.points)
-    vals = mu.eval_batch(np.concatenate([np.zeros((1, n)), _spikes(n, _DENSITY_SCHEDULE)]))
+    vals = mu.eval_batch(_probe_rows(n)["density"])
     spiked = vals[1:].reshape(n, -1) - _DENSITY_SCHEDULE - vals[0]
     lam = []
     for i, ds in enumerate(spiked.tolist()):
@@ -1213,7 +1276,7 @@ def classify(
 
     The one min/max support route, ``_class_supports`` at ``min(budget, 32)``
     axiom trials, proposes a min (max) formula over the probed support and
-    checks it on ``_verification_rows`` with ``budget`` random rows.  When
+    checks it on ``_verification_table`` with ``budget`` random rows.  When
     only the max-preservation identities hold, a density from spike probes
     is checked on the same rows.  A sampled class that fails its check
     raises BudgetExhaustedInconclusive rather than being guessed.
@@ -1240,7 +1303,7 @@ def classify(
 
     if all(reports[a].passed for a in ("normed", "weakly_additive", "preserves_max")):
         cand = IdempotentDensity(space, _extract_density(mu, tol))
-        rows = _verification_rows(space.n, budget, np.random.default_rng(seed))
+        rows = _verification_table(space.n, budget, seed)
         if (np.abs(mu.eval_batch(rows) - cand.eval_batch(rows)) > tol).any():
             raise BudgetExhaustedInconclusive(
                 "passes the idempotent-measure axioms on samples but the "

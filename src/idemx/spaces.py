@@ -26,6 +26,9 @@ if TYPE_CHECKING:
 #: Hard cap for enumerating the full open-set family.
 OPENS_ENUM_CAP = 12
 
+#: Floats in one chunk of a metric's triangle test (4 MB).
+TRIANGLE_FLOATS = 1 << 19
+
 SubsetLike = Union[int, Iterable[str]]
 
 
@@ -319,12 +322,17 @@ class MetricSpace(_PointSet):
         if not np.isfinite(d).all():  # NaN failed symmetry above, so this refuses inf
             raise InvariantViolation("dist.finite", "distances must be finite")
         # triangle inequality d(x,z) <= d(x,y) + d(y,z) over all triples,
-        # vectorized; the slack scales with the distances, since rounding
-        # does: points on the line at 1e9 are off by far more than 1e-12
-        via = d[:, None, :] + d.T[None, :, :]
-        via *= 1 + 1e-12  # in place: via is the one n^3 array of floats
-        if (d[:, :, None] > via).any():
-            raise InvariantViolation("dist.triangle", "triangle inequality fails")
+        # vectorized over a chunk of middle points y at a time, so that the
+        # one temporary, via[y, x, z], holds at most TRIANGLE_FLOATS floats
+        # (or one n x n slice); below 81 points it is a single chunk.  The
+        # slack scales with the distances, since rounding does: points on
+        # the line at 1e9 are off by far more than 1e-12
+        step = max(1, TRIANGLE_FLOATS // (n * n))
+        for y in range(0, n, step):
+            via = d.T[y : y + step, :, None] + d[y : y + step, None, :]
+            via *= 1 + 1e-12  # in place
+            if (d > via).any():
+                raise InvariantViolation("dist.triangle", "triangle inequality fails")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)

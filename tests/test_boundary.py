@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from idemx.extenders import (
     verify_semicontinuity_theorem,
 )
 from idemx.functionals import (
+    Functional,
     RealFunction,
     SubsetFamily,
     SupportFunctional,
@@ -36,6 +38,7 @@ from idemx.functionals import (
     check_axiom,
     check_axioms,
     density,
+    essential_family,
     from_mapping,
     infsup_reconstruct,
     support_functional,
@@ -67,6 +70,18 @@ U = build_extender(R, E, "max")
 NAN = float("nan")
 # min over {a, b} on three points, whose families are rows of three values
 MIN_AB = support_functional(discrete(["a", "b", "c"]), "min", ["a", "b"])
+
+
+@dataclass
+class _Unhashable(Functional):
+    """A user functional that is not hashable (a plain dataclass with eq):
+    the min over all points, plus ``shift``."""
+
+    space: object
+    shift: float = 0.0
+
+    def eval_batch(self, A):
+        return A.min(axis=1) + self.shift
 
 
 def _on_family(family, axiom="preserves_max"):
@@ -105,6 +120,10 @@ CASES = {
     ),
     "infsup-family-empty-member": (
         lambda: infsup_reconstruct(MU, F, family=SubsetFamily(X, (0,))), EmptySet, "nonempty",
+    ),
+    # the precheck keeps its verdict on the functional, never hashing it
+    "essential-family-unhashable-functional": (
+        lambda: essential_family(_Unhashable(X, shift=1.0)), AxiomPrecheckFailed, "failing: normed$",
     ),
     "lipschitz-other-space": (
         lambda: lipschitz_constant(
@@ -294,3 +313,4 @@ def test_the_boundary_keeps_the_valid_calls():
     assert (subset_min(F, 0b11), subset_max(F, 0b11)) == (1.0, 2.0)
     assert extend_open_set(U, {"p"}, tol=0) == {"p"}
     assert retraction_from_open_sets(U, tol=0) == R
+    assert essential_family(_Unhashable(X)) == essential_family(MU)

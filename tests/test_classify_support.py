@@ -127,7 +127,6 @@ def test_reconstruction_reads_its_precheck_from_one_sweep(monkeypatch):
         return _axiom_sweep(ev, n, axioms, *args)
 
     monkeypatch.setattr(functionals, "_axiom_sweep", recorded)
-    functionals._essential_precheck_failures.cache_clear()  # a fresh functional
     mu = MeanFunctional(D3)
     f = from_mapping(D3, {"a": 0.0, "b": 1.0, "c": 2.0})
     message = "^reconstruction needs weakly_preserves_max, weakly_preserves_min$"

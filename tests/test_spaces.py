@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from idemx.errors import (
 )
 from idemx.instances import load_embedding
 from idemx.spaces import (
+    TRIANGLE_FLOATS,
     FiniteTopSpace,
     MetricSpace,
     closure,
@@ -292,6 +295,33 @@ def test_each_metric_check_fires_on_a_planted_matrix(dist, path, message):
         MetricSpace(points, d)
     assert exc.value.path == path
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_the_triangle_test_runs_in_chunks_of_bounded_memory():
+    """300 points need 27 million triples; the test takes them in chunks of
+    middle points, so its temporaries stay a few MB, not ~216 MB."""
+    n = 300
+    assert n**3 > TRIANGLE_FLOATS > 6**3  # campaign sizes are a single chunk
+    tracemalloc.start()
+    try:
+        m = line_metric({f"p{i}": float(i) for i in range(n)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dist[0, n - 1] == n - 1
+    assert peak < 32 * 2**20
+    # distances 2 everywhere, except that the last point is 1 from p0 and
+    # p1, which are 3 apart: only the last middle point, in the last chunk,
+    # breaks the inequality
+    points = tuple(f"p{i}" for i in range(n))
+    d = np.full((n, n), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[[0, n - 1, 1, n - 1], [n - 1, 0, n - 1, 1]] = 1.0
+    MetricSpace(points, d)
+    d[0, 1] = d[1, 0] = 3.0
+    with pytest.raises(InvariantViolation) as exc:
+        MetricSpace(points, d)
+    assert str(exc.value) == "dist.triangle: triangle inequality fails"
 
 
 def test_metric_matrix_is_frozen():

@@ -4,7 +4,8 @@ boundary of the public entry points of ``functionals``.
 Without a family, ``_axiom_sweep`` evaluates each input group once and
 whole, whichever of its identities are asked: its distinct structured rows
 (``_structured_ids``, built once per point count), then its random rows
-(``_random_tail``, drawn once per point count, seed and trial count).  The
+(``_random_tail``), laid out once per point count, seed and trial count
+(``_sweep_layout``).  The
 per-call construction it replaced is kept below as the reference.  The
 reports, witnesses included, must equal the reference's; every row the
 sweep evaluates must be a row of the reference inputs, bit for bit, so the
@@ -39,6 +40,7 @@ from idemx.functionals import (
     _pair_grid,
     _random_tail,
     _structured_ids,
+    _sweep_layout,
     _weak_family,
     check_axiom,
     check_axioms,
@@ -205,15 +207,16 @@ def test_shared_inputs_match_the_per_call_build(n):
             if not trials:
                 assert not any(A.flags.writeable for A in seen[1:])
 
-            entry = _random_tail(n, seed, trials)
-            for group, (sides, C) in entry.items():
-                for s, a in sides.items():
-                    ref = inputs[group][s]
-                    assert a.tobytes() == ref[len(ref) - 2 * trials :].tobytes()
-                    assert not a.flags.writeable
+            # each side of the layout the sweep read gathers the reference
+            # side, bit for bit, from read-only arrays
+            layout = _sweep_layout(n, seed, trials) if trials else _structured_ids(n)
+            for group, (rows, idx, C) in layout.items():
+                for s, i in idx.items():
+                    assert rows[i].tobytes() == inputs[group][s].tobytes()
+                    assert not i.flags.writeable
+                assert not rows.flags.writeable
                 if C is not None:
-                    ref = _reference_blocks(n, trials, seed)[1][1]
-                    assert C.tobytes() == ref[len(ref) - 2 * trials :].tobytes()
+                    assert C.tobytes() == _reference_blocks(n, trials, seed)[1][1].tobytes()
                     assert not C.flags.writeable
 
 
@@ -319,12 +322,11 @@ def test_random_rows_drawn_to_size_are_the_head_of_a_larger_draw(n):
     """A draw of t trials is the first t trials of a 64-trial draw (and a
     64-trial draw the first 64 of a larger one), bit for bit, side by side."""
     for seed in SEEDS:
-        big = _random_tail(n, seed, 64)
         for trials in (1, 8, 24, 64, 200):
-            drawn = _random_tail(n, seed, trials)
             head = 2 * min(trials, 64)
-            for group, (sides, C) in drawn.items():
-                big_sides, big_C = big[group]
+            for group in ("pairs", "weak"):
+                sides, C = _random_tail(n, seed, trials, group)
+                big_sides, big_C = _random_tail(n, seed, 64, group)
                 assert list(sides) == list(big_sides)
                 for s, a in sides.items():
                     assert len(a) == 2 * trials
@@ -363,7 +365,7 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
         space, lambda f: min(f["a"], f["b"]) + (0.5 if f["c"] + f["d"] > 3.5 else 0.0)
     )
     mus = [MeanFunctional(space), support_functional(space, "max", ["c"]), bent]
-    caches = (_random_tail, _structured_ids)
+    caches = (_sweep_layout, _structured_ids)
 
     def fresh(mu, trials):
         for cache in caches:
@@ -372,7 +374,7 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
 
     for mu in mus:
         want = {t: fresh(mu, t) for t in (8, 64, 200)}
-        _random_tail.cache_clear()
+        _sweep_layout.cache_clear()
         for t in (8, 64, 8, 200, 8):
             assert check_axioms(mu, trials=t, seed=3) == want[t]
     assert want[8]["preserves_min"].passed and not want[64]["preserves_min"].passed
@@ -440,7 +442,6 @@ def test_the_verdicts_sequence_sweeps_a_fresh_functional_three_times(monkeypatch
         return _axiom_sweep(ev, n, axioms, *args)
 
     monkeypatch.setattr(functionals, "_axiom_sweep", recorded)
-    functionals._essential_precheck_failures.cache_clear()  # a fresh functional
     space = discrete(["a", "b", "c", "d"])
     mu = support_functional(space, "min", ["a", "c"])
     for a in AXIOMS:
