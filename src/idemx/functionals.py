@@ -498,8 +498,8 @@ def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
     return _distinct(_base(k)[:3], *_blocks(k, (0.0, 1.0), (-1.0, 1.0), (0.0, 5.0)))[:, of]
 
 
-#: Entries kept by each cache of seeded rows: the verification rows and the
-#: monotone sample, one per (n, row count, seed) key.
+#: Entries kept by each cache of seeded rows, the verification rows and the
+#: monotone sample: one per key of point count, row count and seed.
 TABLE_CACHE = 16
 
 

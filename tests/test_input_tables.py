@@ -31,6 +31,7 @@ from idemx.functionals import (
     _blocks,
     _combine,
     _distinct,
+    _fold,
     _group_sides,
     _mirrored,
     _monotone_sample,
@@ -216,12 +217,12 @@ def test_no_cache_is_keyed_by_a_functional():
 
 @pytest.mark.parametrize("axiom", AXIOMS[2:])
 def test_combine_keeps_its_first_argument_on_a_zero_tie(axiom):
-    pos, neg = np.array([[0.0]]), np.array([[-0.0]])
-    for x, y in ((pos, neg), (neg, pos)):
-        got = _combine(axiom, x, y)
-        assert got.tobytes() == x.tobytes()
-        # and as _fold does, for a broadcast constant column too
-        assert _combine(axiom, np.zeros((2, 3)) * x[0, 0], y).tobytes() == (np.zeros((2, 3)) * x[0, 0]).tobytes()
+    for x0, y0 in ((0.0, -0.0), (-0.0, 0.0)):
+        x = np.full((2, 3), x0)
+        # y as rows, or as a column of constants as the weak rows' c
+        for y in (np.full((2, 3), y0), np.full((2, 1), y0)):
+            assert _combine(axiom, x, y).tobytes() == x.tobytes()
+            assert _combine(axiom, x, y).tobytes() == _fold(axiom[-3:], (x, np.broadcast_to(y, x.shape))).tobytes()
     # away from ties, the min or the max
     x, y = np.array([[1.0, -2.0]]), np.array([[-1.0, 3.0]])
     want = np.minimum(x, y) if axiom.endswith("min") else np.maximum(x, y)
