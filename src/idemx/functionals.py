@@ -502,6 +502,10 @@ def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
 #: monotone sample: one per key of point count, row count and seed.
 TABLE_CACHE = 16
 
+#: The most random rows a cached verification table holds.  A larger row
+#: count is drawn on each call, so no entry grows with a caller's budget.
+TABLE_ROWS = 256
+
 
 def _verification_rows(n: int, budget: int, rng, bound: float = 5.0) -> np.ndarray:
     """``_verify_family(n)``, then ``budget`` uniform(-bound, bound) rows
@@ -510,9 +514,16 @@ def _verification_rows(n: int, budget: int, rng, bound: float = 5.0) -> np.ndarr
     return np.concatenate([_verify_family(n), rng.uniform(-bound, bound, (budget, n))])
 
 
-@lru_cache(maxsize=TABLE_CACHE)
 def _verification_table(n: int, budget: int, seed: int, bound: int = 5) -> np.ndarray:
-    """``_verification_rows`` from a fresh ``default_rng(seed)``, read-only."""
+    """``_verification_rows`` from a fresh ``default_rng(seed)``, read-only:
+    cached per key up to ``TABLE_ROWS`` random rows, drawn anew above."""
+    if budget > TABLE_ROWS:
+        return _array(_verification_rows(n, budget, np.random.default_rng(seed), bound), n)
+    return _cached_verification_table(n, budget, seed, bound)
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _cached_verification_table(n: int, budget: int, seed: int, bound: int) -> np.ndarray:
     return _array(_verification_rows(n, budget, np.random.default_rng(seed), bound), n)
 
 
@@ -659,22 +670,24 @@ def _structured_ids(n: int) -> dict:
     return groups
 
 
-def _random_tail(n: int, seed: int, trials: int, group: str):
-    """The random rows of a group in every sweep at n points, ``seed`` and
-    ``trials``: each side's rows and the weak rows' constants (None for the
+@lru_cache(maxsize=SWEEP_CACHE)
+def _random_tail(n: int, seed: int, trials: int) -> dict:
+    """The random rows of every sweep at n points, ``seed`` and ``trials``:
+    per group, each side's rows and the weak rows' constants (None for the
     pairs), drawn from a fresh ``default_rng(seed)``, each row followed by
     its mirror (for verdict exchange under duality).  A draw fills its rows
     one trial after another, so the rows of t trials are the first 2t of
-    each side of any larger draw."""
-    rng = np.random.default_rng(seed)
-    if group == "pairs":
-        R = rng.uniform(-2.0, 2.0, (trials, 2, n))
-        return _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1])), None
+    each side of any larger draw.  All arrays are read-only."""
+    R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
+    pairs = _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1]))
     high = np.full(n + 1, 2.0)
     high[n] = 5.0  # the constant's range
-    R = rng.uniform(-high, high, (trials, n + 1))
+    R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
     C = _mirrored(R[:, n])
-    return _group_sides("weak", _mirrored(R[:, :n]), C[:, None]), C
+    weak = _group_sides("weak", _mirrored(R[:, :n]), C[:, None])
+    for a in (*pairs.values(), *weak.values(), C):
+        a.flags.writeable = False
+    return {"pairs": (pairs, None), "weak": (weak, C)}
 
 
 def _with_random(rows, idx, C, random, random_C, trials: int):
@@ -695,7 +708,7 @@ def _sweep_layout(n: int, seed: int, trials: int) -> dict:
     with the random rows of ``_random_tail`` appended (``_with_random``),
     as one read-only entry."""
     layout = {
-        g: _with_random(*group, *_random_tail(n, seed, trials, g), trials)
+        g: _with_random(*group, *_random_tail(n, seed, trials)[g], trials)
         for g, group in _structured_ids(n).items()
     }
     for rows, idx, C in layout.values():
@@ -774,7 +787,9 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     without removing repeats (``_sweep_layout``, per (n, seed, trials), in
     ``SWEEP_CACHE`` entries with the least recently used going first).
     A family lays out its own rows on each call, for the identities asked
-    only, and appends the random rows of those sides as drawn.
+    only, and appends the random rows of those sides, read from the same
+    draw (``_random_tail``, per (n, seed, trials), in ``SWEEP_CACHE``
+    entries).
     """
     fam = None if family is None else _family_rows(family, n)
     reports = {}
@@ -795,7 +810,7 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
         else:
             rows, idx, C = _family_group(fam, group, asked, cs)
             if trials:
-                rows, idx, C = _with_random(rows, idx, C, *_random_tail(n, seed, trials, group), trials)
+                rows, idx, C = _with_random(rows, idx, C, *_random_tail(n, seed, trials)[group], trials)
         V = ev(rows)
         values = V.take(idx["F"], axis=0)
         other = V.take(idx["G"], axis=0) if C is None else C[:, None]
@@ -874,7 +889,7 @@ def check_axioms(
     identity costs as much as asking every identity of its group, and all
     six cost three evaluations of the functional: the constant 1, the rows
     (f, c) and the pairs.  A ``family`` lays out its own rows on each call,
-    for the identities asked.
+    for the identities asked, with the same cached random rows.
 
     Without a ``family`` the verdicts are memoized on mu itself, per (tol,
     seed): each input group is swept once, at the largest ``trials`` asked
@@ -1001,21 +1016,6 @@ def _own_supports(mu: Functional, trials: int, budget: int, tol: float, seed: in
     return reports, kind, mask, compared
 
 
-_SHIFT_GRID = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
-
-
-@lru_cache(maxsize=64)
-def _shift_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of ``support``'s generic sweep at n points, read-only: the
-    base rows and the {0,1} block, each distinct row once; each of them
-    repeated once per step of ``_SHIFT_GRID``, to be moved by that step at
-    one point; and the steps, in the same order."""
-    fam = _distinct(_base(n), *_blocks(n, (0.0, 1.0)))
-    shift = np.tile(_SHIFT_GRID, len(fam))
-    shift.flags.writeable = False
-    return fam, _array(np.repeat(fam, len(_SHIFT_GRID), axis=0), n), shift
-
-
 def support(
     mu: Functional, budget: int = 200, tol: float = 1e-9, seed: int = 0
 ) -> frozenset[str]:
@@ -1051,8 +1051,12 @@ def support(
     rng = np.random.default_rng(seed)
     _verification_rows(n, max(0, compared - len(_verify_family(n))), rng)
     found = _probe_supports(cols, n, "min", tol)[0] | _probe_supports(cols, n, "max", tol)[0]
-    fam, swept, shift = _shift_rows(n)
-    base = np.repeat(ev(fam), len(_SHIFT_GRID))
+    sweep_grid = (-25.0, -5.0, -1.0, 1.0, 5.0, 25.0)
+    fam = _distinct(_base(n), *_blocks(n, (0.0, 1.0)))
+    # each family input, to be moved along sweep_grid at one point
+    swept = np.repeat(fam, len(sweep_grid), axis=0)
+    shift = np.tile(sweep_grid, len(fam))
+    base = np.repeat(ev(fam), len(sweep_grid))
     low, high = np.r_[np.full(n, -2.0), -10.0], np.r_[np.full(n, 2.0), 10.0]
 
     for i in range(n):

@@ -24,13 +24,10 @@ from idemx.extenders import verify_semicontinuity_theorem
 from idemx.functionals import (
     _DENSITY_SCHEDULE,
     _PROBE_SCALES,
-    _SHIFT_GRID,
     AXIOMS,
+    TABLE_ROWS,
     LambdaFunctional,
-    _base,
-    _blocks,
     _combine,
-    _distinct,
     _fold,
     _group_sides,
     _mirrored,
@@ -39,7 +36,7 @@ from idemx.functionals import (
     _pair_family,
     _probe_rows,
     _product,
-    _shift_rows,
+    _random_tail,
     _spikes,
     _structured_ids,
     _sweep_layout,
@@ -102,11 +99,6 @@ def _reference_probes(n):
     } | {"density": np.concatenate([np.zeros((1, n)), _spikes(n, _DENSITY_SCHEDULE)])}
 
 
-def _reference_shifts(n):
-    fam = _distinct(_base(n), *_blocks(n, (0.0, 1.0)))
-    return fam, np.repeat(fam, len(_SHIFT_GRID), axis=0), np.tile(_SHIFT_GRID, len(fam))
-
-
 def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
@@ -122,6 +114,13 @@ def test_the_sweep_layout_is_the_per_call_concatenation(n):
         for trials in (0, 1, 8, 24, 64):
             got = _sweep_layout(n, seed, trials) if trials else _structured_ids(n)
             want = _reference_layout(n, seed, trials)
+            # the random rows a family sweep appends
+            for (sides, C), (ref_sides, ref_C) in zip(
+                _random_tail(n, seed, trials).values(), _reference_random_tail(n, seed, trials).values()
+            ):
+                assert list(sides) == list(ref_sides)
+                assert [_bits(a) for a in sides.values()] == [_bits(a) for a in ref_sides.values()]
+                assert (C is None) == (ref_C is None) and (C is None or _bits(C) == _bits(ref_C))
             assert list(got) == list(want)
             for (rows, idx, C), (ref_rows, ref_idx, ref_C) in zip(got.values(), want.values()):
                 assert _bits(rows) == _bits(ref_rows)
@@ -147,7 +146,19 @@ def test_the_per_n_tables_are_the_per_call_builds(n):
     got, want = _probe_rows(n), _reference_probes(n)
     assert list(got) == list(want)
     assert [_bits(a) for a in got.values()] == [_bits(a) for a in want.values()]
-    assert [_bits(a) for a in _shift_rows(n)] == [_bits(a) for a in _reference_shifts(n)]
+
+
+def test_a_verification_table_past_its_row_bound_is_not_kept():
+    """A budget above ``TABLE_ROWS`` is drawn on each call, as fresh, and
+    leaves no cache entry, so no entry grows with a caller's budget."""
+    cache = functionals._cached_verification_table
+    cache.cache_clear()
+    for budget in (TABLE_ROWS, TABLE_ROWS + 1, 10 * TABLE_ROWS):
+        got = _verification_table(4, budget, 5)
+        assert _bits(got) == _bits(_verification_rows(4, budget, np.random.default_rng(5)))
+        assert not got.flags.writeable
+    assert cache.cache_info().currsize == 1
+    assert _verification_table(4, TABLE_ROWS, 5) is _verification_table(4, TABLE_ROWS, 5)
 
 
 def _cached_tables():
@@ -177,10 +188,10 @@ def test_every_cached_array_is_read_only():
         "functionals._verify_family": _verify_family(3),
         "functionals._structured_ids": _structured_ids(3),
         "functionals._sweep_layout": _sweep_layout(3, 3, 8),
-        "functionals._verification_table": (_verification_table(3, 64, 0), _verification_table(2, 32, 0, 3)),
+        "functionals._random_tail": _random_tail(3, 3, 8),
+        "functionals._cached_verification_table": (_verification_table(3, 64, 0), _verification_table(2, 32, 0, 3)),
         "functionals._monotone_sample": _monotone_sample(3, 32, 0),
         "functionals._probe_rows": _probe_rows(3),
-        "functionals._shift_rows": _shift_rows(3),
     }
     # a new cache must be listed here
     assert sorted(values) == sorted(_cached_tables())
@@ -266,8 +277,9 @@ def test_support_matches_a_fresh_generator_reference_on_the_fuzz_corpus(monkeypa
 
 
 def test_a_hidden_support_point_is_found_past_the_route():
-    """A functional the route cannot certify: the generic sweep reads the
-    shift rows and draws past the verification rows the route compared."""
+    """A functional the route cannot certify: the generic sweep moves the
+    base rows at one point and draws past the verification rows the route
+    compared."""
     space = discrete(["a", "b", "c"])
     mu = LambdaFunctional(space, lambda f: f["a"] + (0.25 if f["c"] > 1.5 else 0.0))
     assert support(mu) == {"a", "c"}

@@ -207,6 +207,17 @@ def test_shared_inputs_match_the_per_call_build(n):
             if not trials:
                 assert not any(A.flags.writeable for A in seen[1:])
 
+            entry = _random_tail(n, seed, trials)
+            for group, (sides, C) in entry.items():
+                for s, a in sides.items():
+                    ref = inputs[group][s]
+                    assert a.tobytes() == ref[len(ref) - 2 * trials :].tobytes()
+                    assert not a.flags.writeable
+                if C is not None:
+                    ref = _reference_blocks(n, trials, seed)[1][1]
+                    assert C.tobytes() == ref[len(ref) - 2 * trials :].tobytes()
+                    assert not C.flags.writeable
+
             # each side of the layout the sweep read gathers the reference
             # side, bit for bit, from read-only arrays
             layout = _sweep_layout(n, seed, trials) if trials else _structured_ids(n)
@@ -322,11 +333,12 @@ def test_random_rows_drawn_to_size_are_the_head_of_a_larger_draw(n):
     """A draw of t trials is the first t trials of a 64-trial draw (and a
     64-trial draw the first 64 of a larger one), bit for bit, side by side."""
     for seed in SEEDS:
+        big = _random_tail(n, seed, 64)
         for trials in (1, 8, 24, 64, 200):
+            drawn = _random_tail(n, seed, trials)
             head = 2 * min(trials, 64)
-            for group in ("pairs", "weak"):
-                sides, C = _random_tail(n, seed, trials, group)
-                big_sides, big_C = _random_tail(n, seed, 64, group)
+            for group, (sides, C) in drawn.items():
+                big_sides, big_C = big[group]
                 assert list(sides) == list(big_sides)
                 for s, a in sides.items():
                     assert len(a) == 2 * trials
@@ -365,7 +377,7 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
         space, lambda f: min(f["a"], f["b"]) + (0.5 if f["c"] + f["d"] > 3.5 else 0.0)
     )
     mus = [MeanFunctional(space), support_functional(space, "max", ["c"]), bent]
-    caches = (_sweep_layout, _structured_ids)
+    caches = (_sweep_layout, _random_tail, _structured_ids)
 
     def fresh(mu, trials):
         for cache in caches:
@@ -375,6 +387,7 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
     for mu in mus:
         want = {t: fresh(mu, t) for t in (8, 64, 200)}
         _sweep_layout.cache_clear()
+        _random_tail.cache_clear()
         for t in (8, 64, 8, 200, 8):
             assert check_axioms(mu, trials=t, seed=3) == want[t]
     assert want[8]["preserves_min"].passed and not want[64]["preserves_min"].passed
