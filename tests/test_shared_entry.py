@@ -1,7 +1,7 @@
 """The cached inputs of the axiom sweep are built whole on their first use
-and never change after, whatever later sweeps ask of them: the layout of a
-(point count, seed, trial count) entry, and the structured rows of a point
-count."""
+and never change after, whatever later sweeps ask of them: the random rows
+and the layout of a (point count, seed, trial count) entry, and the
+structured rows of a point count."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from idemx.functionals import (
     MeanFunctional,
     _first_seen,
     _pair_family,
+    _random_tail,
     _structured_ids,
     _sweep_layout,
     check_axioms,
@@ -40,18 +41,25 @@ def _arrays(value):
 
 
 def _snapshot():
-    cached = (_sweep_layout(N, SEED, TRIALS), _structured_ids(N))
+    cached = (_random_tail(N, SEED, TRIALS), _sweep_layout(N, SEED, TRIALS), _structured_ids(N))
     return [a.tobytes() for a in _arrays(cached)]
 
 
 def _clear():
-    for cache in (_sweep_layout, _structured_ids):
+    for cache in (_random_tail, _sweep_layout, _structured_ids):
         cache.cache_clear()
 
 
 def test_the_entry_is_whole_and_read_only_after_a_weak_only_sweep():
     _clear()
     check_axioms(MeanFunctional(SPACE), ("weakly_additive", "weakly_preserves_min"), trials=8, seed=SEED)
+    random = _random_tail(N, SEED, 8)
+    assert {group: list(sides) for group, (sides, _) in random.items()} == SIDES
+    assert random["pairs"][1] is None
+    for sides, C in random.values():
+        for a in (*sides.values(), *([] if C is None else [C])):
+            assert not a.flags.writeable
+            assert len(a) == 2 * 8
     entry = _sweep_layout(N, SEED, 8)
     assert {group: list(ids) for group, (_, ids, _) in entry.items()} == SIDES
     assert entry["pairs"][2] is None
@@ -82,14 +90,17 @@ def test_later_sweeps_leave_the_entry_unchanged():
     _clear()
     mu = support_functional(SPACE, "min", ["a", "b"])
     check_axioms(mu, ("weakly_preserves_max",), trials=TRIALS, seed=SEED)
-    entry = _sweep_layout(N, SEED, TRIALS)
+    random, entry = _random_tail(N, SEED, TRIALS), _sweep_layout(N, SEED, TRIALS)
     before = _snapshot()
     check_axioms(mu, AXIOMS, trials=TRIALS, seed=SEED)
     check_axioms(MeanFunctional(SPACE), ("preserves_max", "normed"), trials=3, seed=SEED)
     check_axioms(mu, AXIOMS, trials=0, seed=SEED)
     check_axioms(mu, AXIOMS, trials=8, seed=SEED, family=_pair_family(N))
     check_axioms(mu, AXIOMS, trials=0, seed=SEED, family=np.eye(N))
+    assert _random_tail(N, SEED, TRIALS) is random
     assert _sweep_layout(N, SEED, TRIALS) is entry
+    # one draw per trial count asked: 64, 3 and 8; none for 0
+    assert _random_tail.cache_info().misses == 3
     # one layout per trial count asked without a family: 64 and 3; none for
     # 0 trials, which reads the structured rows alone, nor for a family
     assert _sweep_layout.cache_info().misses == 2
