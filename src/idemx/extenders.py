@@ -42,7 +42,7 @@ from .functionals import (
     _family_rows,
     _fold,
     _pair_family,
-    _verification_table,
+    _verification_rows,
     classify,
 )
 from .setmaps import SetValuedMap, _pairs, identity_map, is_lsc, is_retraction, is_usc
@@ -284,13 +284,17 @@ def verify_semicontinuity_theorem(
 ) -> SemicontinuityTheoremReport:
     """Check ``forward_implications`` for r, and check the pointwise
     functionals against the identities of their kind.
+
+    The implications read ``_verify_family`` and ``sample`` uniform(-3, 3)
+    rows of ``default_rng(seed)``; on a subspace that is not discrete their
+    failures, on inputs that are not continuous, depend on these rows.
     """
     _check_count("sample", sample)
     _check_count("seed", seed)
     _check_tol(tol)
     u = build_extender(r, embedding, kind)
     n = embedding.subspace.n
-    fam = _verification_table(n, sample, seed, 3)
+    fam = _verification_rows(n, sample, np.random.default_rng(seed), 3.0)
     r_usc = is_usc(r)
     r_lsc = is_lsc(r)
     implications = forward_implications(u, r_usc, r_lsc, fam)

@@ -51,10 +51,15 @@ Kind = Literal["min", "max"]
 # -- parameter checks -------------------------------------------------------
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a finite real number; a bool is not one."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return real and math.isfinite(x)
+
+
 def _check_tol(tol) -> None:
     """A tolerance must be a finite real number >= 0."""
-    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol >= 0):
+    if not (_finite_real(tol) and tol >= 0):
         raise InvariantViolation("tol", f"must be a finite number >= 0, got {tol!r}")
 
 
@@ -257,7 +262,8 @@ class MeanFunctional(Functional):
 class TableFunctional(Functional):
     """Extension point: values tabulated on enumerated two-valued inputs.
 
-    ``lo`` and ``hi`` are two distinct finite numbers.  An input ``f`` must
+    ``lo`` and ``hi`` are two distinct finite numbers, and every entry of
+    ``table`` is a finite real number.  An input ``f`` must
     take values in {lo, hi} only; it is looked up by the bitmask of its
     hi-entries.  Anything else raises InvariantViolation.
     The structured sweeps of ``classify``, ``support`` and most axioms
@@ -276,6 +282,8 @@ class TableFunctional(Functional):
             raise InvariantViolation("table", "need one value per two-valued pattern")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo != self.hi):
             raise InvariantViolation("table.range", "lo and hi must be two distinct finite numbers")
+        if not all(map(_finite_real, self.table)):
+            raise InvariantViolation("table.values", "every entry must be a finite real number")
 
     @property
     def label(self) -> str:
@@ -498,8 +506,8 @@ def _continuous_family(space: FiniteTopSpace) -> np.ndarray:
     return _distinct(_base(k)[:3], *_blocks(k, (0.0, 1.0), (-1.0, 1.0), (0.0, 5.0)))[:, of]
 
 
-#: Entries kept by each cache of seeded rows, the verification rows and the
-#: monotone sample: one per key of point count, row count and seed.
+#: Entries kept by the cache of verification tables: one per key of point
+#: count, row count and seed.
 TABLE_CACHE = 16
 
 #: The most random rows a cached verification table holds.  A larger row
@@ -514,17 +522,17 @@ def _verification_rows(n: int, budget: int, rng, bound: float = 5.0) -> np.ndarr
     return np.concatenate([_verify_family(n), rng.uniform(-bound, bound, (budget, n))])
 
 
-def _verification_table(n: int, budget: int, seed: int, bound: int = 5) -> np.ndarray:
+def _verification_table(n: int, budget: int, seed: int) -> np.ndarray:
     """``_verification_rows`` from a fresh ``default_rng(seed)``, read-only:
     cached per key up to ``TABLE_ROWS`` random rows, drawn anew above."""
     if budget > TABLE_ROWS:
-        return _array(_verification_rows(n, budget, np.random.default_rng(seed), bound), n)
-    return _cached_verification_table(n, budget, seed, bound)
+        return _array(_verification_rows(n, budget, np.random.default_rng(seed)), n)
+    return _cached_verification_table(n, budget, seed)
 
 
 @lru_cache(maxsize=TABLE_CACHE)
-def _cached_verification_table(n: int, budget: int, seed: int, bound: int) -> np.ndarray:
-    return _array(_verification_rows(n, budget, np.random.default_rng(seed), bound), n)
+def _cached_verification_table(n: int, budget: int, seed: int) -> np.ndarray:
+    return _array(_verification_rows(n, budget, np.random.default_rng(seed)), n)
 
 
 def _passes_sampled(rng, low, high, trials: int, failing) -> bool:
@@ -573,31 +581,21 @@ class AxiomReport:
     witness: AxiomWitness | None = None
 
 
-@dataclass(frozen=True)
-class _Gathered:
-    """The rows ``rows[idx[i]]`` of one side of an identity, gathered when asked for."""
-
-    rows: np.ndarray
-    idx: np.ndarray
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.rows[self.idx[i]]
-
-
-def _first_violations(axiom, lhs, rhs, tol, F, G=None, C=None) -> list[AxiomReport]:
-    """Per column of the k x m sides, the first row i where they differ by
-    more than tol; its inputs are ``F[i]``, ``G[i]`` and ``C[i]``."""
-    bad = np.abs(lhs - rhs) > tol
+def _first_violations(axiom, lhs, rhs, tol, rows, F, G=None, C=None) -> list[AxiomReport]:
+    """Per column of the k x m sides, the first row i where they are not
+    within tol of each other (a NaN on either side is not); its inputs are
+    ``rows[F[i]]``, ``rows[G[i]]`` and ``C[i]``."""
+    bad = ~(np.abs(lhs - rhs) <= tol)
     if not bad.any():
         return [AxiomReport(axiom, True)] * bad.shape[1]
-    rows = bad.argmax(axis=0)  # each column's first violation, or row 0 where it has none
-    at = rows, np.arange(bad.shape[1])
+    first = bad.argmax(axis=0)  # each column's first violation, or row 0 where it has none
+    at = first, np.arange(bad.shape[1])
     rhs = np.broadcast_to(rhs, lhs.shape)
-    sides = zip(rows.tolist(), bad[at].tolist(), lhs[at].tolist(), rhs[at].tolist())
+    sides = zip(first.tolist(), bad[at].tolist(), lhs[at].tolist(), rhs[at].tolist())
     return [
         AxiomReport(axiom, False, AxiomWitness(
-            tuple(F[i].tolist()),
-            None if G is None else tuple(G[i].tolist()),
+            tuple(rows[F[i]].tolist()),
+            None if G is None else tuple(rows[G[i]].tolist()),
             None if C is None else float(C[i]),
             lv,
             rv,
@@ -670,14 +668,15 @@ def _structured_ids(n: int) -> dict:
     return groups
 
 
-@lru_cache(maxsize=SWEEP_CACHE)
 def _random_tail(n: int, seed: int, trials: int) -> dict:
     """The random rows of every sweep at n points, ``seed`` and ``trials``:
     per group, each side's rows and the weak rows' constants (None for the
     pairs), drawn from a fresh ``default_rng(seed)``, each row followed by
     its mirror (for verdict exchange under duality).  A draw fills its rows
     one trial after another, so the rows of t trials are the first 2t of
-    each side of any larger draw.  All arrays are read-only."""
+    each side of any larger draw.  All arrays are read-only.  Not cached:
+    drawn once per ``_sweep_layout`` entry, and once per input group of a
+    family sweep at ``trials`` > 0."""
     R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
     pairs = _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1]))
     high = np.full(n + 1, 2.0)
@@ -705,12 +704,10 @@ def _with_random(rows, idx, C, random, random_C, trials: int):
 def _sweep_layout(n: int, seed: int, trials: int) -> dict:
     """What a sweep without a family evaluates at n points, ``seed`` and
     ``trials`` > 0, per group: the structured rows of ``_structured_ids(n)``
-    with the random rows of ``_random_tail`` appended (``_with_random``),
-    as one read-only entry."""
-    layout = {
-        g: _with_random(*group, *_random_tail(n, seed, trials)[g], trials)
-        for g, group in _structured_ids(n).items()
-    }
+    with the random rows of one ``_random_tail`` draw appended
+    (``_with_random``), as one read-only entry."""
+    random = _random_tail(n, seed, trials)
+    layout = {g: _with_random(*group, *random[g], trials) for g, group in _structured_ids(n).items()}
     for rows, idx, C in layout.values():
         for a in (rows, *idx.values(), *([] if C is None else [C])):
             a.flags.writeable = False
@@ -787,15 +784,14 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     without removing repeats (``_sweep_layout``, per (n, seed, trials), in
     ``SWEEP_CACHE`` entries with the least recently used going first).
     A family lays out its own rows on each call, for the identities asked
-    only, and appends the random rows of those sides, read from the same
-    draw (``_random_tail``, per (n, seed, trials), in ``SWEEP_CACHE``
-    entries).
+    only, and appends the random rows of those sides, drawn anew for each
+    group (``_random_tail``, the same rows a layout appends).
     """
     fam = None if family is None else _family_rows(family, n)
     reports = {}
     if "normed" in axioms:
         one = np.ones((1, n))
-        reports["normed"] = _first_violations("normed", ev(one), 1.0, tol, one)
+        reports["normed"] = _first_violations("normed", ev(one), 1.0, tol, one, (0,))
     batches = {}  # the identities asked of each group, groups and identities in AXIOMS order
     for a in AXIOMS[1:]:
         if a in axioms:
@@ -814,10 +810,9 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
         V = ev(rows)
         values = V.take(idx["F"], axis=0)
         other = V.take(idx["G"], axis=0) if C is None else C[:, None]
-        F, G = _Gathered(rows, idx["F"]), _Gathered(rows, idx["G"]) if C is None else None
         for a in asked:
             rhs = _combine(a, values, other)
-            reports[a] = _first_violations(a, V.take(idx[a], axis=0), rhs, tol, F, G, C)
+            reports[a] = _first_violations(a, V.take(idx[a], axis=0), rhs, tol, rows, idx["F"], idx.get("G"), C)
     return {a: reports[a] for a in axioms}
 
 
@@ -884,12 +879,14 @@ def check_axioms(
     cached by those numbers, and no cache is keyed by a functional.  The
     structured rows are built once per point count, each distinct row once
     (compared by exact bits, so -0.0 and 0.0 stay apart), and laid out with
-    the random rows once per point count, seed and ``trials``, in
-    ``SWEEP_CACHE`` = 4 entries.  Each group is evaluated whole: asking one
-    identity costs as much as asking every identity of its group, and all
-    six cost three evaluations of the functional: the constant 1, the rows
-    (f, c) and the pairs.  A ``family`` lays out its own rows on each call,
-    for the identities asked, with the same cached random rows.
+    the random rows, drawn once for the layout, once per point count, seed
+    and ``trials``, in ``SWEEP_CACHE`` = 4 entries.  Each group is evaluated
+    whole: asking one identity costs as much as asking every identity of its
+    group, and all six cost three evaluations of the functional: the
+    constant 1, the rows (f, c) and the pairs.  A ``family`` lays out its own
+    rows on each call, for the identities asked, and draws the same random
+    rows anew.  A value that is NaN, on either side of an identity,
+    is a violation.
 
     Without a ``family`` the verdicts are memoized on mu itself, per (tol,
     seed): each input group is swept once, at the largest ``trials`` asked
@@ -930,14 +927,14 @@ def check_axiom(
     return check_axioms(mu, (axiom,), trials, tol, seed, family)[axiom]
 
 
-@lru_cache(maxsize=TABLE_CACHE)
-def _monotone_sample(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _monotone_sample(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only rows f <= g pointwise: each row of ``_pair_family(n)`` below
-    itself raised at one point, then ``trials`` random pairs from a fresh
-    ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
+    itself raised at one point, then 32 random pairs from a fresh
+    ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
     F, bump = _product(_pair_family(n), _spikes(n, (0.5, 1.0)))
-    R = rng.uniform(np.r_[np.full(n, -2.0), np.zeros(n)], 2.0, (trials, 2 * n))
+    R = rng.uniform(np.r_[np.full(n, -2.0), np.zeros(n)], 2.0, (32, 2 * n))
     f, g = np.concatenate([F, R[:, :n]]), np.concatenate([F + bump, R[:, :n] + R[:, n:]])
     return _array(f, n), _array(g, n)
 
@@ -972,8 +969,9 @@ def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
 
 
 def _misses(values, rows, kind: Kind, mask: int, tol: float) -> np.ndarray:
-    """Where ``values`` differ by more than tol from the rows' min/max over ``mask``."""
-    return np.abs(values - _fold(kind, (rows[:, i] for i in _bits(mask)))) > tol
+    """Where ``values`` are not within tol of the rows' min/max over ``mask``
+    (a NaN is not)."""
+    return ~(np.abs(values - _fold(kind, (rows[:, i] for i in _bits(mask)))) <= tol)
 
 
 def _class_supports(ev, n: int, reports, budget: int, tol: float, seed: int):
@@ -1106,36 +1104,33 @@ class SubsetFamily:
         return self.space.mask(subset) in set(self.members)
 
 
-def _essential_precheck_failures(mu, tol) -> tuple[str, ...]:
-    """The failed axioms of every essential-set precheck, from one sweep:
-    those of weakly_preserves_max and _min matter to the reconstruction only.
-    Kept in mu's memo per tol, with "monotone" when the sample f <= g of
-    ``_monotone_sample`` (32 trials, seed 0) has some mu(f) > mu(g)."""
+def _essential_precheck(mu, tol) -> tuple[str, ...]:
+    """The tolerance and space guards and the axiom precheck of every
+    essential-set test, from one sweep: normed, weakly additive, and
+    "monotone", which fails when a pair f <= g of ``_monotone_sample`` has
+    mu(f) not at most mu(g) + tol (a NaN is not).  Returns the failures of
+    weakly_preserves_max and _min, which matter to the reconstruction only.
+    All failures are kept in mu's memo per tol."""
+    _check_tol(tol)
+    if not isinstance(mu.space, FiniteTopSpace):
+        raise SpaceMismatch("essential-set tests need a topological space")
     key = ("essential", tol)
     if key not in mu._sweeps:
         axioms = ("normed", "weakly_additive", "weakly_preserves_max", "weakly_preserves_min")
         reports = _memo_reports(mu, axioms, 16, tol, 0)
         failures = [a for a, rep in reports.items() if not rep.passed]
-        f, g = _monotone_sample(mu.space.n, 32, 0)
-        if (mu.eval_batch(f) > mu.eval_batch(g) + tol).any():
+        f, g = _monotone_sample(mu.space.n)
+        if not (mu.eval_batch(f) <= mu.eval_batch(g) + tol).all():
             failures.append("monotone")
         mu._sweeps[key] = tuple(failures)
-    return mu._sweeps[key]
-
-
-def _essential_precheck(mu, tol) -> None:
-    """The tolerance and space guards and the axiom precheck of every
-    essential-set test."""
-    _check_tol(tol)
-    if not isinstance(mu.space, FiniteTopSpace):
-        raise SpaceMismatch("essential-set tests need a topological space")
-    failures = _essential_precheck_failures(mu, tol)
-    failures = [a for a in failures if not a.startswith("weakly_preserves")]
-    if failures:
+    failures = mu._sweeps[key]
+    strong = [a for a in failures if not a.startswith("weakly_preserves")]
+    if strong:
         raise AxiomPrecheckFailed(
             "essential-set test needs normed, weakly additive, monotone; "
-            f"failing: {', '.join(failures)}"
+            f"failing: {', '.join(strong)}"
         )
+    return failures
 
 
 def _essential_masks(mu, tol) -> np.ndarray:
@@ -1215,9 +1210,7 @@ def infsup_reconstruct(
     _check_space(mu, f)
     if family is not None and family.space != mu.space:
         raise SpaceMismatch("the family must live on the functional's space")
-    _essential_precheck(mu, tol)
-    failures = _essential_precheck_failures(mu, tol)
-    weak_failures = [a for a in failures if a.startswith("weakly_preserves")]
+    weak_failures = _essential_precheck(mu, tol)
     if weak_failures:
         raise AxiomPrecheckFailed(f"reconstruction needs {', '.join(weak_failures)}")
     if family is None:

@@ -135,10 +135,11 @@ def subset_roundtrip_failure(
     if kind not in ("min", "max"):
         raise InvariantViolation("kind", "must be 'min' or 'max'")
     want = mu.space.subset(member)
+    # classify sweeps at 32 trials first, so support's 8 read mu's memo
+    cls = classify(mu, tol=tol)
     got = support(mu, tol=tol)
     if got != want:
         return f"support({mu.label}) = {sorted(got)}, want {sorted(want)}"
-    cls = classify(mu, tol=tol)
     expected = "R_min" if kind == "min" else "R_max"
     label_ok = cls.kind == expected or (
         member.bit_count() == 1 and cls.kind in ("R_min", "R_max")

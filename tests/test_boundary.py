@@ -261,6 +261,17 @@ CASES = {
     "table-nan-lo": (
         lambda: TableFunctional(X, NAN, 1.0, (0.0, 1.0, 1.0, 1.0)), InvariantViolation, "^table.range: ",
     ),
+    # every entry of a table a finite real, as when read from a file
+    "table-nan-entry": (
+        lambda: TableFunctional(X, 0.0, 1.0, (0.0, NAN, 1.0, 1.0)), InvariantViolation, "^table.values: ",
+    ),
+    "table-infinite-entry": (
+        lambda: TableFunctional(X, 0.0, 1.0, (0.0, 1.0, float("inf"), 1.0)),
+        InvariantViolation, "^table.values: ",
+    ),
+    "table-string-entry": (
+        lambda: TableFunctional(X, 0.0, 1.0, (0.0, "x", 1.0, 1.0)), InvariantViolation, "^table.values: ",
+    ),
     "subset-roundtrip-unknown-kind": (
         lambda: subset_roundtrip_failure(MU, "avg", 0b11), InvariantViolation, "^kind: ",
     ),

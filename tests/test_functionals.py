@@ -1,23 +1,29 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idemx.errors import EmptySet, InvariantViolation, SpaceMismatch, UnknownAxiom
+from idemx.errors import AxiomPrecheckFailed, EmptySet, InvariantViolation, SpaceMismatch, UnknownAxiom
 from idemx.functionals import (
     MAX_CLASS_AXIOMS,
     MIN_CLASS_AXIOMS,
     NEG_INF,
     IdempotentDensity,
+    LambdaFunctional,
     MeanFunctional,
     RealFunction,
     SupportFunctional,
     TableFunctional,
+    _misses,
     check_axiom,
+    check_axioms,
     constant,
     density,
     dual,
+    essential_family,
     from_mapping,
     indicator,
     infsup_reconstruct,
@@ -226,3 +232,35 @@ def test_functionals_reject_a_function_on_another_space():
             mu(f)
         with pytest.raises(SpaceMismatch):
             infsup_reconstruct(mu, f)
+
+
+# -- values that are not finite -------------------------------------------------
+
+
+def test_a_nan_functional_fails_every_identity_and_the_essential_precheck():
+    """A NaN is within no tolerance of anything: each identity fails at its
+    first input, normed with a NaN witness, and the essential-set precheck
+    lists the monotone sample too."""
+    nan = LambdaFunctional(D3, lambda f: math.nan, "nan")
+    reports = check_axioms(nan)
+    assert not any(rep.passed for rep in reports.values())
+    w = reports["normed"].witness
+    assert math.isnan(w.lhs) and w.rhs == 1.0 and w.f == (1.0, 1.0, 1.0)
+    message = "^essential-set test needs .*; failing: normed, weakly_additive, monotone$"
+    with pytest.raises(AxiomPrecheckFailed, match=message):
+        essential_family(nan)
+
+
+def test_an_infinite_functional_is_not_weakly_additive():
+    """mu(f + c) = inf and mu(f) + c = inf differ by NaN, not by 0; numpy
+    warns of the subtraction."""
+    inf = LambdaFunctional(D3, lambda f: math.inf, "inf")
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        rep = check_axiom(inf, "weakly_additive")
+    assert not rep.passed and rep.witness.lhs == rep.witness.rhs == math.inf
+
+
+def test_a_nan_value_misses_its_formula():
+    rows = np.array([[1.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
+    values = np.array([math.nan, 0.0, 1.0])
+    assert _misses(values, rows, "min", 0b11, 1e-9).tolist() == [True, False, True]

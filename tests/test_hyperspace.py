@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from idemx import campaign
+from idemx import campaign, functionals
 from idemx.errors import EmptySet, ModeArity, SpaceMismatch, TooLarge
-from idemx.functionals import LambdaFunctional, RealFunction, SupportFunctional
+from idemx.functionals import LambdaFunctional, RealFunction, SupportFunctional, _axiom_sweep
 from idemx.hyperspace import (
     HyperPoint,
     VietorisNbhd,
@@ -116,6 +116,23 @@ def test_subset_roundtrip_reports_a_planted_failure():
     assert subset_roundtrip_failure(SupportFunctional(s, "max", ab), "min", ab) == (
         "classify(max over {a,b}) = (R_max, ['a', 'b'])"
     )
+
+
+def test_a_roundtrip_sweeps_a_fresh_functional_once(monkeypatch):
+    """classify sweeps at 32 trials, and support's 8 read the functional's
+    memo: one ``_axiom_sweep`` call per round trip."""
+    sweeps = []
+
+    def recorded(ev, n, axioms, *args):
+        sweeps.append(args[0])
+        return _axiom_sweep(ev, n, axioms, *args)
+
+    monkeypatch.setattr(functionals, "_axiom_sweep", recorded)
+    s = discrete(["a", "b", "c", "d"])
+    for kind, member in (("min", 0b0101), ("max", 0b1110), ("min", 0b1000)):
+        sweeps.clear()
+        assert subset_roundtrip_failure(SupportFunctional(s, kind, member), kind, member) is None
+        assert sweeps == [32]
 
 
 def test_stability_inequality_sampled(rng):

@@ -4,9 +4,11 @@ Every verdict on a functional at n points reads rows that depend only on n,
 a seed and a row count: each axiom sweep's layout, the verification rows of
 ``classify`` and ``support``, the monotone sample of the essential-set
 precheck and the spike probes.  Each is built once per key, in an
-``lru_cache`` keyed by integers only, and read-only.  The per-call builds
-are kept below as the reference; the tables must equal them bit for bit,
-and the verdicts that read them must not change.
+``lru_cache`` keyed by integers only, and read-only; the random rows of a
+sweep are drawn once per layout, and ``verify_semicontinuity_theorem``
+draws its own rows on each call.  The
+per-call builds are kept below as the reference; the tables must equal them
+bit for bit, and the verdicts that read them must not change.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 import pytest
 
 import idemx
-from idemx import functionals
-from idemx.extenders import verify_semicontinuity_theorem
+from idemx import extenders, functionals
+from idemx.extenders import forward_implications, verify_semicontinuity_theorem
 from idemx.functionals import (
     _DENSITY_SCHEDULE,
     _PROBE_SCALES,
@@ -49,9 +51,10 @@ from idemx.functionals import (
     essential_family,
     support,
 )
-from idemx.setmaps import setmap
+from idemx.setmaps import SetValuedMap, fixing_images, setmap
 from idemx.spaces import discrete, embed, from_minimal_basis
 from test_batch_eval import PLANTED, fuzz_functionals
+from test_column_sweep import random_embeddings
 
 # -- the per-call builds the tables replaced ----------------------------------
 
@@ -138,11 +141,9 @@ def test_the_per_n_tables_are_the_per_call_builds(n):
         for count in (0, 1, 32, 64):
             want = _verification_rows(n, count, np.random.default_rng(seed))
             assert _bits(_verification_table(n, count, seed)) == _bits(want)
-            # the rows of the forward implications: uniform(-3, 3)
-            want = np.concatenate([_verify_family(n), np.random.default_rng(seed).uniform(-3.0, 3.0, (count, n))])
-            assert _bits(_verification_table(n, count, seed, 3)) == _bits(want)
-            got, want = _monotone_sample(n, count, seed), _reference_monotone(n, count, seed)
-            assert [_bits(a) for a in got] == [_bits(a) for a in want]
+    # the essential-set precheck's sample: 32 trials at seed 0
+    got, want = _monotone_sample(n), _reference_monotone(n, 32, 0)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
     got, want = _probe_rows(n), _reference_probes(n)
     assert list(got) == list(want)
     assert [_bits(a) for a in got.values()] == [_bits(a) for a in want.values()]
@@ -188,9 +189,8 @@ def test_every_cached_array_is_read_only():
         "functionals._verify_family": _verify_family(3),
         "functionals._structured_ids": _structured_ids(3),
         "functionals._sweep_layout": _sweep_layout(3, 3, 8),
-        "functionals._random_tail": _random_tail(3, 3, 8),
-        "functionals._cached_verification_table": (_verification_table(3, 64, 0), _verification_table(2, 32, 0, 3)),
-        "functionals._monotone_sample": _monotone_sample(3, 32, 0),
+        "functionals._cached_verification_table": (_verification_table(3, 64, 0), _verification_table(2, 32, 0)),
+        "functionals._monotone_sample": _monotone_sample(3),
         "functionals._probe_rows": _probe_rows(3),
     }
     # a new cache must be listed here
@@ -223,6 +223,44 @@ def test_no_cache_is_keyed_by_a_functional():
         assert all(p.annotation in ("int", "float") for p in params), name
 
 
+def _bound_3_table(n, budget, seed):
+    """The rows the forward implications read: uniform(-3, 3), where the
+    verification rows of ``classify`` are uniform(-5, 5)."""
+    return np.concatenate([_verify_family(n), np.random.default_rng(seed).uniform(-3.0, 3.0, (budget, n))])
+
+
+def test_the_forward_implications_read_their_own_rows(monkeypatch):
+    """``verify_semicontinuity_theorem`` draws its uniform(-3, 3) rows on each
+    call, bit for bit the rows of the table it read when the verification
+    table was keyed by its bound.  They cannot be the verification rows: on
+    a subspace that is not discrete, the implications fail on inputs that
+    are not continuous, and which rows fail depends on the rows drawn."""
+    cases = [
+        (SetValuedMap(e.ambient, e.subspace, images), e, kind, sample, seed % 5)
+        for seed, e in enumerate(random_embeddings(40, 2627))
+        for images in fixing_images(e)
+        for kind in ("min", "max")
+        for sample in (0, 32)
+    ]
+    read = []
+
+    def recorded(u, r_usc, r_lsc, family):
+        read.append(family)
+        return forward_implications(u, r_usc, r_lsc, family)
+
+    monkeypatch.setattr(extenders, "forward_implications", recorded)
+    reports = [verify_semicontinuity_theorem(r, e, kind, sample, seed=seed) for r, e, kind, sample, seed in cases]
+    for (_, e, _, sample, seed), fam in zip(cases, read):
+        assert _bits(np.asarray(fam)) == _bits(_bound_3_table(e.subspace.n, sample, seed))
+    # some report lists a failure on a random row
+    random_failures = 0
+    for rep, (_, e, _, _, _), fam in zip(reports, cases, read):
+        drawn = {f"f={tuple(row)}" for row in fam[len(_verify_family(e.subspace.n)) :].tolist()}
+        failures = [f for i in rep.implications for f in i.failures]
+        random_failures += sum(f.split(" -> ")[0] in drawn for f in failures)
+    assert random_failures
+
+
 # -- the operation of an identity ---------------------------------------------
 
 
@@ -243,9 +281,9 @@ def test_combine_keeps_its_first_argument_on_a_zero_tie(axiom):
 # -- support reads the tables as it drew from fresh generators -----------------
 
 
-def _fresh_table(n, budget, seed, bound=5):
+def _fresh_table(n, budget, seed):
     """The verification rows drawn anew on each call, from a fresh generator."""
-    return _verification_rows(n, budget, np.random.default_rng(seed), bound)
+    return _verification_rows(n, budget, np.random.default_rng(seed))
 
 
 def _support_and_route(mu, seed):

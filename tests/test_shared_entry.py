@@ -1,12 +1,14 @@
 """The cached inputs of the axiom sweep are built whole on their first use
-and never change after, whatever later sweeps ask of them: the random rows
-and the layout of a (point count, seed, trial count) entry, and the
-structured rows of a point count."""
+and never change after, whatever later sweeps ask of them: the layout of a
+(point count, seed, trial count) entry, and the structured rows of a point
+count.  The random rows are drawn once per layout built, and once per
+input group of a family sweep at trials > 0."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from idemx import functionals
 from idemx.functionals import (
     AXIOMS,
     MeanFunctional,
@@ -41,12 +43,12 @@ def _arrays(value):
 
 
 def _snapshot():
-    cached = (_random_tail(N, SEED, TRIALS), _sweep_layout(N, SEED, TRIALS), _structured_ids(N))
+    cached = (_sweep_layout(N, SEED, TRIALS), _structured_ids(N))
     return [a.tobytes() for a in _arrays(cached)]
 
 
 def _clear():
-    for cache in (_random_tail, _sweep_layout, _structured_ids):
+    for cache in (_sweep_layout, _structured_ids):
         cache.cache_clear()
 
 
@@ -86,21 +88,29 @@ def test_the_entry_is_whole_and_read_only_after_a_weak_only_sweep():
         assert not a.flags.writeable
 
 
-def test_later_sweeps_leave_the_entry_unchanged():
+def test_later_sweeps_leave_the_entry_unchanged(monkeypatch):
     _clear()
+    draws = []
+
+    def recorded(n, seed, trials):
+        draws.append(trials)
+        return _random_tail(n, seed, trials)
+
+    monkeypatch.setattr(functionals, "_random_tail", recorded)
     mu = support_functional(SPACE, "min", ["a", "b"])
     check_axioms(mu, ("weakly_preserves_max",), trials=TRIALS, seed=SEED)
-    random, entry = _random_tail(N, SEED, TRIALS), _sweep_layout(N, SEED, TRIALS)
+    entry = _sweep_layout(N, SEED, TRIALS)
     before = _snapshot()
     check_axioms(mu, AXIOMS, trials=TRIALS, seed=SEED)
     check_axioms(MeanFunctional(SPACE), ("preserves_max", "normed"), trials=3, seed=SEED)
     check_axioms(mu, AXIOMS, trials=0, seed=SEED)
     check_axioms(mu, AXIOMS, trials=8, seed=SEED, family=_pair_family(N))
     check_axioms(mu, AXIOMS, trials=0, seed=SEED, family=np.eye(N))
-    assert _random_tail(N, SEED, TRIALS) is random
     assert _sweep_layout(N, SEED, TRIALS) is entry
-    # one draw per trial count asked: 64, 3 and 8; none for 0
-    assert _random_tail.cache_info().misses == 3
+    # one draw per layout built, 64 and 3, and one per input group of the
+    # family sweep at 8: the pairs, additivity's rows (f, c) and the weak
+    # lattice identities' rows; none for 0 trials
+    assert draws == [TRIALS, 3, 8, 8, 8]
     # one layout per trial count asked without a family: 64 and 3; none for
     # 0 trials, which reads the structured rows alone, nor for a family
     assert _sweep_layout.cache_info().misses == 2

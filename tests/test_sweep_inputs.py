@@ -4,8 +4,8 @@ boundary of the public entry points of ``functionals``.
 Without a family, ``_axiom_sweep`` evaluates each input group once and
 whole, whichever of its identities are asked: its distinct structured rows
 (``_structured_ids``, built once per point count), then its random rows
-(``_random_tail``), laid out once per point count, seed and trial count
-(``_sweep_layout``).  The
+(``_random_tail``, drawn once per layout), laid out once per point count,
+seed and trial count (``_sweep_layout``).  The
 per-call construction it replaced is kept below as the reference.  The
 reports, witnesses included, must equal the reference's; every row the
 sweep evaluates must be a row of the reference inputs, bit for bit, so the
@@ -88,19 +88,20 @@ def _reference_sweep(ev, n, trials, tol, seed):
         kind = a[-3:]
         if a == "normed":
             one = np.ones((1, n))
-            reports[a] = _first_violations(a, ev(one), 1.0, tol, one)
+            reports[a] = _first_violations(a, ev(one), 1.0, tol, one, (0,))
         elif a.startswith("preserves"):
             lhs = ev(_fold(kind, (F, G)))
             if "pairs" not in values:
                 values["pairs"] = ev(F), ev(G)
-            reports[a] = _first_violations(a, lhs, _fold(kind, values["pairs"]), tol, F, G)
+            FG, k = np.concatenate([F, G]), np.arange(len(F))
+            reports[a] = _first_violations(a, lhs, _fold(kind, values["pairs"]), tol, FG, k, len(F) + k)
         else:
             lhs = ev(W + c) if a == "weakly_additive" else ev(_fold(kind, (W, c)))
             if "weak" not in values:
                 values["weak"] = ev(W)
             V = values["weak"]
             rhs = V + c if a == "weakly_additive" else _fold(kind, (V, c))
-            reports[a] = _first_violations(a, lhs, rhs, tol, W, C=C)
+            reports[a] = _first_violations(a, lhs, rhs, tol, W, np.arange(len(W)), C=C)
     return reports
 
 
@@ -377,19 +378,21 @@ def test_reports_do_not_depend_on_what_the_cache_holds():
         space, lambda f: min(f["a"], f["b"]) + (0.5 if f["c"] + f["d"] > 3.5 else 0.0)
     )
     mus = [MeanFunctional(space), support_functional(space, "max", ["c"]), bent]
-    caches = (_sweep_layout, _random_tail, _structured_ids)
+
+    def swept(mu, trials):  # a sweep of its own, not read from mu's memo
+        mu.__dict__.pop("_sweeps", None)
+        return check_axioms(mu, trials=trials, seed=3)
 
     def fresh(mu, trials):
-        for cache in caches:
+        for cache in (_sweep_layout, _structured_ids):
             cache.cache_clear()
-        return check_axioms(mu, trials=trials, seed=3)
+        return swept(mu, trials)
 
     for mu in mus:
         want = {t: fresh(mu, t) for t in (8, 64, 200)}
         _sweep_layout.cache_clear()
-        _random_tail.cache_clear()
         for t in (8, 64, 8, 200, 8):
-            assert check_axioms(mu, trials=t, seed=3) == want[t]
+            assert swept(mu, t) == want[t]
     assert want[8]["preserves_min"].passed and not want[64]["preserves_min"].passed
 
 
