@@ -2,7 +2,9 @@
 
 Subcommands: check-axioms, support, classify, extend, recover, search,
 campaign, replay.  Exit codes: 0 all checks passed, 1 failures found,
-2 usage or parse errors.
+2 usage or parse errors.  A reader that closes standard output early
+(``idemx campaign | head``) gets what it read; the command runs on and
+exits with its own code.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .campaign import (
@@ -263,8 +266,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """Standard output for the length of a command: once the reader has
+    closed the pipe, the rest of the output is dropped, not raised as a
+    BrokenPipeError, so the command runs on to its own exit code."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self._closed = False
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        self._call("write", text)
+        return len(text)
+
+    def flush(self) -> None:
+        self._call("flush")
+
+    def _call(self, name: str, *args) -> None:
+        if self._closed:
+            return
+        try:
+            getattr(self._stream, name)(*args)
+        except BrokenPipeError:
+            self._closed = True
+            # what the stream still buffers goes to the null device, so
+            # that the interpreter's last flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -273,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except IdemxError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .functionals import (
     _check_tol,
     _class_supports,
     _continuous_family,
+    _distinct,
     _family_rows,
     _fold,
     _pair_family,
@@ -285,16 +286,20 @@ def verify_semicontinuity_theorem(
     """Check ``forward_implications`` for r, and check the pointwise
     functionals against the identities of their kind.
 
-    The implications read ``_verify_family`` and ``sample`` uniform(-3, 3)
-    rows of ``default_rng(seed)``; on a subspace that is not discrete their
-    failures, on inputs that are not continuous, depend on these rows.
+    The implications hold for continuous inputs, and read ``_verify_family``
+    and ``sample`` uniform(-3, 3) rows of ``default_rng(seed)``: on a
+    discrete subspace all of them, and on any other subspace X the
+    continuous ones among them, those constant on each minimal
+    neighbourhood, then ``_continuous_family(X)``, each distinct row once.
     """
     _check_count("sample", sample)
     _check_count("seed", seed)
     _check_tol(tol)
     u = build_extender(r, embedding, kind)
-    n = embedding.subspace.n
-    fam = _verification_rows(n, sample, np.random.default_rng(seed), 3.0)
+    X = embedding.subspace
+    fam = _verification_rows(X.n, sample, np.random.default_rng(seed), 3.0)
+    if not X.is_discrete():
+        fam = _distinct(fam[_classes(fam, X) == "continuous"], _continuous_family(X))
     r_usc = is_usc(r)
     r_lsc = is_lsc(r)
     implications = forward_implications(u, r_usc, r_lsc, fam)

@@ -671,19 +671,21 @@ def _structured_ids(n: int) -> dict:
 def _random_tail(n: int, seed: int, trials: int) -> dict:
     """The random rows of every sweep at n points, ``seed`` and ``trials``:
     per group, each side's rows and the weak rows' constants (None for the
-    pairs), drawn from a fresh ``default_rng(seed)``, each row followed by
-    its mirror (for verdict exchange under duality).  A draw fills its rows
-    one trial after another, so the rows of t trials are the first 2t of
-    each side of any larger draw.  All arrays are read-only.  Not cached:
-    drawn once per ``_sweep_layout`` entry, and once per input group of a
-    family sweep at ``trials`` > 0."""
-    R = np.random.default_rng(seed).uniform(-2.0, 2.0, (trials, 2, n))
+    pairs), each row followed by its mirror (for verdict exchange under
+    duality).  Each group's trials are uniform draws from the head of one
+    fresh ``default_rng(seed)`` stream, filled one trial after another:
+    for the pairs, F's n values in (-2, 2) then G's; for the weak rows, f's
+    n values in (-2, 2) then the constant in (-5, 5).  So the rows of t
+    trials are the first 2t of each side of any larger draw.  The stream is
+    read once, as ``uniform`` reads it, low + (high - low) U per value, for
+    both groups.  All arrays are read-only.  Not cached: drawn once per
+    ``_sweep_layout`` entry, and once per family sweep at ``trials`` > 0."""
+    U = np.random.default_rng(seed).random(max(2 * n, n + 1) * trials)
+    R = -2.0 + 4.0 * U[: 2 * n * trials].reshape(trials, 2, n)
     pairs = _group_sides("pairs", _mirrored(R[:, 0]), _mirrored(R[:, 1]))
-    high = np.full(n + 1, 2.0)
-    high[n] = 5.0  # the constant's range
-    R = np.random.default_rng(seed).uniform(-high, high, (trials, n + 1))
-    C = _mirrored(R[:, n])
-    weak = _group_sides("weak", _mirrored(R[:, :n]), C[:, None])
+    R = U[: (n + 1) * trials].reshape(trials, n + 1)
+    C = _mirrored(-5.0 + 10.0 * R[:, n])
+    weak = _group_sides("weak", _mirrored(-2.0 + 4.0 * R[:, :n]), C[:, None])
     for a in (*pairs.values(), *weak.values(), C):
         a.flags.writeable = False
     return {"pairs": (pairs, None), "weak": (weak, C)}
@@ -784,8 +786,9 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
     without removing repeats (``_sweep_layout``, per (n, seed, trials), in
     ``SWEEP_CACHE`` entries with the least recently used going first).
     A family lays out its own rows on each call, for the identities asked
-    only, and appends the random rows of those sides, drawn anew for each
-    group (``_random_tail``, the same rows a layout appends).
+    only, and appends the random rows of those sides, drawn anew once per
+    call at ``trials`` > 0 (``_random_tail``, the same rows a layout
+    appends).
     """
     fam = None if family is None else _family_rows(family, n)
     reports = {}
@@ -793,6 +796,7 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
         one = np.ones((1, n))
         reports["normed"] = _first_violations("normed", ev(one), 1.0, tol, one, (0,))
     batches = {}  # the identities asked of each group, groups and identities in AXIOMS order
+    random = None  # a family sweep's random rows, drawn at its first group
     for a in AXIOMS[1:]:
         if a in axioms:
             group = _GROUP_OF[a]
@@ -806,7 +810,9 @@ def _axiom_sweep(ev, n, axioms, trials, tol, seed, family) -> dict[str, list[Axi
         else:
             rows, idx, C = _family_group(fam, group, asked, cs)
             if trials:
-                rows, idx, C = _with_random(rows, idx, C, *_random_tail(n, seed, trials)[group], trials)
+                if random is None:
+                    random = _random_tail(n, seed, trials)
+                rows, idx, C = _with_random(rows, idx, C, *random[group], trials)
         V = ev(rows)
         values = V.take(idx["F"], axis=0)
         other = V.take(idx["G"], axis=0) if C is None else C[:, None]

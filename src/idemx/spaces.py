@@ -8,6 +8,7 @@ positional point indices; point identifiers are strings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
@@ -337,6 +338,18 @@ class MetricSpace(_PointSet):
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
 
+    @classmethod
+    def _proven(cls, points: tuple[str, ...], dist: np.ndarray) -> MetricSpace:
+        """The space on ``points`` and the read-only ``dist``, which the
+        caller has proved to pass every check of ``__post_init__``; that
+        test is skipped, all but the points' own check.  ``line_metric``,
+        which holds the proof, is the one caller."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", points)
+        object.__setattr__(space, "dist", dist)
+        space._check_points()
+        return space
+
     def __eq__(self, other):
         # equal points give equal validated (n, n) shapes, so the matrices
         # compare elementwise; they hold no NaN
@@ -351,14 +364,49 @@ class MetricSpace(_PointSet):
 
 
 def line_metric(coords: Mapping[str, float]) -> MetricSpace:
-    """Metric space of labelled points on the real line."""
+    """Metric space of labelled points on the real line, d(x, y) = |x - y|.
+
+    Each coordinate must be a finite real number, one that numpy holds as
+    an integer or a float (so not a bool, a string or a sequence); anything
+    else is an InvariantViolation at ``coords``.  The space is the
+    one ``MetricSpace(points, |x_i - x_j|)`` builds, refused at the same
+    field, without its n^3 matrix test: for finite coordinates, with fl the
+    rounding to nearest and u = 2^-53, the coordinates decide every check.
+
+    - fl(x - x) = 0 and |.| >= 0: the diagonal is 0, no distance negative.
+    - fl(x - y) = -fl(y - x), since rounding is symmetric: symmetry holds.
+    - fl(x - y) = 0 only when x = y, since underflow is gradual: a repeated
+      coordinate (0.0 and -0.0 are one) is the only ``dist.identity`` case.
+    - fl is monotone, so no distance exceeds fl(max - min): a spread that
+      overflows is the only ``dist.finite`` case, tested after identity as
+      the matrix test does, and in Python floats, which do not warn.
+    - A sum or difference is off by a factor within [1 - u, 1 + u], and is
+      exact when its result is subnormal.  So d(x, z) <= (1 + u)|x - z|,
+      and the test's bound fl(fl(d(x, y) + d(y, z)) (1 + 1e-12)) is at
+      least (1 - u)^3 (1 + 1e-12)|x - z|, or, for a subnormal sum, the
+      exact sum, which every term then is: the triangle test passes.
+    """
     import numpy as np
 
     pts = tuple(coords.keys())
-    xs = np.array([coords[p] for p in pts], dtype=float)
-    if not np.isfinite(xs).all():
+    try:
+        xs = np.array([coords[p] for p in pts])
+    except (TypeError, ValueError):  # ragged sequences among the values
+        xs = np.array(None)
+    if xs.dtype.kind not in "iuf" or xs.ndim != 1:
+        raise InvariantViolation("coords", "coordinates must be real numbers")
+    xs = xs.astype(float, copy=False)
+    # over Python floats: at campaign sizes numpy calls cost more than these
+    vals = xs.tolist()
+    if not all(map(math.isfinite, vals)):
         raise InvariantViolation("coords", "coordinates must be finite")
-    return MetricSpace(pts, np.abs(xs[:, None] - xs[None, :]))
+    if len(set(vals)) < len(vals):  # 0.0 == -0.0, so they are one member
+        raise InvariantViolation("dist.identity", "d(x,y)=0 for distinct points")
+    if vals and max(vals) - min(vals) == math.inf:
+        raise InvariantViolation("dist.finite", "distances must be finite")
+    d = np.abs(xs[:, None] - xs[None, :])
+    d.flags.writeable = False
+    return MetricSpace._proven(pts, d)
 
 
 @dataclass(frozen=True)

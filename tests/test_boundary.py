@@ -292,6 +292,20 @@ CASES = {
     "line-metric-nan-coordinate": (
         lambda: line_metric({"a": NAN, "b": 0}), InvariantViolation, "^coords: ",
     ),
+    # a coordinate is a real number, not a string or a sequence
+    "line-metric-string-coordinate": (
+        lambda: line_metric({"a": "x", "b": 0}), InvariantViolation, "^coords: ",
+    ),
+    "line-metric-sequence-coordinate": (
+        lambda: line_metric({"a": [1]}), InvariantViolation, "^coords: ",
+    ),
+    # refused as the distance matrix would be, with no overflow warning
+    "line-metric-overflowing-spread": (
+        lambda: line_metric({"a": -1e308, "b": 1e308}), InvariantViolation, "^dist.finite: ",
+    ),
+    "line-metric-repeated-coordinate": (
+        lambda: line_metric({"a": 0.0, "b": -0.0}), InvariantViolation, "^dist.identity: ",
+    ),
     "functional-json-metric-space": (
         lambda: functional_to_json(SupportFunctional(line_metric({"a": 0, "b": 1}), "min", 1)),
         ParseError, "has no file form",

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from idemx.errors import (
@@ -25,7 +26,7 @@ from idemx.extenders import (
 )
 from idemx.functionals import RealFunction, from_mapping, two_valued_tuples
 from idemx.setmaps import SetValuedMap, is_lsc, is_usc, setmap
-from idemx.spaces import discrete, embed, from_minimal_basis, sierpinski
+from idemx.spaces import FiniteTopSpace, discrete, embed, from_minimal_basis, sierpinski
 
 ISOLATED = from_minimal_basis({"p": ["p"], "q": ["q"], "w": ["w"]})
 E_ISOLATED = embed(ISOLATED, ["p", "q"])
@@ -132,6 +133,23 @@ def test_verify_theorem_on_usc_instance():
     assert rep_min.r_usc and rep_min.passed
     rep_max = verify_semicontinuity_theorem(r, e, "max", sample=16)
     assert rep_max.passed
+
+
+def test_verify_theorem_reads_continuous_inputs_on_a_subspace_that_is_not_discrete():
+    # X = {p1, p2} with minN(p1) = {p1} and minN(p2) = {p1, p2}; p0 goes
+    # to p1 and every image is a point, so r is continuous
+    y = FiniteTopSpace(("p0", "p1", "p2"), (0b011, 0b010, 0b111))
+    e = embed(y, ["p1", "p2"])
+    assert e.subspace.min_nbhd == (0b01, 0b11)
+    r = SetValuedMap(y, e.subspace, (0b01, 0b01, 0b10))
+    assert is_usc(r) and is_lsc(r)
+    for kind in ("min", "max"):
+        # f = (1, 0) is not continuous on X, and its extension (1, 1, 0) is
+        # lsc only: the implications do not read it
+        assert build_extender(r, e, kind).apply_batch(np.array([[1.0, 0.0]])).tolist() == [[1.0, 1.0, 0.0]]
+        rep = verify_semicontinuity_theorem(r, e, kind, sample=32)
+        assert rep.passed
+        assert all(i.cases == rep.implications[0].cases > 1 for i in rep.implications)
 
 
 def test_verify_theorem_identity_continuous():

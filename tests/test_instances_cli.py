@@ -236,6 +236,31 @@ def test_python_m_idemx_runs_the_cli_with_its_exit_codes(files):
     assert malformed.returncode == 2 and malformed.stderr.startswith("error: ParseError")
 
 
+def test_a_reader_that_closes_stdout_early_leaves_the_exit_code_alone(tmp_path):
+    """``idemx campaign | head -0``: the pipe is closed before the command
+    prints, and the command still exits with its own code, 0 for a passing
+    campaign and 1 for a search that finds nothing, with no traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    wedge = tmp_path / "wedge.json"
+    wedge.write_text(json.dumps({
+        "ambient": {"points": ["p", "q", "w"], "min_nbhd": {"p": ["p", "w"], "q": ["q", "w"], "w": ["w"]}},
+        "subset": ["p", "q"],
+    }))
+    for args, code in (
+        (["campaign", "--suite", "hyperspace_monotone"], 0),
+        (["search", "--embedding", str(wedge)], 1),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "idemx", *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the interpreter has even started the command
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == code
+        assert err == ""
+
+
 def test_cli_campaign_writes_report_and_replays(files, capsys):
     rep_path = files["tmp"] / "report.json"
     code = main(

@@ -2,7 +2,7 @@
 and never change after, whatever later sweeps ask of them: the layout of a
 (point count, seed, trial count) entry, and the structured rows of a point
 count.  The random rows are drawn once per layout built, and once per
-input group of a family sweep at trials > 0."""
+family sweep at trials > 0, from one read of a fresh generator."""
 
 from __future__ import annotations
 
@@ -107,12 +107,12 @@ def test_later_sweeps_leave_the_entry_unchanged(monkeypatch):
     check_axioms(mu, AXIOMS, trials=8, seed=SEED, family=_pair_family(N))
     check_axioms(mu, AXIOMS, trials=0, seed=SEED, family=np.eye(N))
     assert _sweep_layout(N, SEED, TRIALS) is entry
-    # one draw per layout built, 64 and 3, and one per input group of the
-    # family sweep at 8: the pairs, additivity's rows (f, c) and the weak
-    # lattice identities' rows; none for 0 trials
-    assert draws == [TRIALS, 3, 8, 8, 8]
+    # one draw per layout built, 64 and 3, and one for the family sweep at
+    # 8, which its three input groups share; none for 0 trials
+    assert draws == [TRIALS, 3, 8]
     # one layout per trial count asked without a family: 64 and 3; none for
     # 0 trials, which reads the structured rows alone, nor for a family
     assert _sweep_layout.cache_info().misses == 2
     assert _structured_ids.cache_info().misses == 1
     assert _snapshot() == before
+

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -302,9 +303,12 @@ def test_the_triangle_test_runs_in_chunks_of_bounded_memory():
     middle points, so its temporaries stay a few MB, not ~216 MB."""
     n = 300
     assert n**3 > TRIANGLE_FLOATS > 6**3  # campaign sizes are a single chunk
+    points = tuple(f"p{i}" for i in range(n))
+    xs = np.arange(n, dtype=float)
+    line = np.abs(xs[:, None] - xs[None, :])
     tracemalloc.start()
     try:
-        m = line_metric({f"p{i}": float(i) for i in range(n)})
+        m = MetricSpace(points, line)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +317,6 @@ def test_the_triangle_test_runs_in_chunks_of_bounded_memory():
     # distances 2 everywhere, except that the last point is 1 from p0 and
     # p1, which are 3 apart: only the last middle point, in the last chunk,
     # breaks the inequality
-    points = tuple(f"p{i}" for i in range(n))
     d = np.full((n, n), 2.0)
     np.fill_diagonal(d, 0.0)
     d[[0, n - 1, 1, n - 1], [n - 1, 0, n - 1, 1]] = 1.0
@@ -322,6 +325,86 @@ def test_the_triangle_test_runs_in_chunks_of_bounded_memory():
     with pytest.raises(InvariantViolation) as exc:
         MetricSpace(points, d)
     assert str(exc.value) == "dist.triangle: triangle inequality fails"
+
+
+#: Coordinates that sit at the edges of the floats: both zeros, the
+#: smallest subnormals, the smallest normal, the largest finite values and
+#: their neighbours, NaN and the infinities.
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e-300, 0.3, 0.7, 1.0, -1.0, 1e9 + 0.1, 1e308, -1e308, 8.98846567431158e307,
+    -8.98846567431158e307, 1.7976931348623157e308, -1.7976931348623157e308,
+    NAN, float("inf"), -float("inf"),
+]
+
+
+def _coordinates(rng, n, mode):
+    """n coordinates: edge values (mode 0), a few values, mostly repeated
+    (mode 1), or random values over every binade (mode 2), one of them an
+    edge value (mode 3)."""
+    if mode == 0:
+        xs = rng.choice(EDGES, n)
+    elif mode == 1:
+        xs = rng.choice([0.0, -0.0, 1.0, 1e308, -1e308, 5e-324], n)
+    else:
+        xs = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-1074, 1024, n).astype(float)
+        if mode == 3:
+            xs[rng.integers(n)] = rng.choice(EDGES)
+    return [float(x) for x in xs]
+
+
+def _outcome(build):
+    """The matrix a space holds, or the field it was refused at."""
+    try:
+        return "accepted", build().dist.tobytes()
+    except InvariantViolation as exc:
+        return "refused", exc.path
+
+
+def test_line_metric_accepts_exactly_what_the_matrix_test_accepts():
+    """``line_metric`` decides the metric axioms from the coordinates; on
+    every coordinate list it must accept exactly when ``MetricSpace`` of
+    the matrix |x_i - x_j| does, refuse at the same field, and hold the same
+    matrix, bit for bit.  A coordinate that is not finite is refused at
+    ``coords`` before a distance is formed; the matrix route refuses too."""
+    rng = np.random.default_rng(2801)
+    cases = [(int(n), int(mode)) for n, mode in zip(rng.integers(1, 13, 600), rng.integers(0, 4, 600))]
+    cases += [(n, 2) for n in (50, 100, 200, 300)] + [(300, mode) for mode in (0, 1, 3)]
+    seen = set()
+    for n, mode in cases:
+        xs = _coordinates(rng, n, mode)
+        points = tuple(f"p{i}" for i in range(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # line_metric warns on no input
+            got = _outcome(lambda: line_metric(dict(zip(points, xs))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the matrix overflows where the spread does
+            a = np.array(xs)
+            want = _outcome(lambda: MetricSpace(points, np.abs(a[:, None] - a[None, :])))
+        if np.isfinite(xs).all():
+            assert got == want, xs
+        else:
+            assert got == ("refused", "coords") and want[0] == "refused"
+        seen.add(got[1] if got[0] == "refused" else "accepted")
+    # every outcome is met, so the corpus tests each rule
+    assert seen == {"accepted", "coords", "dist.identity", "dist.finite"}
+
+
+def test_only_line_metric_skips_the_matrix_test(monkeypatch):
+    """Every other caller of ``MetricSpace``, the instance loader included,
+    runs the full test, triangle inequality and all."""
+    from idemx.instances import load_metric
+
+    bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    with pytest.raises(InvariantViolation, match="dist.triangle"):
+        load_metric({"points": ["a", "b", "c"], "dist": bad})
+    checked = []
+    monkeypatch.setattr(MetricSpace, "__post_init__", lambda self: checked.append(self.points))
+    line_metric({"a": 0.0, "b": 1.0})
+    assert checked == []
+    MetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    load_metric({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]})
+    assert checked == [("a", "b"), ("a", "b")]
 
 
 def test_metric_matrix_is_frozen():
