@@ -268,33 +268,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 class _Stdout:
     """Standard output for the length of a command: once the reader has
-    closed the pipe, the rest of the output is dropped, not raised as a
-    BrokenPipeError, so the command runs on to its own exit code."""
+    closed the pipe, the rest of the output goes to the null device, not
+    up as a BrokenPipeError, so the command runs on to its own exit code."""
 
     def __init__(self, stream):
         self._stream = stream
-        self._closed = False
 
     def __getattr__(self, name):
         return getattr(self._stream, name)
 
     def write(self, text: str) -> int:
-        self._call("write", text)
-        return len(text)
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._to_null()
+            return len(text)
 
     def flush(self) -> None:
-        self._call("flush")
-
-    def _call(self, name: str, *args) -> None:
-        if self._closed:
-            return
         try:
-            getattr(self._stream, name)(*args)
+            self._stream.flush()
         except BrokenPipeError:
-            self._closed = True
-            # what the stream still buffers goes to the null device, so
-            # that the interpreter's last flush cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
+            self._to_null()
+
+    def _to_null(self) -> None:
+        # what the stream still buffers goes there too, so that the
+        # interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
 
 
 def main(argv: list[str] | None = None) -> int:
