@@ -293,7 +293,11 @@ class _Stdout:
     def _to_null(self) -> None:
         # what the stream still buffers goes there too, so that the
         # interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, self._stream.fileno())
+        finally:
+            os.close(null)
 
 
 def main(argv: list[str] | None = None) -> int:

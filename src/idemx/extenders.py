@@ -42,7 +42,9 @@ from .functionals import (
     _distinct,
     _family_rows,
     _fold,
+    _masks_of,
     _pair_family,
+    _rows_of,
     _verification_rows,
     classify,
 )
@@ -394,7 +396,7 @@ def extend_open_set(
     if not u.domain_space.is_open_mask(umask):
         raise InvariantViolation("open_set", "not open in the subspace")
     _check_opens(u, variant, tol)
-    (mask,) = _pack(_open_hits(u, (umask,), variant, tol).any(axis=1))
+    (mask,) = _masks_of(_open_hits(u, (umask,), variant, tol).any(axis=1)).tolist()
     return u.ambient_space.subset(mask)
 
 
@@ -405,16 +407,10 @@ def _open_hits(u: Extender, open_masks, variant: str, tol: float) -> np.ndarray:
     run ``_check_opens``."""
     n = u.domain_space.n
     sign = -1.0 if variant == "max_usc" else 1.0
-    inside = (np.array(open_masks)[:, None] >> np.arange(n)) & 1
+    inside = _rows_of(open_masks, n)
     H = 1.0 + sign * inside[:, None, :] * np.array(EXTENSION_SCHEDULE)[:, None]
     G = u.apply_batch(H.reshape(-1, n)).reshape(*H.shape[:2], -1)
     return G < 1.0 - tol if variant == "max_usc" else G > 1.0 + tol
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """The bitmask of each boolean row (last axis), as Python ints of any width."""
-    n = bits.shape[-1]
-    return bits.astype(object) @ (np.ones(n, dtype=object) << np.arange(n, dtype=object))
 
 
 def _recover_by_closures(u: Extender, variant: str, tol: float) -> tuple[int, tuple[int, ...]]:
@@ -426,13 +422,13 @@ def _recover_by_closures(u: Extender, variant: str, tol: float) -> tuple[int, tu
     opens = np.array(x_space.opens)
     reach = _open_hits(u, opens, variant, tol).any(axis=1)
     # x is adherent to U iff its minimal neighborhood meets U
-    closures = _pack((np.array(x_space.min_nbhd) & opens[:, None]) != 0)
+    closures = _masks_of((np.array(x_space.min_nbhd) & opens[:, None]) != 0)
     images = np.bitwise_and.reduce(np.where(reach, closures[:, None], x_space.full_mask))
     empty = np.flatnonzero(images == 0)
     if empty.size:
         at = u.ambient_space.points[empty[0]]
         raise InvariantViolation("recovered.nonempty", f"empty recovered value at {at!r}")
-    return _pack(reach.any(axis=0)), tuple(images.tolist())
+    return int(_masks_of(reach.any(axis=0))), tuple(images.tolist())
 
 
 def retraction_from_open_sets(
@@ -484,8 +480,7 @@ def check_open_extension_algebra(
     _check_opens(u, variant, tol)
     hits = _open_hits(u, x_space.opens, variant, tol)
     reach = hits.any(axis=1)
-    e_masks = np.zeros(x_space.full_mask + 1, dtype=object)  # indexed by open mask
-    e_masks[list(x_space.opens)] = _pack(reach)
+    e_masks = dict(zip(x_space.opens, _masks_of(reach).tolist()))
     first = np.array(EXTENSION_SCHEDULE)[hits.argmax(axis=1)].tolist()
     attained = {
         x_space.ids(um): {p: c for p, c, hit in zip(u.ambient_space.points, cs, row) if hit}

@@ -83,8 +83,12 @@ class RealFunction:
     def __post_init__(self):
         if len(self.values) != len(self.space.points):
             raise InvariantViolation("values", "length must match the point count")
-        if not all(math.isfinite(v) for v in self.values):
-            raise InvariantViolation("values", "values must be finite")
+        try:
+            finite = all(math.isfinite(v) for v in self.values)
+        except TypeError:  # not a number, such as a string or None
+            finite = False
+        if not finite:
+            raise InvariantViolation("values", "values must be finite numbers")
 
     def __getitem__(self, point: str) -> float:
         return self.values[self.space.index(point)]
@@ -296,7 +300,7 @@ class TableFunctional(Functional):
             raise InvariantViolation(
                 "table.domain", f"input value {float(A[outside][0])!r} is not in {{lo, hi}}"
             )
-        return np.array(self.table, dtype=float)[hi @ (1 << np.arange(A.shape[1]))]
+        return np.array(self.table, dtype=float)[_masks_of(hi)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,6 +355,29 @@ def dual(mu: Functional) -> Functional:
     return DualFunctional(mu)
 
 
+# -- subsets as boolean rows ------------------------------------------------
+
+
+def _mask_dtype(n: int):
+    """What holds a bitmask of n points exactly: int64 below 64 points,
+    Python ints (numpy's object dtype) from 64 on."""
+    return np.int64 if n < 64 else object
+
+
+def _rows_of(masks, n: int) -> np.ndarray:
+    """The boolean k x n rows of k subset bitmasks: row j holds point i when
+    bit i of masks[j] is set.  ``_masks_of`` inverts it."""
+    at = np.arange(n, dtype=_mask_dtype(n))
+    return ((np.asarray(masks, dtype=at.dtype)[:, None] >> at) & 1).astype(bool)
+
+
+def _masks_of(rows: np.ndarray):
+    """The subset bitmask of each boolean row (the last axis), one mask for
+    one row, of ``_mask_dtype``'s type.  ``_rows_of`` inverts it."""
+    n = rows.shape[-1]
+    return rows @ (1 << np.arange(n, dtype=_mask_dtype(n)))
+
+
 # -- structured input families ---------------------------------------------
 #
 # Families are read-only k x n arrays, one row per input, built once per n
@@ -381,16 +408,26 @@ def _spikes(n: int, values) -> np.ndarray:
     return rows.reshape(-1, n)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
+def _subset_table(n: int) -> np.ndarray:
+    """The rows of every subset mask of n points, in mask order, read-only."""
+    a = _rows_of(np.arange(1 << n), n)
+    a.flags.writeable = False
+    return a
+
+
 def _two_valued(n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """All {lo,hi}-valued rows in bitmask order: row m is hi at point i when bit i of m is set."""
-    a = np.where((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, hi, lo).astype(float)
+    """All {lo,hi}-valued rows in bitmask order, read-only: row m is hi at
+    point i when bit i of m is set.  Built from ``_subset_table(n)`` on
+    each call, so each keeps the caller's own sign of zero."""
+    a = np.where(_subset_table(n), float(hi), float(lo))
     a.flags.writeable = False
     return a
 
 
 def two_valued_tuples(n: int, lo: float = 0.0, hi: float = 1.0) -> tuple[tuple[float, ...], ...]:
     """All {lo,hi}-valued tuples in bitmask order."""
+    _check_count("n", n)
     return tuple(map(tuple, _two_valued(n, lo, hi).tolist()))
 
 
@@ -971,7 +1008,7 @@ def _probe_supports(ev, n: int, kind: Kind, tol: float) -> list[int]:
     """
     vals = ev(_probe_rows(n)[kind])
     fired = (np.abs(vals[1:] - vals[0]) > tol).reshape(n, len(_PROBE_SCALES), -1).any(axis=1)
-    return (fired.T.astype(np.int64) @ (1 << np.arange(n))).tolist()
+    return _masks_of(fired.T).tolist()
 
 
 def _misses(values, rows, kind: Kind, mask: int, tol: float) -> np.ndarray:

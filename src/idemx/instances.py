@@ -11,9 +11,9 @@ Schema is inferred from the fields present:
              {"space": <space>, "kind": "mean"}
              {"space": <space>, "kind": "table", "lo": 0, "hi": 1, "table": {...}}
 
-Density weights accept numbers, null, or "-inf" for excluded points.  Table
-functionals enumerate values on two-valued inputs only; keys are the
-comma-joined names of the points at the high value.
+Density weights, one per point, accept numbers, null, or "-inf" for
+excluded points.  Table functionals enumerate values on two-valued inputs
+only; keys are the comma-joined names of the points at the high value.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .spaces import (
     FiniteTopSpace,
     MetricSpace,
     SubspaceEmbedding,
+    _at_points,
     from_minimal_basis,
 )
 
@@ -173,14 +174,11 @@ def load_functional(data: dict) -> Functional:
         return SupportFunctional(space, "min" if is_min else "max", space.mask(f))
     if kind == "density":
         lam = _point_keys(_object(data.get("lambda"), "lambda"), space.points, "lambda")
-        vals = []
-        for p in space.points:
-            v = lam.get(p)
-            if v is None or v == "-inf":
-                vals.append(NEG_INF)
-            else:
-                vals.append(_number(v, f"lambda[{p}]"))
-        return IdempotentDensity(space, tuple(vals))
+        weights = {
+            p: NEG_INF if v is None or v == "-inf" else _number(v, f"lambda[{p}]")
+            for p, v in lam.items()
+        }
+        return IdempotentDensity(space, tuple(_at_points(space.points, weights, "lambda")))
     if kind == "mean":
         return MeanFunctional(space)
     if kind == "table":

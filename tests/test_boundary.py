@@ -42,6 +42,7 @@ from idemx.functionals import (
     from_mapping,
     infsup_reconstruct,
     support_functional,
+    two_valued_tuples,
 )
 from idemx.hyperspace import (
     functional_topology,
@@ -305,6 +306,19 @@ CASES = {
     ),
     "line-metric-repeated-coordinate": (
         lambda: line_metric({"a": 0.0, "b": -0.0}), InvariantViolation, "^dist.identity: ",
+    ),
+    # a value math.isfinite cannot read is refused, not a bare TypeError
+    "real-function-string-value": (
+        lambda: RealFunction(X, ("a", 1.0)), InvariantViolation, "^values: ",
+    ),
+    "real-function-none-value": (
+        lambda: RealFunction(X, (1.0, None)), InvariantViolation, "^values: ",
+    ),
+    "two-valued-negative-n": (
+        lambda: two_valued_tuples(-1), InvariantViolation, "^n: must be an integer >= 0",
+    ),
+    "two-valued-fractional-n": (
+        lambda: two_valued_tuples(1.5), InvariantViolation, "^n: must be an integer >= 0",
     ),
     "functional-json-metric-space": (
         lambda: functional_to_json(SupportFunctional(line_metric({"a": 0, "b": 1}), "min", 1)),

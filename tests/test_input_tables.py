@@ -43,8 +43,8 @@ from idemx.functionals import (
     _random_tail,
     _spikes,
     _structured_ids,
+    _subset_table,
     _sweep_layout,
-    _two_valued,
     _verification_rows,
     _verification_table,
     _verify_family,
@@ -201,7 +201,7 @@ def test_every_cached_array_is_read_only():
     r = setmap(e.ambient, e.subspace, {"p": ["p"], "q": ["q"], "w": ["p"]})
     verify_semicontinuity_theorem(r, e, "min")
     values = {
-        "functionals._two_valued": _two_valued(3, 0.0, -1.0),
+        "functionals._subset_table": _subset_table(3),
         "functionals._pair_family": _pair_family(3),
         "functionals._verify_family": _verify_family(3),
         "functionals._structured_ids": _structured_ids(3),
@@ -233,11 +233,12 @@ def test_every_cached_array_is_read_only():
 
 
 def test_no_cache_is_keyed_by_a_functional():
-    """Every cached table takes numbers only: point counts, row counts,
-    seeds and bounds, and the values of a two-valued block."""
+    """Every cached table takes integers only: point counts, row counts and
+    seeds.  Not a functional, and not a float, whose -0.0 would hit the
+    entry of 0.0."""
     for name, cache in _cached_tables().items():
         params = inspect.signature(cache.__wrapped__).parameters.values()
-        assert all(p.annotation in ("int", "float") for p in params), name
+        assert all(p.annotation == "int" for p in params), name
 
 
 def _bound_3_table(n, budget, seed):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idemx import campaign
-from idemx.cli import main
+from idemx.cli import _Stdout, main
 from idemx.errors import InvariantViolation, MembershipViolation, ParseError
 from idemx.functionals import (
     IdempotentDensity,
@@ -259,6 +259,34 @@ def test_a_reader_that_closes_stdout_early_leaves_the_exit_code_alone(tmp_path):
         proc.stderr.close()
         assert proc.wait(timeout=120) == code
         assert err == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_a_closed_pipe_leaves_no_descriptor_open():
+    """Each closed pipe sends the rest of the output to the null device
+    and keeps no descriptor of its own open, in-process callers included."""
+    for _ in range(3):
+        read, write = os.pipe()
+        os.close(read)
+        stream = os.fdopen(write, "w")
+        before = len(os.listdir("/proc/self/fd"))
+        out = _Stdout(stream)
+        out.write("x")
+        out.flush()  # the reader is gone: BrokenPipeError, caught
+        assert out.write("y") == 1
+        out.flush()
+        assert len(os.listdir("/proc/self/fd")) == before
+        stream.close()
+
+
+def test_cli_density_must_name_every_point(tmp_path, capsys):
+    """A density file that omits a point is refused, not read as excluding it."""
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps({"space": D3_JSON, "kind": "density", "lambda": {"a": 0, "b": -1}}))
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: InvariantViolation: lambda[c]: missing value\n"
+    path.write_text(json.dumps({"space": D3_JSON, "kind": "density", "lambda": {"a": 0, "b": -1, "c": None}}))
+    assert main(["classify", str(path)]) == 0
 
 
 def test_cli_campaign_writes_report_and_replays(files, capsys):
